@@ -4,6 +4,8 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <random>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/gate_scan.hpp"
@@ -51,14 +53,29 @@ void BM_SchedulerCancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_SchedulerCancelHeavy);
 
 void BM_Mt19937Normal(benchmark::State& state) {
-  // The pinned field model's draw: one sequential std::normal_distribution
-  // step on mt19937_64 — the RNG floor the counter backend removes.
-  sim::Rng rng(1);
+  // The reference the pinned field's draws reproduce bit for bit: a fresh
+  // std::normal_distribution per draw on std::mt19937_64. Compare against
+  // BM_RngNormals, the in-tree kernel the field actually runs.
+  std::mt19937_64 engine(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.normal(0.0, 1.0));
+    benchmark::DoNotOptimize(std::normal_distribution<double>(0.0, 1.0)(engine));
   }
 }
 BENCHMARK(BM_Mt19937Normal);
+
+void BM_RngNormals(benchmark::State& state) {
+  // sim::Rng::normals at a batch size of range(0) draws; time per item is
+  // time per draw. Batch 1 is Rng::normal.
+  sim::Rng rng(1);
+  std::vector<double> out(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rng.normals(0.0, 1.0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RngNormals)->Arg(1)->Arg(64)->Arg(264);
 
 void BM_CounterRngNormal(benchmark::State& state) {
   // The fast field model's draw: hash of (stream, counter) — stateless,

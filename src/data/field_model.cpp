@@ -123,11 +123,18 @@ void Field::step_once() {
     if (b.cx < geo_.min_x || b.cx > geo_.min_x + geo_.area_w) b.vx = -b.vx;
     if (b.cy < geo_.min_y || b.cy > geo_.min_y + geo_.area_h) b.vy = -b.vy;
   }
-  for (double& r : regional_) {
-    r = params_.regional_rho * r + rng_.normal(0.0, params_.regional_sigma);
+  // One batched draw per AR(1) plane, in the per-element order: every
+  // cell's innovation, then every node's.
+  draws_.resize(std::max(regional_.size(), node_noise_.size()));
+  const std::span<double> cell_draws(draws_.data(), regional_.size());
+  rng_.normals(0.0, params_.regional_sigma, cell_draws);
+  for (std::size_t c = 0; c < regional_.size(); ++c) {
+    regional_[c] = params_.regional_rho * regional_[c] + cell_draws[c];
   }
-  for (double& n : node_noise_) {
-    n = params_.node_rho * n + rng_.normal(0.0, params_.node_sigma);
+  const std::span<double> node_draws(draws_.data(), node_noise_.size());
+  rng_.normals(0.0, params_.node_sigma, node_draws);
+  for (std::size_t n = 0; n < node_noise_.size(); ++n) {
+    node_noise_[n] = params_.node_rho * node_noise_[n] + node_draws[n];
   }
   refresh_diurnal();
 }
@@ -173,7 +180,7 @@ void Field::adopt_new_nodes() const {
 double Field::reading(NodeId node) const {
   if (node >= geo_.node_count()) adopt_new_nodes();
   return field_value(geo_.node_x.at(node), geo_.node_y.at(node),
-                     geo_.node_cell[node]) +
+                     geo_.node_cell.at(node)) +
          node_noise_.at(node);
 }
 

@@ -125,6 +125,9 @@ class Field {
   std::vector<Bump> bumps_;
   std::vector<double> regional_;           // AR(1) value per grid cell
   mutable std::vector<double> node_noise_; // AR(1) value per node
+  // One step's innovations for the larger plane; grows when adoption
+  // grows node_noise_.
+  std::vector<double> draws_;
 };
 
 /// Bundle of one Field per sensor type, advanced in lock-step. This is the

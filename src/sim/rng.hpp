@@ -7,6 +7,9 @@
 // figure benches exactly reproducible run-to-run.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -34,7 +37,77 @@ constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
   return h;
 }
 
-/// Seeded wrapper around std::mt19937_64 with convenience distributions.
+/// Correctly rounded `static_cast<double>(u)` in bit operations and double
+/// arithmetic only: branch-free (GCC's x86-64 conversion branches on the
+/// sign bit, which mispredicts half the time on uniform words) and
+/// vectorizable. Each 32-bit half lands exactly in a double's mantissa
+/// (hi * 2^32 + 2^84 and lo + 2^52) and removing the offsets is exact, so
+/// the only rounding is that of the final sum hi * 2^32 + lo.
+constexpr double u64_to_double(std::uint64_t u) noexcept {
+  const double hi =
+      std::bit_cast<double>((u >> 32) | 0x4530000000000000ULL) -
+      0x1.00000001p84;  // 2^84 + 2^52
+  const double lo =
+      std::bit_cast<double>((u & 0xFFFFFFFFULL) | 0x4330000000000000ULL);
+  return hi + lo;
+}
+
+/// `std::generate_canonical<double, 53>` of one 64-bit word: u / 2^64,
+/// with the words that round up to 1.0 (u >= 2^64 - 1024, the top 54 bits
+/// all set) clamped to nextafter(1.0, 0.0) as libstdc++ does. The clamp
+/// moves those words down by 1024, which makes them round to 2^64 - 2048
+/// instead: 1 - 2^-53 after scaling. It is integer-only (the +1 carries
+/// out of the 54 bits exactly when all are set), so it vectorizes.
+constexpr double canonical(std::uint64_t u) noexcept {
+  const std::uint64_t rounds_up = ((u >> 10) + 1) >> 54;
+  return u64_to_double(u - (rounds_up << 10)) * 0x1p-64;
+}
+
+/// MT19937-64, output-identical to `std::mt19937_64` (same seeding, twist
+/// and tempering), kept in-tree so `Rng::normals` can read the state block
+/// directly. The twist is branch-free.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+
+  explicit Mt19937_64(result_type seed) noexcept;
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (pos_ == kStateWords) twist();
+    return temper(state_[pos_++]);
+  }
+
+ private:
+  friend class Rng;
+
+  static constexpr result_type temper(result_type z) noexcept {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  void twist() noexcept;
+
+  std::array<result_type, kStateWords> state_;
+  std::size_t pos_ = kStateWords;
+};
+
+/// Seeded MT19937-64 generator with convenience distributions.
+///
+/// The engine gives the words of `std::mt19937_64`. `uniform`,
+/// `uniform_int`, `bernoulli` and `exponential` run the standard library's
+/// distributions on it, so they equal the same calls on `std::mt19937_64`.
+/// `normal`/`normals` give the bits of a fresh libstdc++
+/// `std::normal_distribution<double>` per draw on any standard library: the
+/// polar method, one accepted pair per draw, the pair's second value thrown
+/// away. That discarded value is part of the golden contract (the pinned
+/// field's streams, hence every scenario golden, are recorded against it):
+/// caching it for the next draw would change every stream.
 ///
 /// Copyable (the engine is just state); copying forks the stream, which is
 /// occasionally useful in tests but should be avoided in simulation code —
@@ -74,8 +147,16 @@ class Rng {
 
   /// Gaussian with the given mean and standard deviation.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    double v = 0.0;
+    normals(mean, stddev, std::span<double>(&v, 1));
+    return v;
   }
+
+  /// Fills `out` with consecutive Gaussian draws: `out[i]` equals the i-th
+  /// of `out.size()` successive `normal(mean, stddev)` calls. Allocation-
+  /// free; accepts polar pairs straight from the engine's state block,
+  /// then takes log/sqrt over the accepted pairs in a second pass.
+  void normals(double mean, double stddev, std::span<double> out);
 
   /// Exponential with the given rate (lambda).
   double exponential(double lambda) {
@@ -123,7 +204,9 @@ class Rng {
     return splitmix64(s);
   }
 
-  std::mt19937_64 engine_;
+  void accept_polar_pairs(std::span<double> y, std::span<double> r2);
+
+  Mt19937_64 engine_;
   std::uint64_t seed_;
 };
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "net/placement.hpp"
 #include "sim/rng.hpp"
@@ -139,6 +142,114 @@ TEST(Field, PerNodeNoiseDecorralatesCoLocatedNodes) {
   const double diff = std::abs(f.reading(0) - f.reading(1));
   EXPECT_GT(diff, 0.0);
   EXPECT_LT(diff, 3.0);
+}
+
+// Test-local reference for the pinned field's noise planes: the
+// per-element draw loop Field::step_once batches (one Rng::normal per
+// cell, then one per node), with the field's lazy adoption of nodes added
+// to the topology after construction.
+class ReferenceNoise {
+ public:
+  ReferenceNoise(const FieldParams& p, const net::Topology& topo, sim::Rng rng)
+      : p_(p), topo_(&topo), rng_(rng) {
+    geo_.init(topo, p.regional_cell);
+    regional_.assign(geo_.cell_count(), 0.0);
+    node_noise_.assign(geo_.node_count(), 0.0);
+  }
+
+  void step() {
+    for (double& r : regional_) {
+      r = p_.regional_rho * r + rng_.normal(0.0, p_.regional_sigma);
+    }
+    for (double& n : node_noise_) {
+      n = p_.node_rho * n + rng_.normal(0.0, p_.node_sigma);
+    }
+  }
+
+  double reading(NodeId node) {
+    if (node >= geo_.node_count()) {
+      geo_.adopt_new_nodes(*topo_);
+      node_noise_.resize(geo_.node_count(), 0.0);
+    }
+    return regional_[geo_.node_cell[node]] + node_noise_[node];
+  }
+
+  [[nodiscard]] std::size_t cells() const { return regional_.size(); }
+
+ private:
+  FieldParams p_;
+  const net::Topology* topo_;
+  sim::Rng rng_;
+  FieldGeometry geo_;
+  std::vector<double> regional_;
+  std::vector<double> node_noise_;
+};
+
+TEST(Field, PinnedAdoptionMatchesPerDrawReference) {
+  // The deterministic structure (level, diurnal cycle, gradient, fronts)
+  // is zeroed, so a reading is exactly regional + per-node noise: the two
+  // planes the batched draw fills.
+  FieldParams p = default_params(kSensorLight);
+  p.base = 0.0;
+  p.diurnal_amplitude = 0.0;
+  p.gradient_x = 0.0;
+  p.gradient_y = 0.0;
+  p.bump_count = 0;
+  p.regional_cell = 34.0;
+  net::Topology topo = paper_topology();
+  Field field(kSensorLight, p, topo, sim::Rng(17));
+  ReferenceNoise ref(p, topo, sim::Rng(17));
+  // Odd cell and node counts: every step draws an odd number of normals,
+  // so batch boundaries walk across the 312-word twists (one every two
+  // or three steps here).
+  ASSERT_EQ(ref.cells() % 2, 1u);
+  ASSERT_EQ(topo.size() % 2, 0u);  // odd once the first node is added
+
+  std::size_t compared = 0;
+  std::string first_mismatch;
+  auto compare = [&](std::int64_t epoch, std::size_t nodes) {
+    for (NodeId u = 0; u < nodes; ++u) {
+      const double got = field.reading(u);
+      const double want = ref.reading(u);
+      ++compared;
+      if (first_mismatch.empty() &&
+          std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want)) {
+        first_mismatch = "epoch " + std::to_string(epoch) + " node " +
+                         std::to_string(u);
+      }
+    }
+  };
+  std::int64_t epoch = 0;
+  auto run = [&](std::int64_t steps, std::size_t nodes) {
+    for (std::int64_t i = 0; i < steps; ++i) {
+      field.advance_to(++epoch);
+      ref.step();
+      compare(epoch, nodes);
+    }
+  };
+
+  run(40, topo.size());
+  net::Node first;
+  first.x = 61.0;
+  first.y = 17.0;
+  first.sensors = {kSensorLight};
+  topo.add_node(first);
+  compare(epoch, topo.size());  // the first read adopts it in both
+  run(60, topo.size());
+
+  // A node nobody reads for a while is adopted only at its first read,
+  // and its noise starts there.
+  const std::size_t before = topo.size();
+  net::Node second;
+  second.x = 23.0;
+  second.y = 88.0;
+  second.sensors = {kSensorLight};
+  topo.add_node(second);
+  run(25, before);
+  run(75, topo.size());
+
+  EXPECT_EQ(compared, 40u * 50 + 51 + 60 * 51 + 25 * 51 + 75 * 52);
+  EXPECT_TRUE(first_mismatch.empty()) << "first mismatch at " << first_mismatch;
 }
 
 TEST(DefaultParams, TypesAreDistinct) {
