@@ -13,6 +13,7 @@
 #include "core/range_table.hpp"
 #include "data/fast_field.hpp"
 #include "data/field_model.hpp"
+#include "mac/lmac.hpp"
 #include "net/placement.hpp"
 #include "sim/counter_rng.hpp"
 #include "net/spatial_index.hpp"
@@ -301,6 +302,31 @@ void BM_ParallelEpochShardScaling(benchmark::State& state) {
                           static_cast<std::int64_t>(topo.size()));
 }
 BENCHMARK(BM_ParallelEpochShardScaling)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_LmacFrame(benchmark::State& state) {
+  // One steady-state LMAC frame (Arg = node count) on 64-slot frames:
+  // control sections only, no DirQ traffic. Items are control receptions
+  // (sum of degrees), so ns per item stays flat when a frame is
+  // O(sum of degrees) and grows with degree when it is not.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(1);
+  net::Topology topo = net::random_connected(net::scaled_placement(n), rng);
+  sim::Scheduler sched;
+  mac::LmacConfig cfg;
+  cfg.slots_per_frame = 64;
+  cfg.ticks_per_slot = 16;
+  mac::LmacNetwork mac(sched, topo, cfg);
+  mac.start();
+  SimTime until = cfg.frame_ticks() - 1;
+  sched.run_until(until);  // bootstrap frame
+  for (auto _ : state) {
+    until += cfg.frame_ticks();
+    benchmark::DoNotOptimize(sched.run_until(until));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(2 * topo.link_count()));
+}
+BENCHMARK(BM_LmacFrame)->Arg(50)->Arg(500)->Arg(2000);
 
 void BM_GateScan(benchmark::State& state) {
   // The sampling-gate sweep at plan scale (4096 slots, ~half due):

@@ -8,6 +8,20 @@
 
 namespace dirq::mac {
 
+namespace {
+
+constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
+
+/// Position of `id`'s entry in `table`, or kNoEntry.
+std::size_t entry_index(const std::vector<NeighborEntry>& table, NodeId id) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (table[i].id == id) return i;
+  }
+  return kNoEntry;
+}
+
+}  // namespace
+
 std::vector<int> elect_slots(const net::Topology& topo, NodeId root,
                              std::size_t slots) {
   const std::size_t n = topo.size();
@@ -76,15 +90,16 @@ LmacNetwork::~LmacNetwork() { topo_.remove_observer(this); }
 
 void LmacNetwork::start() {
   if (started_) return;
-  started_ = true;
+  // Validate and elect before committing any state: a failed start leaves
+  // the MAC unstarted, so a retry fails the same way and send/broadcast
+  // keep rejecting.
   if (cfg_.slots_per_frame > 64) {
     throw std::invalid_argument(
         "LmacNetwork: occupied-slot bitmasks support at most 64 slots");
   }
+  const std::vector<int> slots = elect_slots(topo_, /*root=*/0, cfg_.slots_per_frame);
   state_.assign(topo_.size(), {});
   slot_members_.assign(cfg_.slots_per_frame, {});
-
-  const std::vector<int> slots = elect_slots(topo_, /*root=*/0, cfg_.slots_per_frame);
   for (NodeId u = 0; u < topo_.size(); ++u) {
     if (!topo_.is_alive(u)) continue;
     state_[u].slot = slots[u];
@@ -99,6 +114,7 @@ void LmacNetwork::start() {
   }
   frame_ = 0;
   next_slot_ = 0;
+  started_ = true;
   schedule_next_slot();
 }
 
@@ -111,9 +127,9 @@ void LmacNetwork::schedule_next_slot() {
 }
 
 void LmacNetwork::run_slot(std::size_t slot_index) {
-  // Copy: joins/deaths during delivery may edit the member list.
-  const std::vector<NodeId> members = slot_members_[slot_index];
-  for (NodeId owner : members) {
+  const std::vector<NodeId>& live = slot_members_[slot_index];
+  slot_snapshot_.assign(live.begin(), live.end());
+  for (NodeId owner : slot_snapshot_) {
     if (topo_.is_alive(owner) && !state_[owner].joining) transmit(owner);
   }
   next_slot_ = slot_index + 1;
@@ -130,18 +146,25 @@ void LmacNetwork::transmit(NodeId owner) {
   // Control section: one broadcast transmission, every alive neighbour
   // receives (and refreshes its liveness entry for `owner`).
   st.control_tx += 1;
-  for (NodeId v : topo_.neighbors(owner)) {
+  const auto nbrs = topo_.neighbors(owner);
+  if (st.entry_pos.size() != nbrs.size()) st.entry_pos.resize(nbrs.size(), 0);
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    const NodeId v = nbrs[k];
     NodeState& recv = state_[v];
     recv.control_rx += 1;
-    NeighborEntry* entry = find_neighbor(recv, owner);
-    if (entry == nullptr) {
+    std::size_t& pos = st.entry_pos[k];
+    if (pos >= recv.neighbors.size() || recv.neighbors[pos].id != owner) {
+      pos = entry_index(recv.neighbors, owner);
+    }
+    if (pos == kNoEntry) {
       // First time this node hears `owner` (node addition, §4.2).
+      pos = recv.neighbors.size();
       recv.neighbors.push_back(NeighborEntry{owner, frame_, st.slot});
       recv.occupied_view |= (1ULL << static_cast<unsigned>(st.slot));
       if (observer_ != nullptr) observer_->on_neighbor_found(v, owner);
     } else {
-      entry->last_heard_frame = frame_;
-      entry->slot = st.slot;
+      recv.neighbors[pos].last_heard_frame = frame_;
+      recv.neighbors[pos].slot = st.slot;
     }
     // Occupied-slot gossip: hearers fold the sender's view into their own
     // (this is how LMAC propagates 2-hop occupancy).
@@ -161,8 +184,8 @@ void LmacNetwork::transmit(NodeId owner) {
     } else if (f.dst < topo_.size() && topo_.is_alive(f.dst)) {
       // Unicast: only the addressed neighbour decodes the data section
       // (LMAC receivers sleep through data not addressed to them).
-      const auto nbrs = topo_.neighbors(owner);
-      if (std::binary_search(nbrs.begin(), nbrs.end(), f.dst)) {
+      const auto in_range = topo_.neighbors(owner);
+      if (std::binary_search(in_range.begin(), in_range.end(), f.dst)) {
         state_[f.dst].data_rx += 1;
         if (observer_ != nullptr) observer_->on_message(f.dst, f);
       }
@@ -176,7 +199,8 @@ void LmacNetwork::end_of_frame() {
     if (!topo_.is_alive(u)) continue;
     if (state_[u].joining) {
       elect_joining_node(u);
-    } else {
+    } else if (frame_ - state_[u].heard_floor >= cfg_.timeout_frames) {
+      // Below that, no entry can have gone silent long enough to expire.
       check_timeouts(u);
     }
   }
@@ -184,6 +208,8 @@ void LmacNetwork::end_of_frame() {
 
 void LmacNetwork::check_timeouts(NodeId id) {
   NodeState& st = state_[id];
+  // Entries added later are heard at frame_ or after.
+  std::int64_t floor = frame_;
   for (std::size_t i = 0; i < st.neighbors.size();) {
     NeighborEntry& e = st.neighbors[i];
     // last_heard_frame == -1 means "primed at bootstrap, not heard since";
@@ -197,9 +223,11 @@ void LmacNetwork::check_timeouts(NodeId id) {
                "node ", id, " lost neighbor ", lost, " at frame ", frame_);
       if (observer_ != nullptr) observer_->on_neighbor_lost(id, lost);
     } else {
+      floor = std::min(floor, e.last_heard_frame);
       ++i;
     }
   }
+  st.heard_floor = floor;
 }
 
 void LmacNetwork::elect_joining_node(NodeId id) {
@@ -271,13 +299,6 @@ void LmacNetwork::on_node_added(NodeId id) {
   NodeState& st = state_.at(id);
   st = NodeState{};
   st.joining = true;  // listen for one full frame, then claim a slot
-}
-
-NeighborEntry* LmacNetwork::find_neighbor(NodeState& st, NodeId id) {
-  for (NeighborEntry& e : st.neighbors) {
-    if (e.id == id) return &e;
-  }
-  return nullptr;
 }
 
 }  // namespace dirq::mac

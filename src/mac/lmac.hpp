@@ -21,6 +21,20 @@
 //     behaviour DirQ depends on.
 //   * A slot's data section carries all queued messages (no fragmentation).
 //     The paper's cost unit is per logical message, which we count.
+//
+// Simulator cost: one frame is O(sum of degrees) control receptions. Two
+// pieces of simulator bookkeeping (indexes over the per-node tables, not
+// state any simulated node can see) keep it there:
+//   * Each sender caches, per entry of its topology adjacency, the position
+//     of its own entry in that neighbour's table. A receiver holds at most
+//     one entry per sender, so a cached position whose entry carries the
+//     sender's id is exact; any other position (a timeout erase shifted
+//     the table, a join appended to it, churn relinked the adjacency)
+//     falls back to a table scan that refreshes the cache.
+//   * Each node keeps a floor that never exceeds any of its entries'
+//     last_heard_frame; end_of_frame skips the timeout scan while the floor
+//     proves no entry can have expired, so losses fire exactly when (and
+//     in the order) a full scan would report them.
 #pragma once
 
 #include <any>
@@ -124,6 +138,11 @@ class LmacNetwork final : public net::TopologyObserver {
     std::vector<NeighborEntry> neighbors;
     std::uint64_t occupied_view = 0;    // bitmask of slots heard (1- and 2-hop)
     CostUnits data_tx = 0, data_rx = 0, control_tx = 0, control_rx = 0;
+    // Simulator bookkeeping (see the header comment). entry_pos[k] is this
+    // node's entry position in the table of topo.neighbors(self)[k], a
+    // hint checked by id. heard_floor <= every entry's last_heard_frame.
+    std::vector<std::size_t> entry_pos;
+    std::int64_t heard_floor = -1;
   };
 
   void schedule_next_slot();
@@ -132,7 +151,6 @@ class LmacNetwork final : public net::TopologyObserver {
   void transmit(NodeId owner);
   void check_timeouts(NodeId id);
   void elect_joining_node(NodeId id);
-  NeighborEntry* find_neighbor(NodeState& st, NodeId id);
 
   sim::Scheduler& sched_;
   net::Topology& topo_;
@@ -142,6 +160,9 @@ class LmacNetwork final : public net::TopologyObserver {
   // slot -> owners. TDMA with spatial reuse: several nodes share a slot as
   // long as they are more than two hops apart (the election guarantees it).
   std::vector<std::vector<NodeId>> slot_members_;
+  // run_slot's snapshot of the slot's members (joins/deaths during delivery
+  // may edit the live list), reused so a slot allocates nothing.
+  std::vector<NodeId> slot_snapshot_;
   std::int64_t frame_ = 0;
   std::size_t next_slot_ = 0;
   bool started_ = false;

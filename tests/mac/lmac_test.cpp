@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 
@@ -229,12 +230,50 @@ TEST(Lmac, KnownNeighborsTracksTopology) {
   EXPECT_EQ(h.mac.known_neighbors(1), (std::vector<NodeId>{0, 2}));
 }
 
+void expect_rejected_before_start(const std::function<void()>& enqueue) {
+  try {
+    enqueue();
+    ADD_FAILURE() << "enqueue accepted by an unstarted MAC";
+  } catch (const std::logic_error& e) {
+    // std::out_of_range is a logic_error too: match the message.
+    EXPECT_NE(std::string(e.what()).find("before start()"), std::string::npos)
+        << e.what();
+  }
+}
+
+void expect_unstarted(LmacNetwork& mac) {
+  expect_rejected_before_start([&] { mac.send(0, 1, std::string{}); });
+  expect_rejected_before_start([&] { mac.broadcast(0, std::string{}); });
+}
+
 TEST(Lmac, SendBeforeStartThrows) {
   sim::Scheduler sched;
   net::Topology topo = line(2);
   LmacNetwork mac(sched, topo, {});
-  EXPECT_THROW(mac.send(0, 1, std::string{}), std::logic_error);
-  EXPECT_THROW(mac.broadcast(0, std::string{}), std::logic_error);
+  expect_unstarted(mac);
+}
+
+TEST(Lmac, FailedStartOnTooManySlotsLeavesMacUnstarted) {
+  sim::Scheduler sched;
+  net::Topology topo = line(3);
+  LmacConfig cfg;
+  cfg.slots_per_frame = 65;
+  LmacNetwork mac(sched, topo, cfg);
+  EXPECT_THROW(mac.start(), std::invalid_argument);
+  EXPECT_THROW(mac.start(), std::invalid_argument);  // a retry fails alike
+  expect_unstarted(mac);
+}
+
+TEST(Lmac, FailedElectionLeavesMacUnstarted) {
+  sim::Scheduler sched;
+  net::Topology topo = line(10);
+  LmacConfig cfg;
+  cfg.slots_per_frame = 2;  // a line needs 3 (ElectSlots.ThrowsWhenFrameTooShort)
+  LmacNetwork mac(sched, topo, cfg);
+  EXPECT_THROW(mac.start(), std::runtime_error);
+  EXPECT_THROW(mac.start(), std::runtime_error);
+  expect_unstarted(mac);
+  EXPECT_EQ(sched.pending(), 0u);  // no frame loop was scheduled
 }
 
 TEST(Lmac, FrameCounterAdvances) {
