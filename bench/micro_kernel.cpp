@@ -19,6 +19,7 @@
 #include "net/spatial_index.hpp"
 #include "net/topology.hpp"
 #include "query/workload.hpp"
+#include "serve/cache.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "sweep/plan.hpp"
@@ -361,6 +362,65 @@ void BM_GateScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kN);
 }
 BENCHMARK(BM_GateScan)->Arg(0)->Arg(1);
+
+void BM_CacheLookup(benchmark::State& state) {
+  // The serve front-end's per-arrival cache probe at serve4's shape: 400
+  // entries over 3 types built from a 32-window pool (u^2 popularity
+  // skew), 200 stored sources each, queried with pool windows and their
+  // middle halves (the containment path). Every entry predates the
+  // current update counter and none has expired, so each hit is Stale:
+  // the scan runs the whole FIFO looking for a Fresh entry first.
+  constexpr std::size_t kEntries = 400;
+  constexpr std::size_t kSources = 200;
+  constexpr std::size_t kPool = 32;
+  sim::Rng rng(11);
+  struct Window {
+    SensorType type;
+    double lo, hi;
+  };
+  std::vector<Window> pool;
+  for (std::size_t i = 0; i < kPool; ++i) {
+    const double lo = rng.uniform(0.0, 30.0);
+    pool.push_back({static_cast<SensorType>(i % 3), lo,
+                    lo + rng.uniform(2.0, 12.0)});
+  }
+  const auto pick = [&] {
+    const double u = rng.uniform(0.0, 1.0);
+    return pool[std::min(static_cast<std::size_t>(u * u * kPool), kPool - 1)];
+  };
+  serve::ResultCache cache(1024, 1 << 30);
+  for (std::size_t e = 0; e < kEntries; ++e) {
+    const Window w = pick();
+    std::vector<serve::CachedSource> sources;
+    for (std::size_t s = 0; s < kSources; ++s) {
+      const double c = rng.uniform(w.lo, w.hi);
+      sources.push_back({static_cast<NodeId>(s), c - 1.1, c + 1.1});
+    }
+    cache.insert(w.type, w.lo, w.hi, 0, static_cast<std::int64_t>(e),
+                 static_cast<std::int64_t>(e), std::move(sources));
+  }
+  std::vector<Window> queries;
+  for (std::size_t q = 0; q < 1024; ++q) {
+    Window w = pick();
+    if (rng.bernoulli(0.25)) {
+      const double quarter = (w.hi - w.lo) / 4.0;
+      w.lo += quarter;
+      w.hi -= quarter;
+    }
+    queries.push_back(w);
+  }
+  const auto updates_now = static_cast<std::int64_t>(kEntries);
+  std::size_t q = 0;
+  for (auto _ : state) {
+    const Window& w = queries[q++ & 1023];
+    const serve::CacheLookup hit =
+        cache.lookup(w.type, w.lo, w.hi, updates_now, updates_now);
+    benchmark::DoNotOptimize(hit.kind);
+    benchmark::DoNotOptimize(hit.tree);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheLookup);
 
 void BM_Flooding50Nodes(benchmark::State& state) {
   sim::Rng rng(42);

@@ -1,6 +1,9 @@
 #include "core/network.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -118,10 +121,43 @@ void accumulate(CostLedger& into, const CostLedger& from) {
 /// owning subtree shard) writes a slot back right after on_sample. In
 /// gated epochs due_mask[t] holds the per-slot decision byte computed
 /// before the shards run, so every shard branches on the same snapshot.
+///
+/// own[k][t][j] (the own-tuple plane) mirrors tree k's own tuple
+/// (lo = THmin, hi = THmax) for plan slot j of type t, indexed like
+/// next_due. It exists only when every controller is FixedTheta and the
+/// gate is off: then a reading inside its own tuple changes nothing at
+/// all (observe is a no-op, on_reading/on_epoch are no-ops), so only
+/// crossings enter DirqNode::sample_slot. An own tuple changes only in
+/// observe (the node's own sample, always a crossing here — the owning
+/// shard writes the entry back right after it) and clear_own (through
+/// handle_sensor_removed, which dirties the plan), so the plane stays
+/// exact between rebuilds.
 struct DirqNetwork::ParallelEngine {
   explicit ParallelEngine(unsigned threads) : pool(threads) {}
 
   static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
+
+  /// One plane entry. A missing tuple is (+inf, -inf), so `lo <= r &&
+  /// r <= hi` is exactly RangeTable::observe's inside test — NaN and
+  /// +-inf readings included.
+  struct OwnTuple {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+  };
+
+  static bool same(const OwnTuple& a, const OwnTuple& b) {
+    return std::bit_cast<std::uint64_t>(a.lo) ==
+               std::bit_cast<std::uint64_t>(b.lo) &&
+           std::bit_cast<std::uint64_t>(a.hi) ==
+               std::bit_cast<std::uint64_t>(b.hi);
+  }
+
+  /// Tree `k`'s own tuple for `type` on `node`, in plane form.
+  static OwnTuple read_own(const DirqNode& node, TreeId k, SensorType type) {
+    const RangeTable* table = node.table(k, type);
+    if (table == nullptr || !table->own().has_value()) return {};
+    return {table->own()->min, table->own()->max};
+  }
 
   /// One readings() call: a contiguous slice of type t's batch. Splitting
   /// below whole types is only done when the source advertises
@@ -147,6 +183,8 @@ struct DirqNetwork::ParallelEngine {
   std::vector<std::vector<NodeId>> plan_nodes;
   std::vector<std::vector<std::size_t>> plan_seg;
   std::vector<std::vector<std::int64_t>> next_due;  // gate mirror (gated)
+  bool own_plane = false;  // fixed theta, gate off: consume via `own`
+  std::vector<std::vector<std::vector<OwnTuple>>> own;  // [tree][type][slot]
 
   // Per-epoch scratch, reused so the hot loop never allocates.
   std::vector<EpochShardCtx> ctx;
@@ -497,18 +535,52 @@ void DirqNetwork::rebuild_parallel_plan() {
   ParallelEngine& pe = *par_;
   pe.mac_mode = transport_ != instant_.get();
   pe.tree_mode = !pe.mac_mode && trees_.count() > 1;
-  if (pe.mac_mode) {
-    // Chunk mode: contiguous chunks of the reversed (alive-filtered)
-    // epoch walk, concatenating to exactly the sequential order — so each
-    // per-type batch stays one contiguous segment per shard and the
-    // existing plan_seg/offsets machinery applies, with an empty
-    // serial-root segment.
+  // Reversed (alive-filtered) epoch walk: the sequential visiting order.
+  const auto reversed_walk = [&] {
     pe.walk.clear();
     const std::vector<NodeId>& order = epoch_walk_order();
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       if (topo_.is_alive(*it)) pe.walk.push_back(*it);
     }
-    const std::size_t S = std::max<std::size_t>(
+  };
+  std::size_t type_count = 0;
+  const auto scan_types = [&](NodeId u) {
+    for (SensorType t : topo_.node(u).sensors) {
+      type_count = std::max<std::size_t>(type_count, t + 1);
+    }
+  };
+  const auto append_walk = [&](NodeId u) {
+    for (SensorType t : topo_.node(u).sensors) pe.plan_nodes[t].push_back(u);
+  };
+  // Shard-major plan: plan_seg[t][s] opens shard s's segment of type t,
+  // [S] opens the serial-root segment and [S + 1] closes it.
+  const auto build_segments = [&](std::size_t S, bool with_root) {
+    pe.plan_nodes.assign(type_count, {});
+    pe.plan_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
+    for (std::size_t s = 0; s < S; ++s) {
+      for (std::size_t t = 0; t < type_count; ++t) {
+        pe.plan_seg[t][s] = pe.plan_nodes[t].size();
+      }
+      for (NodeId u : pe.shards[s]) append_walk(u);
+    }
+    for (std::size_t t = 0; t < type_count; ++t) {
+      pe.plan_seg[t][S] = pe.plan_nodes[t].size();
+    }
+    if (with_root) append_walk(root_);
+    for (std::size_t t = 0; t < type_count; ++t) {
+      pe.plan_seg[t][S + 1] = pe.plan_nodes[t].size();
+    }
+  };
+
+  std::size_t S = 0;
+  if (pe.mac_mode) {
+    // Chunk mode: contiguous chunks of the reversed epoch walk,
+    // concatenating to exactly the sequential order — so each per-type
+    // batch stays one contiguous segment per shard and the plan_seg/
+    // offsets machinery applies, with an empty serial-root segment (the
+    // root is inside a chunk).
+    reversed_walk();
+    S = std::max<std::size_t>(
         1, std::min<std::size_t>(pe.pool.size(), pe.walk.size()));
     pe.shards.assign(S, {});
     pe.shard_of.assign(nodes_.size(), ParallelEngine::kNoShard);
@@ -520,179 +592,82 @@ void DirqNetwork::rebuild_parallel_plan() {
     }
     pe.claim_order.resize(S);
     std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-
-    std::size_t type_count = 0;
-    for (NodeId u : pe.walk) {
-      for (SensorType t : topo_.node(u).sensors) {
-        type_count = std::max<std::size_t>(type_count, t + 1);
-      }
-    }
-    pe.plan_nodes.assign(type_count, {});
-    pe.plan_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-    for (std::size_t s = 0; s < S; ++s) {
-      for (std::size_t t = 0; t < type_count; ++t) {
-        pe.plan_seg[t][s] = pe.plan_nodes[t].size();
-      }
-      for (NodeId u : pe.shards[s]) {
-        for (SensorType t : topo_.node(u).sensors) {
-          pe.plan_nodes[t].push_back(u);
-        }
-      }
-    }
-    for (std::size_t t = 0; t < type_count; ++t) {
-      // The root is inside a chunk; the serial-root segment is empty.
-      pe.plan_seg[t][S] = pe.plan_nodes[t].size();
-      pe.plan_seg[t][S + 1] = pe.plan_nodes[t].size();
-    }
-
-    pe.gated = cfg_.sampling.enabled;
-    if (pe.gated) {
-      pe.next_due.assign(type_count, {});
-      for (std::size_t t = 0; t < type_count; ++t) {
-        pe.next_due[t].resize(pe.plan_nodes[t].size());
-        for (std::size_t j = 0; j < pe.plan_nodes[t].size(); ++j) {
-          pe.next_due[t][j] = samplers_[pe.plan_nodes[t][j]].next_due(
-              static_cast<SensorType>(t));
-        }
-      }
-    } else {
-      pe.next_due.clear();
-    }
-
-    pe.ctx.resize(S);
-    for (EpochShardCtx& ctx : pe.ctx) {
-      ctx.tx_delta.assign(topo_.size(), 0);
-      ctx.rx_delta.assign(topo_.size(), 0);
-      ctx.tree_delta.assign(trees_.count(), CostLedger{});
-    }
-    pe.due_mask.assign(type_count, {});
-    pe.filt_nodes.assign(type_count, {});
-    pe.filt_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-    pe.values.resize(type_count);
-    pe.plan_alive = topo_.alive_count();
-    pe.plan_dirty = false;
-    return;
-  }
-  if (pe.tree_mode) {
+    for (NodeId u : pe.walk) scan_types(u);
+    build_segments(S, false);
+  } else if (pe.tree_mode) {
     // Tree-shard mode: shard k is tree k. Every shard repeats the full
     // reversed union walk (the sequential multi-sink order), advancing
     // only its own tree's slot per node; plan_nodes[t] is that walk
     // restricted to nodes carrying t, which is exactly the sequential
     // gather order, so batches — and therefore readings — are identical.
-    const std::size_t S = trees_.count();
+    S = trees_.count();
     pe.shards.clear();
     pe.shard_of.clear();
-    pe.walk.clear();
-    const std::vector<NodeId>& order = epoch_walk_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      if (topo_.is_alive(*it)) pe.walk.push_back(*it);
-    }
+    reversed_walk();
     pe.claim_order.resize(S);
     std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-
-    std::size_t type_count = 0;
-    for (NodeId u : pe.walk) {
-      for (SensorType t : topo_.node(u).sensors) {
-        type_count = std::max<std::size_t>(type_count, t + 1);
-      }
-    }
+    for (NodeId u : pe.walk) scan_types(u);
     pe.plan_nodes.assign(type_count, {});
     pe.plan_seg.clear();
-    for (NodeId u : pe.walk) {
-      for (SensorType t : topo_.node(u).sensors) pe.plan_nodes[t].push_back(u);
+    for (NodeId u : pe.walk) append_walk(u);
+  } else {
+    const net::SpanningTree& tree0 = trees_.tree(0);
+    pe.shards = tree0.subtree_partition();
+    // Leaves-first within each shard: the same relative order the
+    // reversed global walk visits that subtree in, so intra-shard
+    // cascades settle in one pass exactly as they do sequentially.
+    for (std::vector<NodeId>& s : pe.shards) std::reverse(s.begin(), s.end());
+    S = pe.shards.size();
+    pe.shard_of.assign(nodes_.size(), ParallelEngine::kNoShard);
+    for (std::size_t s = 0; s < S; ++s) {
+      for (NodeId u : pe.shards[s]) pe.shard_of[u] = s;
     }
-
-    pe.gated = cfg_.sampling.enabled;
-    if (pe.gated) {
-      pe.next_due.assign(type_count, {});
-      for (std::size_t t = 0; t < type_count; ++t) {
-        pe.next_due[t].resize(pe.plan_nodes[t].size());
-        for (std::size_t j = 0; j < pe.plan_nodes[t].size(); ++j) {
-          pe.next_due[t][j] = samplers_[pe.plan_nodes[t][j]].next_due(
-              static_cast<SensorType>(t));
-        }
-      }
-    } else {
-      pe.next_due.clear();
+    // Dynamic claiming plus largest-first ordering keeps the pool busy
+    // when subtree sizes are skewed; processing order is unobservable
+    // (shards are disjoint and root-bound merges happen in shard-index
+    // order later).
+    pe.claim_order.resize(S);
+    std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
+    std::stable_sort(pe.claim_order.begin(), pe.claim_order.end(),
+                     [&pe](std::size_t a, std::size_t b) {
+                       return pe.shards[a].size() > pe.shards[b].size();
+                     });
+    for (const std::vector<NodeId>& shard : pe.shards) {
+      for (NodeId u : shard) scan_types(u);
     }
-
-    pe.ctx.resize(S);
-    for (EpochShardCtx& ctx : pe.ctx) {
-      ctx.tx_delta.assign(topo_.size(), 0);
-      ctx.rx_delta.assign(topo_.size(), 0);
-    }
-    pe.due_mask.assign(type_count, {});
-    pe.filt_nodes.assign(type_count, {});
-    pe.filt_seg.clear();
-    pe.values.resize(type_count);
-    pe.plan_alive = topo_.alive_count();
-    pe.plan_dirty = false;
-    return;
-  }
-  const net::SpanningTree& tree0 = trees_.tree(0);
-  pe.shards = tree0.subtree_partition();
-  // Leaves-first within each shard: the same relative order the reversed
-  // global walk visits that subtree in, so intra-shard cascades settle in
-  // one pass exactly as they do sequentially.
-  for (std::vector<NodeId>& s : pe.shards) std::reverse(s.begin(), s.end());
-  const std::size_t S = pe.shards.size();
-  pe.shard_of.assign(nodes_.size(), ParallelEngine::kNoShard);
-  for (std::size_t s = 0; s < S; ++s) {
-    for (NodeId u : pe.shards[s]) pe.shard_of[u] = s;
-  }
-  // Dynamic claiming plus largest-first ordering keeps the pool busy when
-  // subtree sizes are skewed; processing order is unobservable (shards are
-  // disjoint and root-bound merges happen in shard-index order later).
-  pe.claim_order.resize(S);
-  std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-  std::stable_sort(pe.claim_order.begin(), pe.claim_order.end(),
-                   [&pe](std::size_t a, std::size_t b) {
-                     return pe.shards[a].size() > pe.shards[b].size();
-                   });
-
-  std::size_t type_count = 0;
-  const auto scan_types = [&](NodeId u) {
-    for (SensorType t : topo_.node(u).sensors) {
-      type_count = std::max<std::size_t>(type_count, t + 1);
-    }
-  };
-  for (const std::vector<NodeId>& shard : pe.shards) {
-    for (NodeId u : shard) scan_types(u);
-  }
-  const bool root_in_tree = tree0.in_tree(root_);
-  if (root_in_tree) scan_types(root_);
-
-  pe.plan_nodes.assign(type_count, {});
-  pe.plan_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-  const auto append_walk = [&](NodeId u) {
-    for (SensorType t : topo_.node(u).sensors) pe.plan_nodes[t].push_back(u);
-  };
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t t = 0; t < type_count; ++t) {
-      pe.plan_seg[t][s] = pe.plan_nodes[t].size();
-    }
-    for (NodeId u : pe.shards[s]) append_walk(u);
-  }
-  for (std::size_t t = 0; t < type_count; ++t) {
-    pe.plan_seg[t][S] = pe.plan_nodes[t].size();
-  }
-  if (root_in_tree) append_walk(root_);
-  for (std::size_t t = 0; t < type_count; ++t) {
-    pe.plan_seg[t][S + 1] = pe.plan_nodes[t].size();
+    const bool root_in_tree = tree0.in_tree(root_);
+    if (root_in_tree) scan_types(root_);
+    build_segments(S, root_in_tree);
   }
 
   pe.gated = cfg_.sampling.enabled;
+  pe.next_due.clear();
   if (pe.gated) {
-    pe.next_due.assign(type_count, {});
+    pe.next_due.resize(type_count);
     for (std::size_t t = 0; t < type_count; ++t) {
-      pe.next_due[t].resize(pe.plan_nodes[t].size());
-      for (std::size_t j = 0; j < pe.plan_nodes[t].size(); ++j) {
-        pe.next_due[t][j] =
-            samplers_[pe.plan_nodes[t][j]].next_due(static_cast<SensorType>(t));
+      for (NodeId u : pe.plan_nodes[t]) {
+        pe.next_due[t].push_back(
+            samplers_[u].next_due(static_cast<SensorType>(t)));
       }
     }
-  } else {
-    pe.next_due.clear();
+  }
+  // The own-tuple plane, read back from the range tables in one pass: a
+  // rebuild follows every path that can move an own tuple outside the
+  // plane (churn, sensor changes, sequential-fallback epochs).
+  pe.own_plane =
+      cfg_.mode == NetworkConfig::ThetaMode::Fixed && !cfg_.sampling.enabled;
+  pe.own.clear();
+  if (pe.own_plane) {
+    pe.own.resize(trees_.count());
+    for (TreeId k = 0; k < trees_.count(); ++k) {
+      pe.own[k].resize(type_count);
+      for (std::size_t t = 0; t < type_count; ++t) {
+        for (NodeId u : pe.plan_nodes[t]) {
+          pe.own[k][t].push_back(ParallelEngine::read_own(
+              nodes_[u], k, static_cast<SensorType>(t)));
+        }
+      }
+    }
   }
 
   pe.ctx.resize(S);
@@ -702,7 +677,11 @@ void DirqNetwork::rebuild_parallel_plan() {
   }
   pe.due_mask.assign(type_count, {});
   pe.filt_nodes.assign(type_count, {});
-  pe.filt_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
+  if (pe.tree_mode) {
+    pe.filt_seg.clear();
+  } else {
+    pe.filt_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
+  }
   pe.values.resize(type_count);
   pe.plan_alive = topo_.alive_count();
   pe.plan_dirty = false;
@@ -757,6 +736,46 @@ void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
   nodes_[to].handle(msg, from, current_epoch_);
 }
 
+void DirqNetwork::consume_own_plane(NodeId u, TreeId first, TreeId last,
+                                    bool count,
+                                    std::vector<std::size_t>& cursor,
+                                    std::int64_t epoch) {
+  ParallelEngine& pe = *par_;
+  DirqNode& node = nodes_[u];
+  for (SensorType t : topo_.node(u).sensors) {
+    const std::size_t j = cursor[t]++;
+    const double reading = pe.values[t][j];
+    if (count) samplers_[u].count_sample();
+    for (TreeId k = first; k < last; ++k) {
+      ParallelEngine::OwnTuple& own = pe.own[k][t][j];
+#ifndef NDEBUG
+      // Fail loud on a stale plane: a skipped sample is exact only while
+      // the entry equals the table's tuple.
+      if (!ParallelEngine::same(ParallelEngine::read_own(node, k, t), own)) {
+        throw std::logic_error(
+            "DirqNetwork: own-tuple plane diverged from the range table "
+            "(own tuple changed outside process_epoch/handle_*)");
+      }
+#endif
+      // Inside the own tuple: sample_slot would change nothing.
+      if (own.lo <= reading && reading <= own.hi) continue;
+      node.sample_slot(k, t, reading, epoch);
+      const ParallelEngine::OwnTuple next =
+          ParallelEngine::read_own(node, k, t);
+#ifndef NDEBUG
+      // A crossing of a present tuple re-centres it (the plane's inside
+      // test agrees with observe's).
+      if (own.lo <= own.hi && ParallelEngine::same(next, own)) {
+        throw std::logic_error(
+            "DirqNetwork: own-tuple plane saw a crossing the range table "
+            "did not");
+      }
+#endif
+      own = next;  // slot owned by this shard
+    }
+  }
+}
+
 void DirqNetwork::run_shard_consume(std::size_t shard, std::int64_t epoch) {
   ParallelEngine& pe = *par_;
   EpochShardCtx& ctx = pe.ctx[shard];
@@ -773,6 +792,11 @@ void DirqNetwork::run_shard_consume(std::size_t shard, std::int64_t epoch) {
       throw std::logic_error(
           "DirqNetwork: aliveness changed without tree repair during a "
           "parallel run");
+    }
+    if (pe.own_plane) {
+      consume_own_plane(u, 0, static_cast<TreeId>(trees_.count()), true,
+                        ctx.plan_cur, epoch);
+      continue;
     }
     const net::Node& info = topo_.node(u);
     SamplingController& gate = samplers_[u];
@@ -819,6 +843,10 @@ void DirqNetwork::run_tree_shard_consume(std::size_t shard,
       throw std::logic_error(
           "DirqNetwork: aliveness changed without tree repair during a "
           "parallel run");
+    }
+    if (pe.own_plane) {
+      consume_own_plane(u, tree, tree + 1, lead, ctx.plan_cur, epoch);
+      continue;
     }
     const net::Node& info = topo_.node(u);
     SamplingController& gate = samplers_[u];
@@ -1032,6 +1060,10 @@ void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
     for (std::size_t t = 0; t < type_count; ++t) {
       pe.root_plan_cur[t] = pe.plan_seg[t][S];
       pe.root_val_cur[t] = pe.offsets(t)[S];
+    }
+    if (pe.own_plane) {
+      consume_own_plane(root_, 0, 1, true, pe.root_plan_cur, epoch);
+      return;
     }
     const net::Node& info = topo_.node(root_);
     SamplingController& gate = samplers_[root_];

@@ -131,6 +131,9 @@ class DirqNetwork final : public MessageSink {
   /// walk is tree 0's cached BFS order (extended by members of other
   /// trees outside it), so the per-node evaluation order — and therefore
   /// every message, golden, and ledger entry — is unchanged for one sink.
+  /// Parallel epochs with fixed theta and the gate off hand a reading to
+  /// its node only when it leaves the node's own tuple (the own-tuple
+  /// plane, see set_threads); the outcome is the same byte for byte.
   void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
 
   /// Intra-run worker count for process_epoch. 1 (the default) keeps the
@@ -158,6 +161,20 @@ class DirqNetwork final : public MessageSink {
   /// are safe there). Callers that mutate topology aliveness or sensors
   /// must route through the handle_* entry points (as always) so the
   /// cached shard plan is invalidated.
+  ///
+  /// With fixed theta and the sampling gate off (the paper's
+  /// configuration) the engine also keeps an own-tuple plane: a dense
+  /// per-(tree, type, plan slot) copy of every node's own tuple, built
+  /// when the plan is rebuilt. A reading inside its own tuple changes no
+  /// protocol state, so only threshold crossings reach
+  /// DirqNode::sample_slot (and the no-op end-of-epoch controller step is
+  /// skipped). Like aliveness, own tuples may change only inside
+  /// process_epoch and the handle_* entry points; a DirqNode driven
+  /// directly (node(id).sample(...)) between parallel epochs leaves the
+  /// plane stale. Builds without NDEBUG check every plane entry against
+  /// its range table before using it (and that every crossing the plane
+  /// sees re-centres the tuple) and throw std::logic_error on a
+  /// mismatch. ATC, the gate and threads == 1 never use the plane.
   void set_threads(unsigned threads);
   [[nodiscard]] unsigned threads() const noexcept;
 
@@ -317,6 +334,12 @@ class DirqNetwork final : public MessageSink {
                               std::int64_t epoch);
   void run_shard_consume(std::size_t shard, std::int64_t epoch);
   void run_tree_shard_consume(std::size_t shard, std::int64_t epoch);
+  /// Consumes node `u`'s readings for tree slots [first, last) through
+  /// the own-tuple plane (fixed theta, gate off): sample_slot runs only
+  /// when a reading leaves its own tuple; `count` ticks the gate's
+  /// sample counter. `cursor` holds the per-type plan-slot positions.
+  void consume_own_plane(NodeId u, TreeId first, TreeId last, bool count,
+                         std::vector<std::size_t>& cursor, std::int64_t epoch);
   void parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
                         const Message& msg);
 

@@ -28,11 +28,17 @@
 // (their admission involves per-type aggregates and bounding boxes that
 // the single-tuple containment rule does not cover); the front-end counts
 // them as `uncacheable` and injects them directly.
+//
+// Cost of a lookup: one FIFO scan over contiguous key records (type,
+// window, creation epoch, counter snapshot) — the stored sources are not
+// touched. A hit copies nothing: the front-end needs only the hit kind
+// and the tree, and the filtered answer is computed on request
+// (CacheLookup::answer) from the chosen entry's stored sources.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -68,11 +74,20 @@ struct CacheStats {
 struct CacheLookup {
   enum class Kind { Miss, Fresh, Stale };
   Kind kind = Kind::Miss;
-  /// Believed sources for the queried window (sorted by node id), valid
-  /// for Fresh/Stale.
-  std::vector<NodeId> answer;
   /// Sink tree the cached answer was produced on.
   TreeId tree = 0;
+
+  /// Believed sources for the queried window, sorted by node id (empty on
+  /// a Miss): the chosen entry's stored sources whose own tuple overlaps
+  /// the window. Filtered on each call from the cache's storage, so it is
+  /// valid only until the cache's next insert() or invalidate_all().
+  [[nodiscard]] std::vector<NodeId> answer() const;
+
+ private:
+  friend class ResultCache;
+  std::span<const CachedSource> sources_;  // chosen entry's, sorted by node
+  double lo_ = 0.0;
+  double hi_ = 0.0;
 };
 
 class ResultCache {
@@ -100,24 +115,33 @@ class ResultCache {
   void invalidate_all();
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
   /// Counts the uncacheable traffic the front-end routed around the cache.
   void note_uncacheable() { ++stats_.uncacheable; }
 
  private:
-  struct CacheEntry {
-    SensorType type = 0;
+  /// What the lookup scan reads: one small record per entry.
+  struct Key {
     double lo = 0.0;
     double hi = 0.0;
-    TreeId tree = 0;
     std::int64_t created_epoch = 0;
     std::int64_t updates_at_create = 0;
+    SensorType type = 0;
+  };
+  /// What only a hit (and answer()) reads.
+  struct Body {
+    TreeId tree = 0;
     std::vector<CachedSource> sources;  // sorted by node id
   };
 
   std::size_t max_entries_;
   std::int64_t stale_epochs_;
-  std::deque<CacheEntry> entries_;  // FIFO order
+  // A ring in FIFO order: keys_[head_] (and bodies_[head_]) is the oldest
+  // entry. head_ stays 0 until the ring is full; from then on each insert
+  // overwrites the oldest slot and advances it.
+  std::vector<Key> keys_;
+  std::vector<Body> bodies_;
+  std::size_t head_ = 0;
   CacheStats stats_;
 };
 

@@ -24,15 +24,23 @@ void FrontEndConfig::validate() const {
   }
 }
 
+namespace {
+// Runs in the member-initializer list, so a bad config is reported with
+// FrontEndConfig's message before cache_ is constructed from it.
+const FrontEndConfig& validated(const FrontEndConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+}  // namespace
+
 FrontEnd::FrontEnd(FrontEndConfig cfg, core::DirqNetwork& network,
                    core::QueryAdmission& admission)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       network_(network),
       admission_(admission),
-      cache_(cfg.cache_enabled ? cfg.cache_entries : 1, cfg.stale_epochs),
+      cache_(cfg_.cache_enabled ? cfg_.cache_entries : 1, cfg_.stale_epochs),
       sink_latency_(network.tree_count()),
       sink_injected_(network.tree_count(), 0) {
-  cfg_.validate();
   network_.set_query_done_hook([this](const core::QueryOutcome& outcome) {
     last_outcome_ = outcome;
     outcome_valid_ = true;
@@ -56,7 +64,7 @@ void FrontEnd::on_boundary(std::int64_t epoch) {
     const Arrival& head = queue_.front();
     const bool cacheable = !head.multi && !head.range.region.has_value();
     if (cacheable && cfg_.cache_enabled) {
-      CacheLookup hit =
+      const CacheLookup hit =
           cache_.lookup(head.range.type, head.range.lo, head.range.hi, epoch,
                         network_.updates_transmitted());
       if (hit.kind != CacheLookup::Kind::Miss) {

@@ -1,0 +1,304 @@
+// The own-tuple plane of the parallel epoch engine (fixed theta, gate
+// off): readings inside a node's own tuple skip DirqNode::sample_slot, so
+// the plane must agree with RangeTable::observe's inside test on every
+// edge — a reading exactly on r0 - theta or r0 + theta (inside), one ulp
+// beyond either bound (a crossing), +-inf (a crossing, then inside the
+// degenerate [inf, inf] tuple) and NaN (always a crossing) — and must be
+// re-read after every sensor change, death and revival. Networks at 2 and
+// 4 threads are compared with the sequential walk after every epoch, in
+// the subtree geometry (1 sink, plus the serial root pass) and the
+// tree-shard geometry (4 sinks).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/atc.hpp"
+#include "core/network.hpp"
+#include "data/reading_source.hpp"
+#include "net/placement.hpp"
+#include "net/topology.hpp"
+#include "sim/rng.hpp"
+
+namespace dirq::core {
+namespace {
+
+constexpr std::size_t kTypes = 3;
+constexpr std::int64_t kEpochs = 64;
+constexpr double kThetaPct = 5.0;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+double theta(SensorType t) { return kThetaPct / 100.0 * nominal_span(t); }
+
+/// Replays a per-(node, type) script that probes the own tuple's edges.
+/// The script tracks the tuple the node would hold (observe's rule), so
+/// boundary readings land exactly on it; every cycle opens with a far
+/// jump, which re-synchronises the script with the node after a sensor
+/// change or a death left the two apart.
+class ScriptedSource final : public data::ReadingSource {
+ public:
+  explicit ScriptedSource(std::size_t nodes)
+      : nodes_(nodes), values_(kEpochs * kTypes * nodes) {
+    for (std::size_t u = 0; u < nodes; ++u) {
+      for (std::size_t t = 0; t < kTypes; ++t) script(u, t);
+    }
+  }
+
+  void advance_to(std::int64_t epoch) override { epoch_ = epoch; }
+  [[nodiscard]] double reading(NodeId node, SensorType type) const override {
+    if (node >= nodes_ || type >= kTypes) {
+      throw std::out_of_range("ScriptedSource: unknown node or type");
+    }
+    return values_.at(index(epoch_, node, type));
+  }
+  [[nodiscard]] std::size_t type_count() const override { return kTypes; }
+  [[nodiscard]] std::int64_t epoch() const override { return epoch_; }
+
+ private:
+  [[nodiscard]] std::size_t index(std::int64_t e, std::size_t u,
+                                  std::size_t t) const {
+    return (static_cast<std::size_t>(e) * kTypes + t) * nodes_ + u;
+  }
+
+  void script(std::size_t u, std::size_t t) {
+    const auto type = static_cast<SensorType>(t);
+    const double th = theta(type);
+    const double base = 10.0 + 0.37 * static_cast<double>(u) + 3.0 * t;
+    double lo = 0.0, hi = 0.0;
+    bool has = false;
+    constexpr std::int64_t kCycle = 15;
+    const std::int64_t phase = static_cast<std::int64_t>(u * 7 + t * 3);
+    for (std::int64_t e = 0; e < kEpochs; ++e) {
+      const std::int64_t step = (e + phase) % kCycle;
+      const std::int64_t cycle = (e + phase) / kCycle;
+      double r = base;
+      switch (step) {
+        case 0: r = base + (cycle % 2 == 0 ? 5.0 : -5.0) * th; break;
+        case 1: r = lo; break;                                 // r0 - theta
+        case 2: r = hi; break;                                 // r0 + theta
+        case 3: r = std::nextafter(lo, -kInf); break;          // 1 ulp below
+        case 4: r = hi; break;
+        case 5: r = std::nextafter(hi, kInf); break;           // 1 ulp above
+        case 6: r = lo; break;
+        case 7: r = kInf; break;
+        case 8: r = kInf; break;                               // [inf, inf]
+        case 9: r = -kInf; break;
+        case 10: r = -kInf; break;
+        case 11: r = std::numeric_limits<double>::quiet_NaN(); break;
+        case 12: r = std::numeric_limits<double>::quiet_NaN(); break;
+        case 13: r = base; break;
+        default: r = base + 0.5 * th; break;
+      }
+      values_[index(e, u, t)] = r;
+      if (!(has && r >= lo && r <= hi)) {  // RangeTable::observe
+        lo = r - th;
+        hi = r + th;
+        has = true;
+      }
+    }
+  }
+
+  std::size_t nodes_;
+  std::vector<double> values_;
+  std::int64_t epoch_ = 0;
+};
+
+net::Topology make_topology() {
+  sim::Rng rng(2024);
+  net::RandomPlacementConfig placement;
+  placement.node_count = 40;
+  placement.sensor_type_count = kTypes;
+  net::Topology topo = net::random_connected(placement, rng);
+  // The gateway carries no sensor by default; give it two so the subtree
+  // geometry's serial root pass consumes through the plane too.
+  topo.add_sensor(0, 0);
+  topo.add_sensor(0, 2);
+  return topo;
+}
+
+/// One network under test with its own topology (churn mutates both).
+struct World {
+  net::Topology topo = make_topology();
+  std::unique_ptr<DirqNetwork> net;
+
+  World(const std::vector<NodeId>& roots, unsigned threads) {
+    NetworkConfig cfg;
+    cfg.mode = NetworkConfig::ThetaMode::Fixed;
+    cfg.fixed_pct = kThetaPct;
+    net = std::make_unique<DirqNetwork>(topo, roots, cfg);
+    net->set_threads(threads);
+  }
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_ledgers_equal(const CostLedger& a, const CostLedger& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.query_tx, b.query_tx) << where;
+  EXPECT_EQ(a.query_rx, b.query_rx) << where;
+  EXPECT_EQ(a.update_tx, b.update_tx) << where;
+  EXPECT_EQ(a.update_rx, b.update_rx) << where;
+  EXPECT_EQ(a.control_tx, b.control_tx) << where;
+  EXPECT_EQ(a.control_rx, b.control_rx) << where;
+}
+
+void expect_same_state(const DirqNetwork& seq, const DirqNetwork& par,
+                       const std::string& where) {
+  ASSERT_EQ(seq.size(), par.size()) << where;
+  EXPECT_EQ(seq.updates_transmitted(), par.updates_transmitted()) << where;
+  EXPECT_EQ(seq.samples_taken(), par.samples_taken()) << where;
+  expect_ledgers_equal(seq.costs(), par.costs(), where + " global ledger");
+  for (TreeId k = 0; k < seq.tree_count(); ++k) {
+    expect_ledgers_equal(seq.tree_ledger(k), par.tree_ledger(k),
+                         where + " tree " + std::to_string(k));
+  }
+  for (NodeId u = 0; u < seq.size(); ++u) {
+    EXPECT_EQ(seq.node_tx(u), par.node_tx(u)) << where << " node " << u;
+    EXPECT_EQ(seq.node_rx(u), par.node_rx(u)) << where << " node " << u;
+    for (TreeId k = 0; k < seq.tree_count(); ++k) {
+      for (SensorType t = 0; t < kTypes; ++t) {
+        const RangeTable* a = seq.node(u).table(k, t);
+        const RangeTable* b = par.node(u).table(k, t);
+        const bool a_own = a != nullptr && a->own().has_value();
+        const bool b_own = b != nullptr && b->own().has_value();
+        ASSERT_EQ(a_own, b_own) << where << " node " << u << " tree " << k
+                                << " type " << t;
+        if (!a_own) continue;
+        EXPECT_EQ(bits(a->own()->min), bits(b->own()->min))
+            << where << " node " << u << " tree " << k << " type " << t;
+        EXPECT_EQ(bits(a->own()->max), bits(b->own()->max))
+            << where << " node " << u << " tree " << k << " type " << t;
+      }
+    }
+  }
+}
+
+/// Runs the sequential reference and `threads`-thread twins epoch by
+/// epoch through the scripted readings and the churn schedule.
+void run_case(const std::vector<NodeId>& roots) {
+  World ref(roots, 1);
+  World two(roots, 2);
+  World four(roots, 4);
+  ASSERT_EQ(two.net->threads(), 2u);
+  ASSERT_EQ(four.net->threads(), 4u);
+  ScriptedSource env(ref.topo.size());
+
+  // Churn targets, chosen on the reference topology (all three are
+  // identical): a sensor-rich node, a node lacking type 1, and an
+  // internal non-root relay of tree 0.
+  NodeId rich = kNoNode, lacking = kNoNode, relay = kNoNode;
+  for (NodeId u = 1; u < ref.topo.size(); ++u) {
+    const auto& s = ref.topo.node(u).sensors;
+    if (rich == kNoNode && s.size() >= 2) rich = u;
+    if (lacking == kNoNode && u != rich &&
+        !std::binary_search(s.begin(), s.end(), SensorType{1})) {
+      lacking = u;
+    }
+    const bool is_root =
+        std::find(roots.begin(), roots.end(), u) != roots.end();
+    if (relay == kNoNode && !is_root && u != rich && u != lacking &&
+        !ref.net->node(u).children(0).empty()) {
+      relay = u;
+    }
+  }
+  ASSERT_NE(rich, kNoNode);
+  ASSERT_NE(lacking, kNoNode);
+  ASSERT_NE(relay, kNoNode);
+  const SensorType dropped = ref.topo.node(rich).sensors.front();
+  const net::Node relay_info = ref.topo.node(relay);
+
+  bool saw_inf = false, saw_nan = false;
+  for (std::int64_t e = 0; e < kEpochs; ++e) {
+    for (World* w : {&ref, &two, &four}) {
+      net::Topology& topo = w->topo;
+      DirqNetwork& n = *w->net;
+      if (e == 12) {
+        topo.remove_sensor(rich, dropped);
+        n.handle_sensor_removed(rich, dropped, e);
+      } else if (e == 20) {
+        topo.add_sensor(rich, dropped);
+        n.handle_sensor_added(rich, dropped, e);
+      } else if (e == 24) {
+        topo.add_sensor(lacking, 1);
+        n.handle_sensor_added(lacking, 1, e);
+      } else if (e == 28) {
+        topo.kill_node(relay);
+        n.handle_node_death(relay, e);
+      } else if (e == 40) {
+        net::Node revived = relay_info;
+        revived.id = relay;
+        topo.add_node(revived);
+        n.handle_node_addition(relay, e);
+      }
+    }
+    env.advance_to(e);
+    for (World* w : {&ref, &two, &four}) w->net->process_epoch(env, e);
+    const std::string at = "epoch " + std::to_string(e);
+    expect_same_state(*ref.net, *two.net, at + " threads 2");
+    expect_same_state(*ref.net, *four.net, at + " threads 4");
+    if (::testing::Test::HasFailure()) return;
+    for (NodeId u = 0; u < ref.net->size(); ++u) {
+      for (SensorType t = 0; t < kTypes; ++t) {
+        const RangeTable* table = ref.net->node(u).table(0, t);
+        if (table == nullptr || !table->own().has_value()) continue;
+        saw_inf |= std::isinf(table->own()->min);
+        saw_nan |= std::isnan(table->own()->min);
+      }
+    }
+  }
+  // The script really reached the degenerate tuples and moved updates.
+  EXPECT_TRUE(saw_inf);
+  EXPECT_TRUE(saw_nan);
+  EXPECT_GT(ref.net->updates_transmitted(), 0);
+}
+
+TEST(ParallelOwnPlane, SubtreeShardsMatchSequentialOnTupleEdges) {
+  run_case({0});
+}
+
+TEST(ParallelOwnPlane, TreeShardsMatchSequentialOnTupleEdges) {
+  run_case({0, 10, 20, 30});
+}
+
+TEST(ParallelOwnPlane, ScriptHitsEveryEdge) {
+  // The boundary readings are exact: on the sequential walk a reading on
+  // either bound leaves the own tuple untouched, and one ulp past a bound
+  // re-centres it.
+  net::Topology topo = make_topology();
+  NetworkConfig cfg;
+  cfg.fixed_pct = kThetaPct;
+  DirqNetwork net(topo, NodeId{0}, cfg);
+  ScriptedSource env(topo.size());
+  const NodeId u = 1;
+  const SensorType t = topo.node(u).sensors.front();
+  const auto phase = static_cast<std::int64_t>(u * 7 + t * 3);
+  std::int64_t cycle_start = 1;
+  while ((cycle_start + phase) % 15 != 0) ++cycle_start;
+  RangeEntry prev;
+  for (std::int64_t e = 0; e <= cycle_start + 6; ++e) {
+    env.advance_to(e);
+    net.process_epoch(env, e);
+    const RangeTable* table = net.node(u).table(t);
+    ASSERT_NE(table, nullptr);
+    ASSERT_TRUE(table->own().has_value());
+    const RangeEntry own = *table->own();
+    const std::int64_t step = e - cycle_start;
+    if (step >= 1) {
+      // Steps 1, 2, 4, 6 sit on a bound; 3 and 5 are one ulp outside.
+      const bool recentred = step == 3 || step == 5;
+      EXPECT_EQ(own.min != prev.min, recentred) << "step " << step;
+      EXPECT_EQ(own.max != prev.max, recentred) << "step " << step;
+    }
+    prev = own;
+  }
+}
+
+}  // namespace
+}  // namespace dirq::core

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,7 +113,7 @@ TEST(ServeCacheCorrectness, CachedAnswersMatchLiveInjection) {
       cache.lookup(wide.type, wide.lo, wide.hi, 50,
                    network.updates_transmitted());
   ASSERT_EQ(same.kind, CacheLookup::Kind::Fresh);
-  EXPECT_EQ(same.answer, wide_out.believed_sources);
+  EXPECT_EQ(same.answer(), wide_out.believed_sources);
 
   // Strict subsets: filtered cached answer == live injection, bitwise
   // (collect_outcome sorts believed_sources, the cache sorts by node).
@@ -123,7 +124,7 @@ TEST(ServeCacheCorrectness, CachedAnswersMatchLiveInjection) {
     const CacheLookup hit =
         cache.lookup(sub.type, lo, hi, 50, network.updates_transmitted());
     ASSERT_EQ(hit.kind, CacheLookup::Kind::Fresh) << lo << ".." << hi;
-    EXPECT_EQ(hit.answer, live.believed_sources) << lo << ".." << hi;
+    EXPECT_EQ(hit.answer(), live.believed_sources) << lo << ".." << hi;
   }
 
   // Once the update counter moves the entry is only Stale — served inside
@@ -181,6 +182,35 @@ TEST(ServeFrontEnd, ChurnInvalidatesTheCache) {
   EXPECT_EQ(fe.totals().injected, 2);  // cache was dropped
   EXPECT_EQ(fe.totals().cache_answered, 1);
   EXPECT_EQ(fe.totals().answered, 3);
+}
+
+// The front-end validates its own config before it builds the cache from
+// it, so a bad value is reported in FrontEndConfig's words rather than as
+// a ResultCache construction failure.
+TEST(ServeFrontEnd, RejectsBadConfigWithFrontEndConfigMessage) {
+  sim::Rng rng(7);
+  net::RandomPlacementConfig placement;
+  placement.node_count = 10;
+  net::Topology topo = net::random_connected(placement, rng);
+  core::DirqNetwork network(topo, NodeId{0}, core::NetworkConfig{});
+  core::QueryAdmission admission(core::RoutingPolicy::Admission,
+                                 network.trees());
+  const auto message = [&](const FrontEndConfig& cfg) -> std::string {
+    try {
+      FrontEnd fe(cfg, network, admission);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  FrontEndConfig no_entries;
+  no_entries.cache_entries = 0;
+  EXPECT_EQ(message(no_entries), "FrontEndConfig: cache_entries must be > 0");
+  FrontEndConfig negative_stale;
+  negative_stale.cache_enabled = false;
+  negative_stale.stale_epochs = -1;
+  EXPECT_EQ(message(negative_stale),
+            "FrontEndConfig: stale_epochs must be >= 0");
 }
 
 TEST(ServeOverload, QueueStaysBoundedAndShedsExcess) {
