@@ -3,8 +3,11 @@
 // diligence for the simulation kernel.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -22,6 +25,7 @@
 #include "serve/cache.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/thread_pool.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/runner.hpp"
 
@@ -421,6 +425,50 @@ void BM_CacheLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheLookup);
+
+/// Busy-waits for `d` (a stand-in for a fixed amount of CPU work).
+void spin_for(std::chrono::nanoseconds d) {
+  const auto end = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+void BM_PoolHandoff(benchmark::State& state) {
+  // The epoch rhythm on the pool (Arg = pool size): ~50 us of caller-only
+  // work, then a parallel_for of 4 items of ~5 us each. us_per_job is the
+  // wall time of the parallel_for alone; worker_share is the fraction of
+  // jobs in which a worker thread ran at least one item (a pool whose
+  // workers are asleep when the job arrives leaves the caller to do
+  // everything and then waits for them anyway).
+  sim::ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  const std::thread::id caller = std::this_thread::get_id();
+  std::int64_t jobs = 0;
+  std::int64_t shared = 0;
+  double job_seconds = 0.0;
+  for (auto _ : state) {
+    spin_for(std::chrono::microseconds(50));
+    std::atomic<bool> worker_ran{false};
+    const auto start = std::chrono::steady_clock::now();
+    pool.parallel_for(4, [&](std::size_t) {
+      spin_for(std::chrono::microseconds(5));
+      if (std::this_thread::get_id() != caller) {
+        worker_ran.store(true, std::memory_order_relaxed);
+      }
+    });
+    job_seconds += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    ++jobs;
+    shared += worker_ran.load(std::memory_order_relaxed) ? 1 : 0;
+  }
+  if (jobs > 0) {
+    state.counters["us_per_job"] =
+        job_seconds / static_cast<double>(jobs) * 1e6;
+    state.counters["worker_share"] =
+        static_cast<double>(shared) / static_cast<double>(jobs);
+  }
+}
+BENCHMARK(BM_PoolHandoff)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_Flooding50Nodes(benchmark::State& state) {
   sim::Rng rng(42);

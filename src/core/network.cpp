@@ -16,6 +16,57 @@
 
 namespace dirq::core {
 
+namespace {
+/// Allocates whole, 64-byte-aligned cache lines, so a buffer never shares
+/// a line with another allocation (see EpochShardCtx).
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::size_t kLine = 64;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) noexcept {}
+
+  static std::size_t bytes(std::size_t n) {
+    return (n * sizeof(T) + kLine - 1) / kLine * kLine;  // whole lines
+  }
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(bytes(n), std::align_val_t{kLine}));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    ::operator delete(p, bytes(n), std::align_val_t{kLine});
+  }
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) noexcept {
+    return true;
+  }
+};
+template <typename T>
+using ShardVector = std::vector<T, CacheLineAllocator<T>>;
+}  // namespace
+
+/// A threshold crossing found by the own-tuple plane's flat pass. Sorted
+/// by (pos, type, tree) — the order the per-node walk reaches it in.
+struct OwnCrossing {
+  std::uint32_t pos = 0;   // position in the shard's visiting order
+  SensorType type = 0;
+  TreeId tree = 0;
+  std::uint32_t slot = 0;  // plan slot of type `type`
+
+  friend bool operator<(const OwnCrossing& a, const OwnCrossing& b) noexcept {
+    if (a.pos != b.pos) return a.pos < b.pos;
+    if (a.type != b.type) return a.type < b.type;
+    return a.tree < b.tree;
+  }
+};
+
+/// Scratch of one crossing sweep (DirqNetwork::consume_crossings).
+struct CrossingScratch {
+  ShardVector<std::uint32_t> slots;  // one (type, tree) pass's crossings
+  ShardVector<OwnCrossing> crossings;
+};
+
 /// Shard-local accounting for one parallel consume pass. Every message a
 /// shard's nodes emit is charged here instead of the shared transport
 /// ledger, and per-node tx/rx attribution lands in shard-local dense
@@ -29,19 +80,22 @@ namespace dirq::core {
 ///
 /// alignas(64): each shard's hot merge state gets its own cache line(s);
 /// without it neighbouring shards' ledgers share lines and every charge
-/// bounces the line between cores (see BM_ParallelEpochShardScaling).
+/// bounces the line between cores (see BM_ParallelEpochShardScaling). The
+/// heap buffers of its vectors come from CacheLineAllocator for the same
+/// reason: two shards' small cursor or scratch arrays must never share a
+/// line, or both threads running at once costs more than one.
 struct alignas(64) EpochShardCtx {
   std::size_t index = 0;
   CostLedger ledger;
   std::int64_t update_msgs = 0;  // wire-level UpdateMessage transmissions
-  std::vector<std::pair<NodeId, Message>> to_root;  // {from, msg}, in order
+  ShardVector<std::pair<NodeId, Message>> to_root;  // {from, msg}, in order
   // Per-type walk cursors (resized to the plan's type count each epoch).
-  std::vector<std::size_t> plan_cur;
-  std::vector<std::size_t> val_cur;
+  ShardVector<std::size_t> plan_cur;
+  ShardVector<std::size_t> val_cur;
   // Per-node tx/rx deltas for this shard's pass (cleared each epoch,
   // merged in shard-index order).
-  std::vector<CostUnits> tx_delta;
-  std::vector<CostUnits> rx_delta;
+  ShardVector<CostUnits> tx_delta;
+  ShardVector<CostUnits> rx_delta;
   // Lossy-channel totals for this shard's pass (the verdicts themselves
   // are order-independent; only these tallies need the ordered merge).
   std::int64_t loss_offered = 0;
@@ -49,7 +103,8 @@ struct alignas(64) EpochShardCtx {
   // Chunk mode only: per-tree tx mirror — a chunk carries several trees'
   // messages when multiple sinks ride a deferred transport, so the
   // shard's single ledger cannot be attributed to one tree at merge.
-  std::vector<CostLedger> tree_delta;
+  ShardVector<CostLedger> tree_delta;
+  CrossingScratch cross;  // own-tuple plane sweeps
 };
 
 namespace {
@@ -131,7 +186,13 @@ void accumulate(CostLedger& into, const CostLedger& from) {
 /// observe (the node's own sample, always a crossing here — the owning
 /// shard writes the entry back right after it) and clear_own (through
 /// handle_sensor_removed, which dirties the plan), so the plane stays
-/// exact between rebuilds.
+/// exact between rebuilds. Update cascades touch only child tuples, so
+/// every crossing of an epoch is known before the first one runs: each
+/// shard (and the serial root pass) finds them in one flat sweep over its
+/// plan segment and runs them in (plan_pos, type, tree) order —
+/// plan_pos[t][j] is slot j's position in its shard's visiting order —
+/// which is the order a per-node walk reaches them in
+/// (consume_crossings).
 struct DirqNetwork::ParallelEngine {
   explicit ParallelEngine(unsigned threads) : pool(threads) {}
 
@@ -159,6 +220,23 @@ struct DirqNetwork::ParallelEngine {
     return {table->own()->min, table->own()->max};
   }
 
+  /// Writes plan slot begin + i for every reading r[i] that leaves own[i]
+  /// — fails `lo <= r && r <= hi`, observe's inside test (NaN and +-inf
+  /// included) — into `out`; returns the count. The store is
+  /// unconditional and the cursor advances by the verdict, so the loop
+  /// has no data-dependent branch (like gate_compact).
+  static std::size_t crossing_slots(const OwnTuple* own, const double* r,
+                                    std::size_t begin, std::size_t n,
+                                    std::uint32_t* out) noexcept {
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[m] = static_cast<std::uint32_t>(begin + i);
+      m += static_cast<std::size_t>(
+          !((own[i].lo <= r[i]) & (r[i] <= own[i].hi)));
+    }
+    return m;
+  }
+
   /// One readings() call: a contiguous slice of type t's batch. Splitting
   /// below whole types is only done when the source advertises
   /// concurrent_intra_type_chunks().
@@ -181,10 +259,12 @@ struct DirqNetwork::ParallelEngine {
   bool gated = false;                       // sampling suppression on?
 
   std::vector<std::vector<NodeId>> plan_nodes;
+  std::vector<std::vector<std::uint32_t>> plan_pos;  // see the own plane
   std::vector<std::vector<std::size_t>> plan_seg;
   std::vector<std::vector<std::int64_t>> next_due;  // gate mirror (gated)
   bool own_plane = false;  // fixed theta, gate off: consume via `own`
   std::vector<std::vector<std::vector<OwnTuple>>> own;  // [tree][type][slot]
+  CrossingScratch root_cross;  // the serial root pass's sweep scratch
 
   // Per-epoch scratch, reused so the hot loop never allocates.
   std::vector<EpochShardCtx> ctx;
@@ -203,6 +283,13 @@ struct DirqNetwork::ParallelEngine {
   }
   [[nodiscard]] const std::vector<std::size_t>& offsets(std::size_t t) const {
     return gated ? filt_seg[t] : plan_seg[t];
+  }
+  /// Plan-slot range [first, second) of segment `seg` for type t; the
+  /// whole list in tree-shard mode (no segments).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> segment(
+      std::size_t t, std::size_t seg) const {
+    if (plan_seg.empty()) return {0, plan_nodes[t].size()};
+    return {plan_seg[t][seg], plan_seg[t][seg + 1]};
   }
 };
 
@@ -549,24 +636,31 @@ void DirqNetwork::rebuild_parallel_plan() {
       type_count = std::max<std::size_t>(type_count, t + 1);
     }
   };
-  const auto append_walk = [&](NodeId u) {
-    for (SensorType t : topo_.node(u).sensors) pe.plan_nodes[t].push_back(u);
+  // Appends u, the pos-th node its shard visits, to its types' plans.
+  const auto append_walk = [&](NodeId u, std::size_t pos) {
+    for (SensorType t : topo_.node(u).sensors) {
+      pe.plan_nodes[t].push_back(u);
+      pe.plan_pos[t].push_back(static_cast<std::uint32_t>(pos));
+    }
   };
   // Shard-major plan: plan_seg[t][s] opens shard s's segment of type t,
   // [S] opens the serial-root segment and [S + 1] closes it.
   const auto build_segments = [&](std::size_t S, bool with_root) {
     pe.plan_nodes.assign(type_count, {});
+    pe.plan_pos.assign(type_count, {});
     pe.plan_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
     for (std::size_t s = 0; s < S; ++s) {
       for (std::size_t t = 0; t < type_count; ++t) {
         pe.plan_seg[t][s] = pe.plan_nodes[t].size();
       }
-      for (NodeId u : pe.shards[s]) append_walk(u);
+      for (std::size_t i = 0; i < pe.shards[s].size(); ++i) {
+        append_walk(pe.shards[s][i], i);
+      }
     }
     for (std::size_t t = 0; t < type_count; ++t) {
       pe.plan_seg[t][S] = pe.plan_nodes[t].size();
     }
-    if (with_root) append_walk(root_);
+    if (with_root) append_walk(root_, 0);
     for (std::size_t t = 0; t < type_count; ++t) {
       pe.plan_seg[t][S + 1] = pe.plan_nodes[t].size();
     }
@@ -608,8 +702,9 @@ void DirqNetwork::rebuild_parallel_plan() {
     std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
     for (NodeId u : pe.walk) scan_types(u);
     pe.plan_nodes.assign(type_count, {});
+    pe.plan_pos.assign(type_count, {});
     pe.plan_seg.clear();
-    for (NodeId u : pe.walk) append_walk(u);
+    for (std::size_t i = 0; i < pe.walk.size(); ++i) append_walk(pe.walk[i], i);
   } else {
     const net::SpanningTree& tree0 = trees_.tree(0);
     pe.shards = tree0.subtree_partition();
@@ -736,43 +831,77 @@ void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
   nodes_[to].handle(msg, from, current_epoch_);
 }
 
-void DirqNetwork::consume_own_plane(NodeId u, TreeId first, TreeId last,
-                                    bool count,
-                                    std::vector<std::size_t>& cursor,
-                                    std::int64_t epoch) {
+void DirqNetwork::consume_crossings(CrossingScratch& scratch,
+                                    std::span<const NodeId> nodes,
+                                    std::size_t seg, TreeId first, TreeId last,
+                                    bool count, std::int64_t epoch) {
   ParallelEngine& pe = *par_;
-  DirqNode& node = nodes_[u];
-  for (SensorType t : topo_.node(u).sensors) {
-    const std::size_t j = cursor[t]++;
-    const double reading = pe.values[t][j];
-    if (count) samplers_[u].count_sample();
+  // Per-node work: fail loud on an aliveness change without tree repair,
+  // and tick the gate's per-reading sample counter.
+  for (NodeId u : nodes) {
+    if (!topo_.is_alive(u)) {
+      throw std::logic_error(
+          "DirqNetwork: aliveness changed without tree repair during a "
+          "parallel run");
+    }
+    if (count) {
+      SamplingController& gate = samplers_[u];
+      for (std::size_t i = topo_.node(u).sensors.size(); i > 0; --i) {
+        gate.count_sample();
+      }
+    }
+  }
+  // 1. One flat pass per (type, tree) over the segment's plan slots finds
+  //    every reading that leaves its own tuple.
+  scratch.crossings.clear();
+  for (std::size_t t = 0; t < pe.plan_nodes.size(); ++t) {
+    const auto [b, e] = pe.segment(t, seg);
+    if (b == e) continue;
+    const auto type = static_cast<SensorType>(t);
+    const std::vector<std::uint32_t>& pos = pe.plan_pos[t];
+    scratch.slots.resize(e - b);
     for (TreeId k = first; k < last; ++k) {
-      ParallelEngine::OwnTuple& own = pe.own[k][t][j];
+      const ParallelEngine::OwnTuple* own = pe.own[k][t].data();
 #ifndef NDEBUG
       // Fail loud on a stale plane: a skipped sample is exact only while
       // the entry equals the table's tuple.
-      if (!ParallelEngine::same(ParallelEngine::read_own(node, k, t), own)) {
-        throw std::logic_error(
-            "DirqNetwork: own-tuple plane diverged from the range table "
-            "(own tuple changed outside process_epoch/handle_*)");
+      for (std::size_t j = b; j < e; ++j) {
+        if (!ParallelEngine::same(
+                ParallelEngine::read_own(nodes_[pe.plan_nodes[t][j]], k, type),
+                own[j])) {
+          throw std::logic_error(
+              "DirqNetwork: own-tuple plane diverged from the range table "
+              "(own tuple changed outside process_epoch/handle_*)");
+        }
       }
 #endif
-      // Inside the own tuple: sample_slot would change nothing.
-      if (own.lo <= reading && reading <= own.hi) continue;
-      node.sample_slot(k, t, reading, epoch);
-      const ParallelEngine::OwnTuple next =
-          ParallelEngine::read_own(node, k, t);
-#ifndef NDEBUG
-      // A crossing of a present tuple re-centres it (the plane's inside
-      // test agrees with observe's).
-      if (own.lo <= own.hi && ParallelEngine::same(next, own)) {
-        throw std::logic_error(
-            "DirqNetwork: own-tuple plane saw a crossing the range table "
-            "did not");
+      const std::size_t m = ParallelEngine::crossing_slots(
+          own + b, pe.values[t].data() + b, b, e - b, scratch.slots.data());
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t j = scratch.slots[i];
+        scratch.crossings.push_back({pos[j], type, k, j});
       }
-#endif
-      own = next;  // slot owned by this shard
     }
+  }
+  // 2. The per-node walk's order: position, then type, then tree.
+  std::sort(scratch.crossings.begin(), scratch.crossings.end());
+  // 3. Only crossings reach the node; each writes its entry back.
+  for (const OwnCrossing& c : scratch.crossings) {
+    DirqNode& node = nodes_[pe.plan_nodes[c.type][c.slot]];
+    ParallelEngine::OwnTuple& own = pe.own[c.tree][c.type][c.slot];
+    node.sample_slot(c.tree, c.type, pe.values[c.type][c.slot], epoch);
+    const ParallelEngine::OwnTuple next =
+        ParallelEngine::read_own(node, c.tree, c.type);
+#ifndef NDEBUG
+    // A crossing of a present tuple re-centres it (the plane's inside
+    // test agrees with observe's).
+    if (own.lo <= own.hi && ParallelEngine::same(next, own)) {
+      throw std::logic_error(
+          "DirqNetwork: own-tuple plane saw a crossing the range table "
+          "did not");
+    }
+#endif
+    own = next;  // slot owned by this shard
   }
 }
 
@@ -780,6 +909,11 @@ void DirqNetwork::run_shard_consume(std::size_t shard, std::int64_t epoch) {
   ParallelEngine& pe = *par_;
   EpochShardCtx& ctx = pe.ctx[shard];
   const TlsShardGuard guard(&ctx);
+  if (pe.own_plane) {
+    consume_crossings(ctx.cross, pe.shards[shard], shard, 0,
+                      static_cast<TreeId>(trees_.count()), true, epoch);
+    return;
+  }
   const std::size_t type_count = pe.plan_nodes.size();
   ctx.plan_cur.resize(type_count);
   ctx.val_cur.resize(type_count);
@@ -792,11 +926,6 @@ void DirqNetwork::run_shard_consume(std::size_t shard, std::int64_t epoch) {
       throw std::logic_error(
           "DirqNetwork: aliveness changed without tree repair during a "
           "parallel run");
-    }
-    if (pe.own_plane) {
-      consume_own_plane(u, 0, static_cast<TreeId>(trees_.count()), true,
-                        ctx.plan_cur, epoch);
-      continue;
     }
     const net::Node& info = topo_.node(u);
     SamplingController& gate = samplers_[u];
@@ -835,6 +964,10 @@ void DirqNetwork::run_tree_shard_consume(std::size_t shard,
   // other shards branch on the due_mask snapshot instead of touching the
   // gate at all.
   const bool lead = shard == 0;
+  if (pe.own_plane) {
+    consume_crossings(ctx.cross, pe.walk, 0, tree, tree + 1, lead, epoch);
+    return;
+  }
   const std::size_t type_count = pe.plan_nodes.size();
   ctx.plan_cur.assign(type_count, 0);
   ctx.val_cur.assign(type_count, 0);
@@ -843,10 +976,6 @@ void DirqNetwork::run_tree_shard_consume(std::size_t shard,
       throw std::logic_error(
           "DirqNetwork: aliveness changed without tree repair during a "
           "parallel run");
-    }
-    if (pe.own_plane) {
-      consume_own_plane(u, tree, tree + 1, lead, ctx.plan_cur, epoch);
-      continue;
     }
     const net::Node& info = topo_.node(u);
     SamplingController& gate = samplers_[u];
@@ -1055,15 +1184,16 @@ void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
           "DirqNetwork: aliveness changed without tree repair during a "
           "parallel run");
     }
+    if (pe.own_plane) {
+      consume_crossings(pe.root_cross, std::span<const NodeId>(&root_, 1), S,
+                        0, 1, true, epoch);
+      return;
+    }
     pe.root_plan_cur.resize(type_count);
     pe.root_val_cur.resize(type_count);
     for (std::size_t t = 0; t < type_count; ++t) {
       pe.root_plan_cur[t] = pe.plan_seg[t][S];
       pe.root_val_cur[t] = pe.offsets(t)[S];
-    }
-    if (pe.own_plane) {
-      consume_own_plane(root_, 0, 1, true, pe.root_plan_cur, epoch);
-      return;
     }
     const net::Node& info = topo_.node(root_);
     SamplingController& gate = samplers_[root_];

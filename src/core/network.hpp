@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/dirq_node.hpp"
@@ -57,8 +58,9 @@ struct NetworkConfig {
   SamplingConfig sampling;
 };
 
-struct EpochShardCtx;  // parallel epoch internals (network.cpp)
-class LossChannel;     // counter-keyed CRC-loss model (core/lossy.hpp)
+struct EpochShardCtx;    // parallel epoch internals (network.cpp)
+struct CrossingScratch;  // own-tuple plane sweep scratch (network.cpp)
+class LossChannel;       // counter-keyed CRC-loss model (core/lossy.hpp)
 
 class DirqNetwork final : public MessageSink {
  public:
@@ -133,7 +135,10 @@ class DirqNetwork final : public MessageSink {
   /// every message, golden, and ledger entry — is unchanged for one sink.
   /// Parallel epochs with fixed theta and the gate off hand a reading to
   /// its node only when it leaves the node's own tuple (the own-tuple
-  /// plane, see set_threads); the outcome is the same byte for byte.
+  /// plane, see set_threads): each shard sweeps its plan segment once per
+  /// epoch for crossings and runs them in the order its node walk would
+  /// reach them — (position in the shard's visiting order, sensor type,
+  /// tree) — so the outcome is the same byte for byte.
   void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
 
   /// Intra-run worker count for process_epoch. 1 (the default) keeps the
@@ -168,13 +173,27 @@ class DirqNetwork final : public MessageSink {
   /// when the plan is rebuilt. A reading inside its own tuple changes no
   /// protocol state, so only threshold crossings reach
   /// DirqNode::sample_slot (and the no-op end-of-epoch controller step is
-  /// skipped). Like aliveness, own tuples may change only inside
-  /// process_epoch and the handle_* entry points; a DirqNode driven
-  /// directly (node(id).sample(...)) between parallel epochs leaves the
-  /// plane stale. Builds without NDEBUG check every plane entry against
-  /// its range table before using it (and that every crossing the plane
-  /// sees re-centres the tuple) and throw std::logic_error on a
-  /// mismatch. ATC, the gate and threads == 1 never use the plane.
+  /// skipped). Because an own tuple changes only through its own node's
+  /// sample (and update cascades touch only child tuples), every crossing
+  /// of an epoch is known before the first one runs: each shard — and
+  /// the serial root pass — makes one flat per-type pass over its plan
+  /// segment that compares each reading with its plane entry and compacts
+  /// the crossing slots branch-free, then runs the crossings sorted by
+  /// (position in the shard's visiting order, type, tree), the order a
+  /// per-node walk reaches them in, writing each entry back. The per-node
+  /// work left is the aliveness check and the gate's sample count. Like
+  /// aliveness, own tuples may change only inside process_epoch and the
+  /// handle_* entry points; a DirqNode driven directly
+  /// (node(id).sample(...)) between parallel epochs leaves the plane
+  /// stale. Builds without NDEBUG check every plane entry against its
+  /// range table before the sweep uses it (and that every crossing
+  /// re-centres the tuple) and throw std::logic_error on a mismatch.
+  /// ATC, the gate and threads == 1 never use the plane.
+  ///
+  /// The pool's workers spin for sim::ThreadPool::kSpinWindow after each
+  /// job, so between the two fork-joins of an epoch (fetch, consume) and
+  /// across back-to-back epochs the second thread is awake and claims
+  /// work instead of the caller doing it all (sim/thread_pool.hpp).
   void set_threads(unsigned threads);
   [[nodiscard]] unsigned threads() const noexcept;
 
@@ -334,12 +353,16 @@ class DirqNetwork final : public MessageSink {
                               std::int64_t epoch);
   void run_shard_consume(std::size_t shard, std::int64_t epoch);
   void run_tree_shard_consume(std::size_t shard, std::int64_t epoch);
-  /// Consumes node `u`'s readings for tree slots [first, last) through
-  /// the own-tuple plane (fixed theta, gate off): sample_slot runs only
-  /// when a reading leaves its own tuple; `count` ticks the gate's
-  /// sample counter. `cursor` holds the per-type plan-slot positions.
-  void consume_own_plane(NodeId u, TreeId first, TreeId last, bool count,
-                         std::vector<std::size_t>& cursor, std::int64_t epoch);
+  /// Consumes plan segment `seg` (the one of `nodes`, the shard's
+  /// visiting order) for tree slots [first, last) through the own-tuple
+  /// plane (fixed theta, gate off): a flat sweep finds the readings that
+  /// leave their own tuple, and only those reach sample_slot, in the
+  /// order a per-node walk of `nodes` would. `count` ticks the gate's
+  /// per-reading sample counter.
+  void consume_crossings(CrossingScratch& scratch,
+                         std::span<const NodeId> nodes, std::size_t seg,
+                         TreeId first, TreeId last, bool count,
+                         std::int64_t epoch);
   void parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
                         const Message& msg);
 

@@ -30,28 +30,32 @@ ResultCache::ResultCache(std::size_t max_entries, std::int64_t stale_epochs)
 CacheLookup ResultCache::lookup(SensorType type, double lo, double hi,
                                 std::int64_t epoch,
                                 std::int64_t updates_now) {
-  // Scan in FIFO order; the first Fresh containing entry wins, else the
-  // first Stale one. Linear scan is deliberate: the cache is small
-  // (O(1k) entries), the order is deterministic, and containment match
-  // does not index well.
+  const auto it = lists_.find(type);
+  if (it == lists_.end()) {
+    ++stats_.misses;
+    return {};
+  }
+  TypeList& list = it->second;
+  // Scan the type's entries in FIFO order; the first Fresh containing
+  // entry wins, else the first Stale one. Linear scan is deliberate: the
+  // cache is small (O(1k) entries), the order is deterministic, and
+  // containment match does not index well.
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t fresh = kNone;
   std::size_t stale = kNone;
   bool saw_expired = false;
-  const std::size_t n = keys_.size();
-  for (std::size_t i = 0, slot = head_; i < n; ++i, ++slot) {
-    if (slot == n) slot = 0;
-    const Key& k = keys_[slot];
+  for (std::size_t i = list.head; i < list.keys.size(); ++i) {
+    const Key& k = list.keys[i];
     // Non-short-circuit: one well-predicted branch per entry instead of
-    // three data-dependent ones (few entries contain the window).
-    const bool contains = (k.type == type) & (k.lo <= lo) & (k.hi >= hi);
+    // two data-dependent ones (few entries contain the window).
+    const bool contains = (k.lo <= lo) & (k.hi >= hi);
     if (!contains) continue;
     if (k.updates_at_create == updates_now) {
-      fresh = slot;
+      fresh = i;
       break;  // exact — nothing can beat it
     }
     if (epoch - k.created_epoch <= stale_epochs_) {
-      if (stale == kNone) stale = slot;
+      if (stale == kNone) stale = i;
     } else {
       saw_expired = true;
     }
@@ -65,8 +69,8 @@ CacheLookup ResultCache::lookup(SensorType type, double lo, double hi,
   CacheLookup out;
   out.kind = fresh != kNone ? CacheLookup::Kind::Fresh
                             : CacheLookup::Kind::Stale;
-  out.tree = bodies_[chosen].tree;
-  out.sources_ = bodies_[chosen].sources;
+  out.tree = list.bodies[chosen].tree;
+  out.sources_ = list.bodies[chosen].sources;
   out.lo_ = lo;
   out.hi_ = hi;
   if (fresh != kNone) {
@@ -74,10 +78,23 @@ CacheLookup ResultCache::lookup(SensorType type, double lo, double hi,
   } else {
     ++stats_.stale_hits;
   }
-  if (keys_[chosen].lo < lo || keys_[chosen].hi > hi) {
+  if (list.keys[chosen].lo < lo || list.keys[chosen].hi > hi) {
     ++stats_.containment_hits;  // served from a strict superset
   }
   return out;
+}
+
+void ResultCache::evict_oldest() {
+  TypeList& list = lists_.find(order_[order_head_])->second;
+  list.bodies[list.head] = Body{};  // release the sources now
+  ++list.head;
+  if (2 * list.head >= list.keys.size()) {
+    const auto popped = static_cast<std::ptrdiff_t>(list.head);
+    list.keys.erase(list.keys.begin(), list.keys.begin() + popped);
+    list.bodies.erase(list.bodies.begin(), list.bodies.begin() + popped);
+    list.head = 0;
+  }
+  ++stats_.evictions;
 }
 
 void ResultCache::insert(SensorType type, double lo, double hi, TreeId tree,
@@ -87,25 +104,25 @@ void ResultCache::insert(SensorType type, double lo, double hi, TreeId tree,
             [](const CachedSource& a, const CachedSource& b) {
               return a.node < b.node;
             });
-  const Key key{lo, hi, epoch, updates_at_answer, type};
-  Body body{tree, std::move(sources)};
   ++stats_.insertions;
-  if (keys_.size() < max_entries_) {
-    keys_.push_back(key);
-    bodies_.push_back(std::move(body));
-    return;
+  if (order_.size() < max_entries_) {
+    order_.push_back(type);
+  } else {
+    // Full: drop the globally oldest entry (the front of its type's list);
+    // the new one takes its slot in the ring.
+    evict_oldest();
+    order_[order_head_] = type;
+    order_head_ = order_head_ + 1 == max_entries_ ? 0 : order_head_ + 1;
   }
-  // Full: the new entry takes the oldest one's slot (FIFO eviction).
-  keys_[head_] = key;
-  bodies_[head_] = std::move(body);
-  head_ = head_ + 1 == max_entries_ ? 0 : head_ + 1;
-  ++stats_.evictions;
+  TypeList& list = lists_[type];
+  list.keys.push_back({lo, hi, epoch, updates_at_answer});
+  list.bodies.push_back({tree, std::move(sources)});
 }
 
 void ResultCache::invalidate_all() {
-  keys_.clear();
-  bodies_.clear();
-  head_ = 0;
+  lists_.clear();
+  order_.clear();
+  order_head_ = 0;
 }
 
 }  // namespace dirq::serve

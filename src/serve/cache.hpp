@@ -29,11 +29,14 @@
 // the single-tuple containment rule does not cover); the front-end counts
 // them as `uncacheable` and injects them directly.
 //
-// Cost of a lookup: one FIFO scan over contiguous key records (type,
-// window, creation epoch, counter snapshot) — the stored sources are not
-// touched. A hit copies nothing: the front-end needs only the hit kind
-// and the tree, and the filtered answer is computed on request
-// (CacheLookup::answer) from the chosen entry's stored sources.
+// Cost of a lookup: one small-map probe for the queried sensor type, then
+// one FIFO scan over that type's contiguous key records (window, creation
+// epoch, counter snapshot) — entries of other types and the stored
+// sources are not touched. A hit copies nothing: the front-end needs only
+// the hit kind and the tree, and the filtered answer is computed on
+// request (CacheLookup::answer) from the chosen entry's stored sources.
+// Eviction stays global FIFO: the oldest entry overall is the front of
+// its type's list.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +44,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/flat_map.hpp"
 #include "sim/types.hpp"
 
 namespace dirq::serve {
@@ -115,7 +119,7 @@ class ResultCache {
   void invalidate_all();
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
   /// Counts the uncacheable traffic the front-end routed around the cache.
   void note_uncacheable() { ++stats_.uncacheable; }
 
@@ -126,22 +130,30 @@ class ResultCache {
     double hi = 0.0;
     std::int64_t created_epoch = 0;
     std::int64_t updates_at_create = 0;
-    SensorType type = 0;
   };
   /// What only a hit (and answer()) reads.
   struct Body {
     TreeId tree = 0;
     std::vector<CachedSource> sources;  // sorted by node id
   };
+  /// One sensor type's entries in FIFO order, from `head` on (popped
+  /// slots before it are compacted away once they are half the list).
+  struct TypeList {
+    std::vector<Key> keys;
+    std::vector<Body> bodies;
+    std::size_t head = 0;
+  };
+
+  void evict_oldest();
 
   std::size_t max_entries_;
   std::int64_t stale_epochs_;
-  // A ring in FIFO order: keys_[head_] (and bodies_[head_]) is the oldest
-  // entry. head_ stays 0 until the ring is full; from then on each insert
-  // overwrites the oldest slot and advances it.
-  std::vector<Key> keys_;
-  std::vector<Body> bodies_;
-  std::size_t head_ = 0;
+  sim::FlatMap<SensorType, TypeList> lists_;
+  // Global FIFO of entry types, a ring: order_[order_head_] is the oldest
+  // entry's type. order_head_ stays 0 until the ring is full; from then
+  // on each insert evicts the oldest entry and takes its slot.
+  std::vector<SensorType> order_;
+  std::size_t order_head_ = 0;
   CacheStats stats_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -158,6 +159,11 @@ std::vector<Arrival> TraceGen::load_trace(std::istream& is) {
     if (a.range.lo > a.range.hi) {
       throw std::runtime_error("serve trace: lo > hi at line " +
                                std::to_string(line_no));
+    }
+    if (type < 0 || type > std::numeric_limits<SensorType>::max()) {
+      throw std::runtime_error(
+          "serve trace: sensor type out of range at line " +
+          std::to_string(line_no));
     }
     prev_epoch = a.epoch;
     a.range.type = static_cast<SensorType>(type);

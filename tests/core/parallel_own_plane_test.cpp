@@ -7,7 +7,11 @@
 // re-read after every sensor change, death and revival. Networks at 2 and
 // 4 threads are compared with the sequential walk after every epoch, in
 // the subtree geometry (1 sink, plus the serial root pass) and the
-// tree-shard geometry (4 sinks).
+// tree-shard geometry (4 sinks). A second script pins the order in which
+// the crossing sweep runs an epoch's crossings: one node crosses on two
+// types and its parent crosses too, over a lossy channel whose verdicts
+// depend on the order of messages on each link — at 1 sink, 4 sinks and
+// on LMAC with 2 sinks (the chunk geometry).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,11 +25,16 @@
 #include <vector>
 
 #include "core/atc.hpp"
+#include "core/lmac_transport.hpp"
+#include "core/lossy.hpp"
 #include "core/network.hpp"
 #include "data/reading_source.hpp"
+#include "mac/lmac.hpp"
 #include "net/placement.hpp"
 #include "net/topology.hpp"
+#include "sim/counter_rng.hpp"
 #include "sim/rng.hpp"
+#include "sim/scheduler.hpp"
 
 namespace dirq::core {
 namespace {
@@ -180,6 +189,30 @@ void expect_same_state(const DirqNetwork& seq, const DirqNetwork& par,
   }
 }
 
+/// Every (node, tree, type) subtree aggregate, bitwise: what the node
+/// last heard from its children, so a message dropped or reordered on
+/// any link shows up at the receiver.
+void expect_same_aggregates(const DirqNetwork& seq, const DirqNetwork& par,
+                            const std::string& where) {
+  for (NodeId u = 0; u < seq.size(); ++u) {
+    for (TreeId k = 0; k < seq.tree_count(); ++k) {
+      for (SensorType t = 0; t < kTypes; ++t) {
+        const RangeTable* a = seq.node(u).table(k, t);
+        const RangeTable* b = par.node(u).table(k, t);
+        const RangeAggregate x = a != nullptr ? a->aggregate() : std::nullopt;
+        const RangeAggregate y = b != nullptr ? b->aggregate() : std::nullopt;
+        ASSERT_EQ(x.has_value(), y.has_value())
+            << where << " node " << u << " tree " << k << " type " << t;
+        if (!x.has_value()) continue;
+        EXPECT_EQ(bits(x->min), bits(y->min))
+            << where << " node " << u << " tree " << k << " type " << t;
+        EXPECT_EQ(bits(x->max), bits(y->max))
+            << where << " node " << u << " tree " << k << " type " << t;
+      }
+    }
+  }
+}
+
 /// Runs the sequential reference and `threads`-thread twins epoch by
 /// epoch through the scripted readings and the churn schedule.
 void run_case(const std::vector<NodeId>& roots) {
@@ -298,6 +331,171 @@ TEST(ParallelOwnPlane, ScriptHitsEveryEdge) {
     }
     prev = own;
   }
+}
+
+// --- crossing order ----------------------------------------------------------
+
+constexpr std::int64_t kOrderEpochs = 40;
+
+/// Constant readings, except at every scripted epoch (e % 3 == 2) where
+/// each scripted (node, type) steps by its amplitude, alternately up and
+/// down. Between steps every reading sits at the centre of its own tuple,
+/// so the scripted steps are the only crossings after epoch 0.
+class StepSource final : public data::ReadingSource {
+ public:
+  struct Step {
+    NodeId node;
+    SensorType type;
+    double thetas;  // amplitude in units of theta(type)
+  };
+
+  StepSource(std::size_t nodes, std::vector<Step> steps)
+      : nodes_(nodes), steps_(std::move(steps)) {}
+
+  void advance_to(std::int64_t epoch) override { epoch_ = epoch; }
+  [[nodiscard]] double reading(NodeId node, SensorType type) const override {
+    if (node >= nodes_ || type >= kTypes) {
+      throw std::out_of_range("StepSource: unknown node or type");
+    }
+    double r = 10.0 + 0.37 * static_cast<double>(node) + 3.0 * type;
+    const bool up = epoch_ >= 2 && ((epoch_ - 2) / 3) % 2 == 0;
+    for (const Step& s : steps_) {
+      if (s.node == node && s.type == type && up) r += s.thetas * theta(type);
+    }
+    return r;
+  }
+  [[nodiscard]] std::size_t type_count() const override { return kTypes; }
+  [[nodiscard]] std::int64_t epoch() const override { return epoch_; }
+
+ private:
+  std::size_t nodes_;
+  std::vector<Step> steps_;
+  std::int64_t epoch_ = 0;
+};
+
+/// One network under test over a lossy channel, optionally on LMAC.
+struct OrderWorld {
+  net::Topology topo = make_topology();
+  std::unique_ptr<DirqNetwork> net;
+  LossChannel loss{0.5, sim::CounterRng(77).substream("loss")};
+  sim::Scheduler sched;
+  mac::LmacConfig mac_cfg;
+  std::unique_ptr<mac::LmacNetwork> mac;
+  std::unique_ptr<LmacTransport> transport;
+
+  OrderWorld(const std::vector<NodeId>& roots, unsigned threads, bool lmac) {
+    NetworkConfig cfg;
+    cfg.mode = NetworkConfig::ThetaMode::Fixed;
+    cfg.fixed_pct = kThetaPct;
+    net = std::make_unique<DirqNetwork>(topo, roots, cfg);
+    net->set_loss(&loss);
+    if (lmac) {
+      mac_cfg.slots_per_frame = 64;
+      mac_cfg.ticks_per_slot = 16;
+      mac = std::make_unique<mac::LmacNetwork>(sched, topo, mac_cfg);
+      transport = std::make_unique<LmacTransport>(*mac, *net);
+      transport->mutable_costs() = net->costs();
+      net->use_transport(*transport);
+      mac->start();
+    }
+    net->set_threads(threads);
+  }
+
+  void epoch(const data::ReadingSource& env, std::int64_t e) {
+    net->process_epoch(env, e);
+    if (mac) sched.run_until((e + 1) * mac_cfg.frame_ticks() - 1);
+  }
+};
+
+/// Runs the step script at 1, 2 and 4 threads and compares after every
+/// epoch. The mover (a non-root node with two types) crosses on both, and
+/// its tree-0 parent crosses on one of them: the parent's uplink then
+/// carries two relays and its own update in one epoch, and the per-link
+/// drop verdicts make their order observable.
+void run_order_case(const std::vector<NodeId>& roots, bool lmac) {
+  OrderWorld ref(roots, 1, lmac);
+  OrderWorld two(roots, 2, lmac);
+  OrderWorld four(roots, 4, lmac);
+  ASSERT_EQ(two.net->threads(), 2u);
+  ASSERT_EQ(four.net->threads(), 4u);
+
+  const auto is_root = [&](NodeId u) {
+    return std::find(roots.begin(), roots.end(), u) != roots.end();
+  };
+  NodeId mover = kNoNode, parent = kNoNode;
+  SensorType shared = 0, other = 0;
+  for (NodeId u = 1; u < ref.topo.size() && mover == kNoNode; ++u) {
+    const auto& s = ref.topo.node(u).sensors;
+    const NodeId p = ref.net->node(u).parent(0);
+    if (s.size() < 2 || is_root(u) || p == kNoNode || is_root(p)) continue;
+    const auto& ps = ref.topo.node(p).sensors;
+    for (SensorType t : s) {
+      if (std::binary_search(ps.begin(), ps.end(), t)) {
+        mover = u;
+        parent = p;
+        shared = t;
+        other = s.front() != t ? s.front() : s.back();
+        break;
+      }
+    }
+  }
+  ASSERT_NE(mover, kNoNode);
+  // The gateway carries types 0 and 2 (make_topology); it steps too, so
+  // the 1-sink serial root pass runs crossings.
+  StepSource env(ref.topo.size(), {{mover, shared, 20.0},
+                                   {mover, other, 20.0},
+                                   {parent, shared, 40.0},
+                                   {0, 0, 40.0},
+                                   {0, 2, 40.0}});
+
+  std::int64_t mover_moves = 0, parent_moves = 0;
+  for (std::int64_t e = 0; e < kOrderEpochs; ++e) {
+    const RangeEntry mover_before =
+        ref.net->node(mover).table(0, other) != nullptr &&
+                ref.net->node(mover).table(0, other)->own()
+            ? *ref.net->node(mover).table(0, other)->own()
+            : RangeEntry{};
+    const RangeEntry parent_before =
+        ref.net->node(parent).table(0, shared) != nullptr &&
+                ref.net->node(parent).table(0, shared)->own()
+            ? *ref.net->node(parent).table(0, shared)->own()
+            : RangeEntry{};
+    env.advance_to(e);
+    for (OrderWorld* w : {&ref, &two, &four}) w->epoch(env, e);
+    const std::string at = "epoch " + std::to_string(e);
+    for (OrderWorld* w : {&two, &four}) {
+      const std::string who =
+          at + " threads " + std::to_string(w->net->threads());
+      expect_same_state(*ref.net, *w->net, who);
+      expect_same_aggregates(*ref.net, *w->net, who);
+      EXPECT_EQ(ref.loss.offered(), w->loss.offered()) << who;
+      EXPECT_EQ(ref.loss.dropped(), w->loss.dropped()) << who;
+    }
+    if (::testing::Test::HasFailure()) return;
+    if (e > 0) {
+      mover_moves += ref.net->node(mover).table(0, other)->own()->min !=
+                     mover_before.min;
+      parent_moves += ref.net->node(parent).table(0, shared)->own()->min !=
+                      parent_before.min;
+    }
+  }
+  // The script crossed where it meant to, and the channel dropped frames.
+  const std::int64_t steps = (kOrderEpochs - 2 + 2) / 3;
+  EXPECT_EQ(mover_moves, steps);
+  EXPECT_EQ(parent_moves, steps);
+  EXPECT_GT(ref.loss.dropped(), 0);
+}
+
+TEST(ParallelOwnPlane, CrossingOrderSubtreeShardsAndRootPass) {
+  run_order_case({0}, false);
+}
+
+TEST(ParallelOwnPlane, CrossingOrderTreeShards) {
+  run_order_case({0, 10, 20, 30}, false);
+}
+
+TEST(ParallelOwnPlane, CrossingOrderLmacChunkShards) {
+  run_order_case({0, 20}, true);
 }
 
 }  // namespace

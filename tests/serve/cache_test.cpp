@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -207,15 +208,20 @@ void expect_stats_equal(const CacheStats& a, const CacheStats& b,
 TEST(ResultCache, MatchesReferenceScanOnRandomOperationSequences) {
   // Seeded random insert/lookup/invalidate/uncacheable sequences with
   // non-monotone epochs and update counters, repeated and nested windows,
-  // and capacities 1-8 (so the ring wraps and evicts), compared after
-  // every operation.
-  std::int64_t hits = 0, evictions = 0, expired = 0;
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+  // 1-6 sensor types plus one far-off type id, and capacities 1-8 (so the
+  // ring wraps and evictions cross types), compared after every operation.
+  std::int64_t hits = 0, evictions = 0, expired = 0, cross_type_evictions = 0;
+  for (std::uint64_t seed = 1; seed <= 96; ++seed) {
     sim::Rng rng(seed);
     const auto capacity = static_cast<std::size_t>(1 + (seed - 1) % 8);
+    const auto type_count = static_cast<SensorType>(1 + (seed - 1) / 8 % 6);
     const std::int64_t stale_epochs = rng.uniform_int(0, 6);
     ResultCache cache(capacity, stale_epochs);
     ReferenceCache ref(capacity, stale_epochs);
+    std::vector<SensorType> types(type_count);
+    std::iota(types.begin(), types.end(), SensorType{0});
+    types.push_back(60000);  // far from the dense ids
+    std::deque<SensorType> fifo;  // entry types, oldest first
     // A few base windows per type, each with nested sub-windows, so
     // lookups see exact, containing and non-containing entries.
     struct Window {
@@ -223,8 +229,8 @@ TEST(ResultCache, MatchesReferenceScanOnRandomOperationSequences) {
       double lo, hi;
     };
     std::vector<Window> windows;
-    for (int b = 0; b < 4; ++b) {
-      const auto type = static_cast<SensorType>(rng.uniform_int(0, 2));
+    for (int b = 0; b < 8; ++b) {
+      const SensorType type = types[rng.index(types.size())];
       const double lo = static_cast<double>(rng.uniform_int(0, 20));
       const double hi = lo + static_cast<double>(rng.uniform_int(0, 12));
       windows.push_back({type, lo, hi});
@@ -249,6 +255,11 @@ TEST(ResultCache, MatchesReferenceScanOnRandomOperationSequences) {
                              c - 1.0, c + 1.0});
         }
         std::reverse(sources.begin(), sources.end());
+        if (fifo.size() == capacity) {
+          cross_type_evictions += fifo.front() != w.type;
+          fifo.pop_front();
+        }
+        fifo.push_back(w.type);
         cache.insert(w.type, w.lo, w.hi, tree, epoch, updates, sources);
         ref.insert(w.type, w.lo, w.hi, tree, epoch, updates, sources);
       } else if (pick < 0.93) {
@@ -264,6 +275,7 @@ TEST(ResultCache, MatchesReferenceScanOnRandomOperationSequences) {
       } else {
         cache.invalidate_all();
         ref.invalidate_all();
+        fifo.clear();
       }
       ASSERT_EQ(cache.size(), ref.size()) << where;
       expect_stats_equal(cache.stats(), ref.stats, where);
@@ -277,6 +289,7 @@ TEST(ResultCache, MatchesReferenceScanOnRandomOperationSequences) {
   EXPECT_GT(hits, 0);
   EXPECT_GT(evictions, 0);
   EXPECT_GT(expired, 0);
+  EXPECT_GT(cross_type_evictions, 0);
 }
 
 TEST(ResultCache, RejectsDegenerateConstruction) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "data/field_model.hpp"
@@ -196,6 +197,29 @@ TEST(TraceGen, LoadTraceRejectsMalformedInput) {
   EXPECT_THROW(TraceGen::load_trace(backwards), std::runtime_error);
   std::istringstream inverted("header\n1\t0\t5\t2\n");
   EXPECT_THROW(TraceGen::load_trace(inverted), std::runtime_error);
+}
+
+TEST(TraceGen, LoadTraceRejectsOutOfRangeSensorTypes) {
+  // A type that does not fit SensorType must not wrap into another type
+  // (70000 -> 4464, -1 -> 65535): the row is rejected with its line.
+  for (const char* bad : {"70000", "-1", "65536"}) {
+    std::istringstream tsv(std::string("epoch\ttype\tlo\thi\n"
+                                       "0\t1\t20\t25\n"
+                                       "3\t") +
+                           bad + "\t20\t25\n");
+    try {
+      TraceGen::load_trace(tsv);
+      ADD_FAILURE() << "type " << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest representable type still loads.
+  std::istringstream edge("epoch\ttype\tlo\thi\n0\t65535\t1\t2\n");
+  const std::vector<Arrival> rows = TraceGen::load_trace(edge);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].range.type, 65535);
 }
 
 }  // namespace
