@@ -106,6 +106,55 @@ void for_each_multi_cell(Fn&& fn) {
   }
 }
 
+// --- mode tier -------------------------------------------------------------
+// Every tier above runs fixed theta 5 % with the sampling gate off. This
+// one pins the other two consume modes the epoch walk serves: ATC (every
+// reading feeds the controller, whose end-of-epoch step adjusts theta) and
+// fixed theta under the sampling gate (margin 0.5 — skipped samples, the
+// next_due mirror). Instant cells cross seeds x sizes x modes x loss; an
+// LMAC ATC row per seed and loss rate adds the deferred transport.
+
+enum class ModeKind { Atc, Gated };
+
+inline constexpr std::uint64_t kModeSeeds[] = {1, 42};
+inline constexpr ModeKind kModes[] = {ModeKind::Atc, ModeKind::Gated};
+inline constexpr std::size_t kModeLmacNodes = 30;
+
+inline core::ExperimentConfig make_mode_config(std::uint64_t seed,
+                                               std::size_t nodes,
+                                               ModeKind mode, double loss,
+                                               bool lmac) {
+  core::ExperimentConfig cfg = make_config(seed, nodes, loss);
+  if (mode == ModeKind::Atc) {
+    cfg.network.mode = core::NetworkConfig::ThetaMode::Atc;
+  } else {
+    cfg.network.sampling.enabled = true;
+    cfg.network.sampling.margin_frac = 0.5;
+  }
+  if (lmac) cfg.transport = core::TransportKind::Lmac;
+  return cfg;
+}
+
+/// Instant cells first (seeds, node counts, modes, loss rates — outermost
+/// first), then the LMAC ATC cells (seeds, loss rates).
+template <typename Fn>
+void for_each_mode_cell(Fn&& fn) {
+  for (std::uint64_t seed : kModeSeeds) {
+    for (std::size_t nodes : kNodeCounts) {
+      for (ModeKind mode : kModes) {
+        for (double loss : kLossRates) {
+          fn(seed, nodes, mode, loss, false);
+        }
+      }
+    }
+  }
+  for (std::uint64_t seed : kModeSeeds) {
+    for (double loss : kLossRates) {
+      fn(seed, kModeLmacNodes, ModeKind::Atc, loss, true);
+    }
+  }
+}
+
 // --- large-topology tier ---------------------------------------------------
 // Scaled placements (density-preserving area, lifted k/d bounds) at sizes
 // the paper never reaches. Short runs — the tier guards the scaling path
