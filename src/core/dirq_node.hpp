@@ -91,24 +91,25 @@ class DirqNode {
   // --- sensing (paper §4.1, Fig. 1) ----------------------------------------
 
   /// Feeds one epoch's reading for an attached sensor. The reading is
-  /// observed by every tree slot (one physical sample, N protocol views);
-  /// each slot may emit an Update Message toward its own parent if its
-  /// aggregate moved beyond its theta.
+  /// observed by every tree slot (one physical sample, N protocol views):
+  /// sample_slots over all slots.
   void sample(SensorType type, double reading, std::int64_t epoch);
 
-  /// One slot's share of sample(): observes the reading in `tree` only.
-  /// The tree-sharded parallel engine calls this once per tree from the
-  /// shard that owns the tree; calling it for every slot in ascending
-  /// TreeId order is equivalent to one sample() call, because slots share
-  /// no mutable state (per-slot update counters included).
-  void sample_slot(TreeId tree, SensorType type, double reading,
-                   std::int64_t epoch);
+  /// Observes the reading in tree slots [first, last) only, in ascending
+  /// TreeId order; each slot may emit an Update Message toward its own
+  /// parent if its aggregate moved beyond its theta. Readings for a
+  /// sensor the node does not carry are ignored. The epoch walk calls
+  /// this for the slots its task covers; slots share no mutable state
+  /// (per-slot update counters included), so tasks owning disjoint slot
+  /// ranges can call it on one node concurrently.
+  void sample_slots(TreeId first, TreeId last, SensorType type,
+                    double reading, std::int64_t epoch);
 
-  /// End-of-epoch hook: drives every slot's threshold controller.
+  /// End-of-epoch hook: end_epoch_slots over all slots.
   void end_epoch(std::int64_t epoch);
 
-  /// One slot's share of end_epoch() (see sample_slot).
-  void end_epoch_slot(TreeId tree, std::int64_t epoch);
+  /// Drives the threshold controllers of tree slots [first, last).
+  void end_epoch_slots(TreeId first, TreeId last, std::int64_t epoch);
 
   // --- message handling ----------------------------------------------------
 

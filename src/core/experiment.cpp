@@ -20,13 +20,6 @@
 
 namespace dirq::core {
 
-const char* Experiment::thread_clamp_reason(const ExperimentConfig& /*cfg*/) {
-  // No clamped backends remain: lossy channels decide drops through
-  // order-independent counter-keyed verdicts (core/lossy.hpp), and LMAC
-  // chunk-parallelises the epoch walk around the sequential slot loop.
-  return nullptr;
-}
-
 const char* Experiment::thread_mode_note(const ExperimentConfig& cfg) {
   if (cfg.transport == TransportKind::Lmac) {
     return "epoch phases parallel; slot delivery stays sequential";
@@ -35,7 +28,6 @@ const char* Experiment::thread_mode_note(const ExperimentConfig& cfg) {
 }
 
 unsigned Experiment::effective_threads(const ExperimentConfig& cfg) {
-  if (thread_clamp_reason(cfg) != nullptr) return 1;
   return sim::ThreadPool::resolve(cfg.threads);
 }
 
@@ -166,10 +158,10 @@ ExperimentResults Experiment::run() {
     mac->start();
   }
 
-  // Intra-run parallelism: a pool only exists when the resolved count is
-  // > 1. Every backend honours it now — lossy runs evaluate their
-  // order-independent drop verdicts in-shard, LMAC runs chunk the epoch
-  // walk around the sequential slot loop.
+  // Intra-run parallelism: the network runs its epoch plan on one thread
+  // unless asked for more. Every backend honours the count — lossy runs
+  // evaluate their order-independent drop verdicts inside the pool tasks,
+  // LMAC runs chunk the epoch walk around the sequential slot loop.
   const unsigned threads = effective_threads(cfg_);
   if (threads > 1) network.set_threads(threads);
 

@@ -60,10 +60,11 @@ struct ExperimentConfig {
   double multi_attr_fraction = 0.0;
   std::size_t multi_attr_count = 2;
   /// Channel drop probability in [0, 1). 0 keeps the paper's lossless
-  /// setup; > 0 routes every operational delivery through a LossySink
-  /// (CRC-failed receptions: tx and rx energy are still spent, the frame
-  /// is lost). The constructor's one-off deployment bootstrap (location
-  /// announce wave) always runs lossless; its cost stays in the ledger.
+  /// setup; > 0 installs a LossChannel (DirqNetwork::set_loss) that
+  /// rolls a drop verdict for every operational delivery (CRC-failed
+  /// receptions: tx and rx energy are still spent, the frame is lost).
+  /// The constructor's one-off deployment bootstrap (location announce
+  /// wave) always runs lossless; its cost stays in the ledger.
   double loss_rate = 0.0;
   NetworkConfig network{};
   std::int64_t epochs_per_hour = kEpochsPerHour;
@@ -87,13 +88,13 @@ struct ExperimentConfig {
   /// run); benches that only need aggregates can switch it off.
   bool keep_records = true;
   /// Intra-run worker count for the epoch loop (DirqNetwork::set_threads):
-  /// 1 (default) is the exact sequential path — the only golden
+  /// 1 (default) runs the epoch plan as one chunk — the golden
   /// configuration; 0 means all hardware threads. Single-sink instant
   /// runs shard by root-child subtree, multi-sink instant runs by
   /// spanning tree, LMAC runs chunk the epoch walk around the (still
   /// sequential) slot loop, and lossy channels evaluate their
-  /// counter-keyed drop verdicts inside the shards; every combination is
-  /// byte-identical to 1 thread — see Experiment::effective_threads.
+  /// counter-keyed drop verdicts inside the pool tasks; every combination
+  /// is byte-identical to 1 thread — see Experiment::effective_threads.
   unsigned threads = 1;
   TransportKind transport = TransportKind::Instant;
   /// Frame geometry when transport == Lmac. The default (32 slots x 32
@@ -250,22 +251,13 @@ class Experiment {
   ExperimentResults run();
 
   /// The worker count a config actually runs with: cfg.threads resolved
-  /// (0 → hardware concurrency). No backend clamps any more: lossy
+  /// (0 → hardware concurrency). Every transport honours it: lossy
   /// channels use order-independent counter-keyed drop verdicts
   /// (core/lossy.hpp) and LMAC runs its epoch walk in parallel chunks
-  /// around the still-sequential slot loop — every transport is
+  /// around the still-sequential slot loop — every width is
   /// byte-identical to --threads 1. Exposed so the CLI reports the
   /// resolved count.
   [[nodiscard]] static unsigned effective_threads(const ExperimentConfig& cfg);
-
-  /// Why a config is forced sequential, or nullptr when cfg.threads is
-  /// honoured as requested. Always nullptr today — the last clamped
-  /// backends (LMAC, lossy) were unclamped when drop verdicts became
-  /// order-independent and the LMAC walk chunk-parallel — but the seam
-  /// stays: the CLI prints it next to the effective thread count whenever
-  /// a future backend needs the exact sequential path again.
-  [[nodiscard]] static const char* thread_clamp_reason(
-      const ExperimentConfig& cfg);
 
   /// A short note on *how* a config parallelises when that needs saying —
   /// LMAC reports partial parallelism (the slot-ordered delivery loop is

@@ -1,6 +1,6 @@
 // Branch-light sweep over the struct-of-arrays sampling-gate mirror.
 //
-// The parallel epoch engine keeps, per sensor type, a dense array of
+// The epoch engine keeps, per sensor type, a dense array of
 // `SamplingController::next_due` epochs aligned with the type's plan-order
 // node list. Every epoch the engine must turn that array into the list of
 // due nodes (the reading batch). Doing it with one data-dependent branch
@@ -28,7 +28,7 @@ namespace dirq::core {
 
 /// Writes mask[j] = 1 iff due[j] <= epoch for j in [0, n). The mask is a
 /// plain byte array so it can be consumed both by the compaction below and
-/// by shards that walk the full plan order (tree-sharded engine).
+/// by the per-node epoch walk, which branches on it per plan slot.
 ///
 /// The body is the sign bit of (due - epoch - 1) rather than the obvious
 /// `due[j] <= epoch`: baseline x86-64 (SSE2) has no packed 64-bit compare,

@@ -1,6 +1,8 @@
 // Failure injection: a counter-keyed lossy-channel model that drops
 // deliveries with a configurable probability, simulating CRC-failed
-// receptions on a noisy wireless channel.
+// receptions on a noisy wireless channel. DirqNetwork::set_loss installs
+// it: every delivery rolls a verdict inside DirqNetwork::deliver (or
+// inside the epoch engine's pool tasks).
 //
 // Semantics deliberately match radio reality: the *transmitter* always
 // pays its cost, and the receiver's radio also spends the reception energy
@@ -16,19 +18,17 @@
 // sim::counter_hash on a dedicated "loss" substream — never of how many
 // unrelated deliveries happened before it. Reordering deliveries across
 // distinct (tree, from, to) keys cannot change a single verdict, so the
-// parallel epoch engine's shards (which each preserve their own keys'
-// subsequence order) reproduce the sequential drop pattern exactly
+// epoch engine's pool tasks (which each preserve their own keys'
+// subsequence order) reproduce the one-thread drop pattern exactly
 // (tests/core/lossy_order_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/messages.hpp"
-#include "core/transport.hpp"
 #include "sim/counter_rng.hpp"
+#include "sim/types.hpp"
 
 namespace dirq::core {
 
@@ -121,53 +121,6 @@ class LossChannel {
       counters_;
   std::int64_t offered_ = 0;
   std::int64_t dropped_ = 0;
-};
-
-/// MessageSink decorator over a LossChannel — the composition surface for
-/// tests and custom transport stacks. (DirqNetwork consumes a LossChannel
-/// directly via set_loss so its parallel engine can evaluate drops inside
-/// shards; this wrapper stays sequential.)
-class LossySink final : public MessageSink {
- public:
-  /// Invoked for every dropped frame. The transport has already charged
-  /// the ledger's rx for it; DirqNetwork users hook this to
-  /// note_dropped_rx so the per-node energy distribution stays
-  /// consistent with the ledger.
-  using DropHook = std::function<void(NodeId to, NodeId from, const Message& msg)>;
-
-  /// Drops each delivery independently with `drop_probability`; `rng`
-  /// names the channel's counter stream (conventionally the experiment
-  /// seed's "loss" substream).
-  LossySink(MessageSink& inner, double drop_probability, sim::CounterRng rng)
-      : inner_(inner), channel_(drop_probability, rng) {}
-
-  void set_drop_hook(DropHook hook) { on_drop_ = std::move(hook); }
-
-  void deliver(NodeId to, NodeId from, const Message& msg) override {
-    const bool dropped = channel_.next_drop(message_tree(msg), from, to);
-    channel_.note(dropped);
-    if (dropped) {
-      if (on_drop_) on_drop_(to, from, msg);
-      return;
-    }
-    inner_.deliver(to, from, msg);
-  }
-
-  [[nodiscard]] std::int64_t offered() const noexcept {
-    return channel_.offered();
-  }
-  [[nodiscard]] std::int64_t dropped() const noexcept {
-    return channel_.dropped();
-  }
-  [[nodiscard]] double drop_probability() const noexcept {
-    return channel_.drop_probability();
-  }
-  [[nodiscard]] const LossChannel& channel() const noexcept { return channel_; }
-
- private:
-  MessageSink& inner_;
-  LossChannel channel_;
-  DropHook on_drop_;
 };
 
 }  // namespace dirq::core

@@ -4,7 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -49,7 +49,7 @@ using ShardVector = std::vector<T, CacheLineAllocator<T>>;
 /// A threshold crossing found by the own-tuple plane's flat pass. Sorted
 /// by (pos, type, tree) — the order the per-node walk reaches it in.
 struct OwnCrossing {
-  std::uint32_t pos = 0;   // position in the shard's visiting order
+  std::uint32_t pos = 0;   // position in the segment's visiting order
   SensorType type = 0;
   TreeId tree = 0;
   std::uint32_t slot = 0;  // plan slot of type `type`
@@ -61,55 +61,54 @@ struct OwnCrossing {
   }
 };
 
-/// Scratch of one crossing sweep (DirqNetwork::consume_crossings).
-struct CrossingScratch {
-  ShardVector<std::uint32_t> slots;  // one (type, tree) pass's crossings
-  ShardVector<OwnCrossing> crossings;
-};
-
-/// Shard-local accounting for one parallel consume pass. Every message a
-/// shard's nodes emit is charged here instead of the shared transport
-/// ledger, and per-node tx/rx attribution lands in shard-local dense
-/// delta arrays (in tree-shard mode the same node transmits in several
-/// shards, so direct writes to the shared counters would race). In
-/// subtree mode root-bound deliveries are deferred so the root — the only
-/// node reachable from more than one shard — is touched by exactly one
-/// thread. Merged into the real ledger/counters in shard-index order
-/// after the join, which keeps the totals equal to the sequential pass
-/// (they are sums of the same per-message charges).
+/// One epoch task's state: its walk cursors and crossing-sweep scratch
+/// and, for a task the pool runs, the shard-local accounting. Every
+/// message a pool task's nodes emit is charged here instead of the shared
+/// transport ledger, and per-node tx/rx attribution lands in shard-local
+/// dense delta arrays (with one task per tree the same node transmits in
+/// several tasks, so direct writes to the shared counters would race). In
+/// the subtree geometry root-bound deliveries are deferred so the root —
+/// the only node reachable from more than one task — is touched by
+/// exactly one thread. Merged into the real ledger/counters in task order
+/// after the join, which keeps the totals equal to the one-thread walk
+/// (they are sums of the same per-message charges). Inline tasks run with
+/// the real transport and use only the cursors and the scratch.
 ///
-/// alignas(64): each shard's hot merge state gets its own cache line(s);
-/// without it neighbouring shards' ledgers share lines and every charge
+/// alignas(64): each task's hot merge state gets its own cache line(s);
+/// without it neighbouring tasks' ledgers share lines and every charge
 /// bounces the line between cores (see BM_ParallelEpochShardScaling). The
 /// heap buffers of its vectors come from CacheLineAllocator for the same
-/// reason: two shards' small cursor or scratch arrays must never share a
+/// reason: two tasks' small cursor or scratch arrays must never share a
 /// line, or both threads running at once costs more than one.
 struct alignas(64) EpochShardCtx {
-  std::size_t index = 0;
+  std::size_t index = 0;  // the task this context belongs to
   CostLedger ledger;
   std::int64_t update_msgs = 0;  // wire-level UpdateMessage transmissions
   ShardVector<std::pair<NodeId, Message>> to_root;  // {from, msg}, in order
   // Per-type walk cursors (resized to the plan's type count each epoch).
   ShardVector<std::size_t> plan_cur;
   ShardVector<std::size_t> val_cur;
-  // Per-node tx/rx deltas for this shard's pass (cleared each epoch,
-  // merged in shard-index order).
+  // Per-node tx/rx deltas for this task's pass (cleared each epoch,
+  // merged in task order).
   ShardVector<CostUnits> tx_delta;
   ShardVector<CostUnits> rx_delta;
-  // Lossy-channel totals for this shard's pass (the verdicts themselves
+  // Lossy-channel totals for this task's pass (the verdicts themselves
   // are order-independent; only these tallies need the ordered merge).
   std::int64_t loss_offered = 0;
   std::int64_t loss_dropped = 0;
-  // Chunk mode only: per-tree tx mirror — a chunk carries several trees'
-  // messages when multiple sinks ride a deferred transport, so the
-  // shard's single ledger cannot be attributed to one tree at merge.
+  // Chunk geometry only: per-tree tx mirror — a chunk carries several
+  // trees' messages when multiple sinks ride a deferred transport, so the
+  // task's single ledger cannot be attributed to one tree at merge.
   ShardVector<CostLedger> tree_delta;
-  CrossingScratch cross;  // own-tuple plane sweeps
+  // Own-tuple plane sweep: one (type, tree) pass's crossing slots, and
+  // the epoch's crossings.
+  ShardVector<std::uint32_t> cross_slots;
+  ShardVector<OwnCrossing> crossings;
 };
 
 namespace {
-/// Routes the wire_node send path: while a shard task runs, its context
-/// lives here and unicasts charge the shard ledger. Distinct DirqNetwork
+/// Routes the wire_node send path: while a pool task runs, its context
+/// lives here and unicasts charge the task's ledger. Distinct DirqNetwork
 /// instances own distinct pools, so a worker thread only ever serves one
 /// network at a time and the single slot cannot cross-talk.
 thread_local EpochShardCtx* tls_shard = nullptr;
@@ -129,74 +128,96 @@ void accumulate(CostLedger& into, const CostLedger& from) {
   into.control_tx += from.control_tx;
   into.control_rx += from.control_rx;
 }
+
+[[noreturn]] void throw_stale_aliveness() {
+  throw std::logic_error(
+      "DirqNetwork: aliveness changed without tree repair during an epoch");
+}
 }  // namespace
 
-/// The parallel epoch engine: a persistent pool plus the cached shard plan.
+/// The epoch engine: the pool plus the cached plan that every epoch walks.
 ///
-/// Three shard geometries share the machinery:
+/// The plan is a list of segments — each a contiguous stretch of the
+/// epoch walk in visiting order — and a list of tasks, each one segment
+/// for a range of tree slots. Every task runs either walk_segment (the
+/// per-node walk) or, with the own-tuple plane, consume_crossings. One
+/// partition step (rebuild_plan) picks the geometry:
 ///
-/// * Subtree mode (one tree): shard s is the s-th root child's subtree in
-///   leaves-first (reversed cached-BFS) order, and for every sensor type
-///   t, plan_nodes[t] lists the nodes carrying t in that same shard-major
-///   walk order with the root's sensors at the tail (the root is
-///   processed serially, last, exactly as the reversed global order
-///   does). plan_seg[t] holds shards.size() + 2 offsets: segment s is
-///   [seg[s], seg[s+1]) and the root segment is the final one.
+/// * Inline (a pool of 1, or a synchronous transport other than the
+///   built-in instant one): one chunk — the whole reversed epoch walk —
+///   and one task over all trees, run on the caller with the real
+///   transport, so every send delivers (or enqueues) as it happens.
 ///
-/// * Tree-shard mode (several sinks): shard k IS spanning tree k. Every
-///   shard walks the same reversed union order, but only advances its own
-///   tree's slot on each node (DirqNode::sample_slot / end_epoch_slot) —
-///   slots share no mutable state, so the shards are write-disjoint by
-///   construction and no root pass is needed (each tree's cascade,
-///   including into its own root, stays inside its shard). Shard 0
-///   additionally owns the shared sampling gate: it performs the
-///   on_skip/on_sample/count_sample bookkeeping inline, exactly where the
-///   sequential walk does (the gate reads the tree-0 controller's theta,
-///   which only shard 0 mutates). plan_nodes[t] is the full reversed
-///   union walk per type; plan_seg is unused.
+/// * Chunks (a deferred-delivery transport, i.e. LMAC, with a pool of
+///   more than 1): min(pool, walk) contiguous chunks of the reversed walk,
+///   each task all trees. This is safe for any sink count because sends
+///   on a deferred transport only enqueue into the *sender's* per-node
+///   MAC queue (mac::LmacNetwork::send is a pure push), so nothing
+///   crosses chunks during the walk; the slot-ordered transmit/deliver
+///   loop — the MAC's ordering contract — runs later, sequentially, in
+///   the scheduler. Sends charge the task ledger plus a per-tree
+///   tree_delta mirror, both merged in task order.
 ///
-/// * Chunk mode (deferred-delivery transport, i.e. LMAC): shard s is a
-///   contiguous chunk of the reversed epoch walk, each node fully
-///   processed — all tree slots — inside its chunk. This is safe for any
-///   sink count because sends on a deferred transport only enqueue into
-///   the *sender's* per-node MAC queue (mac::LmacNetwork::send is a pure
-///   push), so nothing crosses chunks during the walk; the slot-ordered
-///   transmit/deliver loop — the MAC's ordering contract — runs later,
-///   sequentially, in the scheduler. plan_seg carries the chunk segments
-///   with an empty serial-root segment (the root sits inside a chunk,
-///   which is fine precisely because no deliveries happen). Sends charge
-///   the shard ledger plus a per-tree tree_delta mirror, both merged in
-///   shard order. An open query audit does not force chunk-mode epochs
-///   sequential: the audit arrays and the query-cost baseline only move
-///   on deliveries and query traffic, neither of which the walk produces.
+/// * Subtrees (the built-in instant transport, one tree): segment s is
+///   the s-th root child's subtree in leaves-first (reversed cached-BFS)
+///   order; the tasks run largest segment first. All update traffic is
+///   up-tree unicast, so tasks meet only at the root: root-bound
+///   deliveries are deferred and replayed after the merge, then the
+///   final segment — the root alone — runs inline, last, exactly where
+///   the reversed walk visits it.
+///
+/// * Trees (the built-in instant transport, several trees): one segment,
+///   the reversed union walk, and one task per tree, each advancing only
+///   its own tree's slot per node (DirqNode::sample_slots /
+///   end_epoch_slots) — slots share no mutable state, so the tasks are
+///   write-disjoint and each tree's cascade, into its own root included,
+///   stays inside its task. Task 0 leads.
+///
+/// The lead task of a node owns the shared sampling gate: it does the
+/// on_skip/on_sample/count_sample bookkeeping inline, exactly where the
+/// per-node walk does (the gate reads the tree-0 controller's theta,
+/// which only the lead mutates). Every plan has one lead per node.
+///
+/// For every sensor type t, plan_nodes[t] lists the nodes carrying t in
+/// segment-major visiting order and plan_seg[t] holds segs.size() + 1
+/// offsets: segment s is [plan_seg[t][s], plan_seg[t][s + 1]).
 ///
 /// next_due mirrors the sampling gate per plan slot (struct-of-arrays, so
 /// the per-epoch gate filter is a flat int64 scan — gate_scan.hpp — over
-/// a dense array instead of a FlatMap lookup per sensor); shard 0 (or the
-/// owning subtree shard) writes a slot back right after on_sample. In
-/// gated epochs due_mask[t] holds the per-slot decision byte computed
-/// before the shards run, so every shard branches on the same snapshot.
+/// a dense array instead of a FlatMap lookup per sensor); the lead writes
+/// a slot back right after on_sample. In gated epochs due_mask[t] holds
+/// the per-slot decision byte computed before any task runs, so every
+/// task branches on the same snapshot.
 ///
 /// own[k][t][j] (the own-tuple plane) mirrors tree k's own tuple
 /// (lo = THmin, hi = THmax) for plan slot j of type t, indexed like
 /// next_due. It exists only when every controller is FixedTheta and the
 /// gate is off: then a reading inside its own tuple changes nothing at
 /// all (observe is a no-op, on_reading/on_epoch are no-ops), so only
-/// crossings enter DirqNode::sample_slot. An own tuple changes only in
-/// observe (the node's own sample, always a crossing here — the owning
-/// shard writes the entry back right after it) and clear_own (through
+/// crossings enter DirqNode::sample_slots. An own tuple changes only in
+/// observe (the node's own sample, always a crossing here — the task
+/// writes the entry back right after it) and clear_own (through
 /// handle_sensor_removed, which dirties the plan), so the plane stays
 /// exact between rebuilds. Update cascades touch only child tuples, so
 /// every crossing of an epoch is known before the first one runs: each
-/// shard (and the serial root pass) finds them in one flat sweep over its
-/// plan segment and runs them in (plan_pos, type, tree) order —
-/// plan_pos[t][j] is slot j's position in its shard's visiting order —
-/// which is the order a per-node walk reaches them in
-/// (consume_crossings).
-struct DirqNetwork::ParallelEngine {
-  explicit ParallelEngine(unsigned threads) : pool(threads) {}
+/// task finds them in one flat sweep over its segment and runs them in
+/// (plan_pos, type, tree) order — plan_pos[t][j] is slot j's position in
+/// its segment's visiting order — which is the order a per-node walk
+/// reaches them in (consume_crossings).
+struct DirqNetwork::EpochEngine {
+  explicit EpochEngine(unsigned threads) : pool(threads) {}
 
-  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoSeg = static_cast<std::size_t>(-1);
+
+  enum class Geometry { Inline, Chunks, Subtrees, Trees };
+
+  /// Segment `seg` for tree slots [first, last); `lead` owns the gate.
+  struct Task {
+    std::size_t seg = 0;
+    TreeId first = 0;
+    TreeId last = 0;
+    bool lead = false;
+  };
 
   /// One plane entry. A missing tuple is (+inf, -inf), so `lo <= r &&
   /// r <= hi` is exactly RangeTable::observe's inside test — NaN and
@@ -238,8 +259,8 @@ struct DirqNetwork::ParallelEngine {
   }
 
   /// One readings() call: a contiguous slice of type t's batch. Splitting
-  /// below whole types is only done when the source advertises
-  /// concurrent_intra_type_chunks().
+  /// below whole types is only done on a pool of more than one thread
+  /// when the source advertises concurrent_intra_type_chunks().
   struct FetchTask {
     SensorType type = 0;
     std::size_t begin = 0;
@@ -248,15 +269,15 @@ struct DirqNetwork::ParallelEngine {
 
   sim::ThreadPool pool;
   bool plan_dirty = true;
-  bool tree_mode = false;      // shard per tree instead of per subtree
-  bool mac_mode = false;       // chunk shards over a deferred transport
   std::size_t plan_alive = 0;  // cheap staleness guard vs the topology
+  const Transport* plan_transport = nullptr;  // transport the plan is for
 
-  std::vector<std::vector<NodeId>> shards;  // subtree mode: leaves-first
-  std::vector<NodeId> walk;                 // tree mode: shared walk order
-  std::vector<std::size_t> claim_order;     // largest shard first
-  std::vector<std::size_t> shard_of;        // per node, kNoShard if none
-  bool gated = false;                       // sampling suppression on?
+  Geometry geometry = Geometry::Inline;
+  std::vector<std::vector<NodeId>> segs;  // visiting order per segment
+  std::vector<Task> tasks;
+  std::size_t pool_tasks = 0;  // [0, pool_tasks) on the pool, rest inline
+  std::vector<std::size_t> seg_of;  // Subtrees: per node, kNoSeg if none
+  bool gated = false;               // sampling suppression on?
 
   std::vector<std::vector<NodeId>> plan_nodes;
   std::vector<std::vector<std::uint32_t>> plan_pos;  // see the own plane
@@ -264,32 +285,23 @@ struct DirqNetwork::ParallelEngine {
   std::vector<std::vector<std::int64_t>> next_due;  // gate mirror (gated)
   bool own_plane = false;  // fixed theta, gate off: consume via `own`
   std::vector<std::vector<std::vector<OwnTuple>>> own;  // [tree][type][slot]
-  CrossingScratch root_cross;  // the serial root pass's sweep scratch
 
   // Per-epoch scratch, reused so the hot loop never allocates.
-  std::vector<EpochShardCtx> ctx;
+  std::vector<EpochShardCtx> ctx;                   // one per task
   std::vector<std::vector<std::uint8_t>> due_mask;  // gated: 0/1 per slot
   std::vector<std::vector<NodeId>> filt_nodes;  // gated: nodes due this epoch
   std::vector<std::vector<std::size_t>> filt_seg;
   std::vector<std::vector<double>> values;
   std::vector<FetchTask> fetch_tasks;
-  std::vector<std::size_t> root_plan_cur, root_val_cur;
   std::vector<SensorType> active_types;  // non-empty batches this epoch
 
-  // The gather/consume batch for type t this epoch: the filtered list
+  // The fetch/consume batch for type t this epoch: the filtered list
   // when the gate is on, the full plan list otherwise.
   [[nodiscard]] const std::vector<NodeId>& batch(std::size_t t) const {
     return gated ? filt_nodes[t] : plan_nodes[t];
   }
   [[nodiscard]] const std::vector<std::size_t>& offsets(std::size_t t) const {
     return gated ? filt_seg[t] : plan_seg[t];
-  }
-  /// Plan-slot range [first, second) of segment `seg` for type t; the
-  /// whole list in tree-shard mode (no segments).
-  [[nodiscard]] std::pair<std::size_t, std::size_t> segment(
-      std::size_t t, std::size_t seg) const {
-    if (plan_seg.empty()) return {0, plan_nodes[t].size()};
-    return {plan_seg[t][seg], plan_seg[t][seg + 1]};
   }
 };
 
@@ -308,7 +320,8 @@ DirqNetwork::DirqNetwork(net::Topology& topo, std::vector<NodeId> roots,
     : topo_(topo),
       cfg_(cfg),
       trees_(topo, std::move(roots)),
-      root_(trees_.root(0)) {
+      root_(trees_.root(0)),
+      engine_(std::make_unique<EpochEngine>(1)) {
   const std::size_t n_trees = trees_.count();
   nodes_.reserve(topo.size());
   for (const net::Node& n : topo.nodes()) {
@@ -354,16 +367,11 @@ DirqNetwork::~DirqNetwork() = default;
 
 void DirqNetwork::set_threads(unsigned threads) {
   const unsigned n = sim::ThreadPool::resolve(threads);
-  if (n <= 1) {
-    par_.reset();
-    return;
-  }
-  if (par_ && par_->pool.size() == n) return;
-  par_ = std::make_unique<ParallelEngine>(n);
+  if (engine_->pool.size() != n) engine_ = std::make_unique<EpochEngine>(n);
 }
 
 unsigned DirqNetwork::threads() const noexcept {
-  return par_ ? par_->pool.size() : 1;
+  return engine_->pool.size();
 }
 
 void DirqNetwork::set_loss(LossChannel* loss) {
@@ -391,18 +399,18 @@ void DirqNetwork::charge_tree_rx(const Message& msg) {
 void DirqNetwork::wire_node(DirqNode& n) {
   n.set_send([this](NodeId from, NodeId to, const Message& msg) {
     if (EpochShardCtx* ctx = tls_shard) {
-      // Parallel consume pass: charge the shard, not the shared ledger;
-      // the update hook is replayed (same epoch, same count) at merge,
-      // and the shard ledger is merged into the message's tree mirror.
-      // Per-node attribution goes through the shard's delta array — in
-      // tree-shard mode `from` transmits in several shards at once.
+      // A pool task: charge the task, not the shared ledger; the update
+      // hook is replayed (same epoch, same count) at merge, and the task
+      // ledger is merged into the message's tree mirror. Per-node
+      // attribution goes through the task's delta array — with one task
+      // per tree `from` transmits in several tasks at once.
       if (std::holds_alternative<UpdateMessage>(msg)) ++ctx->update_msgs;
       ctx->tx_delta.at(from) += 1;
-      if (par_->mac_mode) {
-        // Chunk mode: the send only enqueues into `from`'s own MAC queue
-        // (single-writer — this shard owns `from`). Charge the shard
+      if (engine_->geometry == EpochEngine::Geometry::Chunks) {
+        // The send only enqueues into `from`'s own MAC queue
+        // (single-writer — this chunk owns `from`). Charge the task
         // ledger and the message's per-tree mirror locally; both merge in
-        // shard order after the join.
+        // task order after the join.
         InstantTransport::charge_tx(ctx->ledger, msg);
         const TreeId t = message_tree(msg);
         if (t < ctx->tree_delta.size()) {
@@ -425,8 +433,8 @@ void DirqNetwork::wire_node(DirqNode& n) {
   n.set_multicast([this](NodeId from, const std::vector<NodeId>& targets,
                          const Message& msg) {
     if (tls_shard != nullptr) {
-      // The consume pass is strictly up-tree unicast; anything else here
-      // means protocol state diverged from the tree. Fail loud.
+      // An epoch is strictly up-tree unicast; anything else here means
+      // protocol state diverged from the tree. Fail loud.
       throw std::logic_error("DirqNetwork: multicast during a parallel epoch");
     }
     node_tx_.at(from) += 1;  // one transmission regardless of target count
@@ -511,506 +519,10 @@ void DirqNetwork::rebuild_union_walk() {
 void DirqNetwork::process_epoch(const data::ReadingSource& env,
                                 std::int64_t epoch) {
   current_epoch_ = epoch;
-  if (par_ != nullptr) {
-    if (transport_ == instant_.get()) {
-      // Instant transport: deliveries happen inline during the walk, so
-      // an open audit (whose received/believed arrays are only written in
-      // deliver()) forces the sequential path.
-      if (!audit_active_) {
-        process_epoch_parallel(env, epoch);
-        return;
-      }
-    } else if (transport_->deferred_delivery()) {
-      // Deferred transport (LMAC): the walk performs no deliveries — it
-      // only enqueues into per-sender queues — so chunk-mode epochs are
-      // safe even inside an open (asynchronous) audit.
-      process_epoch_parallel(env, epoch);
-      return;
-    }
-  }
-  // Sequential fallback (audited instant epoch, or a custom synchronous
-  // transport) while a pool exists: node state advances outside the plan,
-  // so the gate mirror is stale for the next parallel epoch.
-  if (par_ != nullptr) par_->plan_dirty = true;
-  // Leaves-first (reverse BFS) ordering makes the within-epoch update
-  // cascade settle in a single pass with the instant transport; any order
-  // is correct since parents re-check on every child update. The order is
-  // tree 0's cached (alive-only) BFS order — extended by other trees'
-  // extra members when several sinks are deployed — no per-epoch
-  // allocation — and each node's epoch work (sampling, theta checks,
-  // update propagation, controller end-of-epoch step) is batched into
-  // this one walk. The end-of-epoch step only mutates the node's own
-  // controllers, so running it per node inside the pass is equivalent to
-  // a separate whole-network sweep.
-  //
-  // Readings cross the environment boundary in one batch per sensor type:
-  // pass 1 gathers, per type and in walk order, the nodes that will
-  // physically sample; one ReadingSource::readings call per type fills the
-  // values; pass 2 re-runs the identical walk consuming them. Readings are
-  // pure at a fixed epoch and the gate decision for (node, type) reads
-  // only prior-epoch state, so both passes branch identically and the
-  // per-node evaluation order (messages, goldens) is unchanged.
-  const std::vector<NodeId>& order = epoch_walk_order();
-  if (batch_nodes_.size() < env.type_count()) {
-    batch_nodes_.resize(env.type_count());
-    batch_values_.resize(env.type_count());
-    batch_cursor_.resize(env.type_count());
-  }
-  for (std::size_t t = 0; t < batch_nodes_.size(); ++t) {
-    batch_nodes_[t].clear();
-    batch_cursor_[t] = 0;
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId u = *it;
-    if (!topo_.is_alive(u)) continue;
-    const net::Node& info = topo_.node(u);
-    const SamplingController& gate = samplers_[u];
-    // Node::sensors is sorted + deduplicated by every Topology entry
-    // point (constructor, add_node, add_sensor), so a (node, type) pair
-    // occurs at most once per walk — the gate decision re-evaluated in
-    // pass 2 cannot have been perturbed by an earlier occurrence, and the
-    // two passes always branch identically (asserted by
-    // DirqNetworkBatch.DuplicateSensorListsAreDedupedByTopology).
-    for (SensorType t : info.sensors) {
-      if (!gate.enabled() || gate.should_sample(t, epoch)) {
-        // Post-deployment sensor types can exceed the environment's type
-        // count; keep them in the batch so the backend raises the same
-        // out_of_range the per-node path always did.
-        if (t >= batch_nodes_.size()) {
-          batch_nodes_.resize(t + 1);
-          batch_values_.resize(t + 1);
-          batch_cursor_.resize(t + 1, 0);
-        }
-        batch_nodes_[t].push_back(u);
-      }
-    }
-  }
-  for (std::size_t t = 0; t < batch_nodes_.size(); ++t) {
-    if (batch_nodes_[t].empty()) continue;
-    batch_values_[t].resize(batch_nodes_[t].size());
-    env.readings(static_cast<SensorType>(t), batch_nodes_[t],
-                 batch_values_[t]);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId u = *it;
-    if (!topo_.is_alive(u)) continue;
-    const net::Node& info = topo_.node(u);
-    SamplingController& gate = samplers_[u];
-    if (!gate.enabled()) {
-      // Suppression off (the paper's evaluated configuration): sample
-      // every sensor, skip the predictor bookkeeping entirely.
-      for (SensorType t : info.sensors) {
-        nodes_[u].sample(t, batch_values_[t][batch_cursor_[t]++], epoch);
-        gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        if (!gate.should_sample(t, epoch)) {
-          gate.on_skip(t);  // predictor confident: save the ADC energy (§8)
-          continue;
-        }
-        const double reading = batch_values_[t][batch_cursor_[t]++];
-        nodes_[u].sample(t, reading, epoch);
-        gate.on_sample(t, reading, nodes_[u].controller().theta(t), epoch);
-      }
-    }
-    nodes_[u].end_epoch(epoch);
-  }
-}
-
-void DirqNetwork::rebuild_parallel_plan() {
-  ParallelEngine& pe = *par_;
-  pe.mac_mode = transport_ != instant_.get();
-  pe.tree_mode = !pe.mac_mode && trees_.count() > 1;
-  // Reversed (alive-filtered) epoch walk: the sequential visiting order.
-  const auto reversed_walk = [&] {
-    pe.walk.clear();
-    const std::vector<NodeId>& order = epoch_walk_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      if (topo_.is_alive(*it)) pe.walk.push_back(*it);
-    }
-  };
-  std::size_t type_count = 0;
-  const auto scan_types = [&](NodeId u) {
-    for (SensorType t : topo_.node(u).sensors) {
-      type_count = std::max<std::size_t>(type_count, t + 1);
-    }
-  };
-  // Appends u, the pos-th node its shard visits, to its types' plans.
-  const auto append_walk = [&](NodeId u, std::size_t pos) {
-    for (SensorType t : topo_.node(u).sensors) {
-      pe.plan_nodes[t].push_back(u);
-      pe.plan_pos[t].push_back(static_cast<std::uint32_t>(pos));
-    }
-  };
-  // Shard-major plan: plan_seg[t][s] opens shard s's segment of type t,
-  // [S] opens the serial-root segment and [S + 1] closes it.
-  const auto build_segments = [&](std::size_t S, bool with_root) {
-    pe.plan_nodes.assign(type_count, {});
-    pe.plan_pos.assign(type_count, {});
-    pe.plan_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-    for (std::size_t s = 0; s < S; ++s) {
-      for (std::size_t t = 0; t < type_count; ++t) {
-        pe.plan_seg[t][s] = pe.plan_nodes[t].size();
-      }
-      for (std::size_t i = 0; i < pe.shards[s].size(); ++i) {
-        append_walk(pe.shards[s][i], i);
-      }
-    }
-    for (std::size_t t = 0; t < type_count; ++t) {
-      pe.plan_seg[t][S] = pe.plan_nodes[t].size();
-    }
-    if (with_root) append_walk(root_, 0);
-    for (std::size_t t = 0; t < type_count; ++t) {
-      pe.plan_seg[t][S + 1] = pe.plan_nodes[t].size();
-    }
-  };
-
-  std::size_t S = 0;
-  if (pe.mac_mode) {
-    // Chunk mode: contiguous chunks of the reversed epoch walk,
-    // concatenating to exactly the sequential order — so each per-type
-    // batch stays one contiguous segment per shard and the plan_seg/
-    // offsets machinery applies, with an empty serial-root segment (the
-    // root is inside a chunk).
-    reversed_walk();
-    S = std::max<std::size_t>(
-        1, std::min<std::size_t>(pe.pool.size(), pe.walk.size()));
-    pe.shards.assign(S, {});
-    pe.shard_of.assign(nodes_.size(), ParallelEngine::kNoShard);
-    for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t b = s * pe.walk.size() / S;
-      const std::size_t e = (s + 1) * pe.walk.size() / S;
-      pe.shards[s].assign(pe.walk.begin() + b, pe.walk.begin() + e);
-      for (NodeId u : pe.shards[s]) pe.shard_of[u] = s;
-    }
-    pe.claim_order.resize(S);
-    std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-    for (NodeId u : pe.walk) scan_types(u);
-    build_segments(S, false);
-  } else if (pe.tree_mode) {
-    // Tree-shard mode: shard k is tree k. Every shard repeats the full
-    // reversed union walk (the sequential multi-sink order), advancing
-    // only its own tree's slot per node; plan_nodes[t] is that walk
-    // restricted to nodes carrying t, which is exactly the sequential
-    // gather order, so batches — and therefore readings — are identical.
-    S = trees_.count();
-    pe.shards.clear();
-    pe.shard_of.clear();
-    reversed_walk();
-    pe.claim_order.resize(S);
-    std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-    for (NodeId u : pe.walk) scan_types(u);
-    pe.plan_nodes.assign(type_count, {});
-    pe.plan_pos.assign(type_count, {});
-    pe.plan_seg.clear();
-    for (std::size_t i = 0; i < pe.walk.size(); ++i) append_walk(pe.walk[i], i);
-  } else {
-    const net::SpanningTree& tree0 = trees_.tree(0);
-    pe.shards = tree0.subtree_partition();
-    // Leaves-first within each shard: the same relative order the
-    // reversed global walk visits that subtree in, so intra-shard
-    // cascades settle in one pass exactly as they do sequentially.
-    for (std::vector<NodeId>& s : pe.shards) std::reverse(s.begin(), s.end());
-    S = pe.shards.size();
-    pe.shard_of.assign(nodes_.size(), ParallelEngine::kNoShard);
-    for (std::size_t s = 0; s < S; ++s) {
-      for (NodeId u : pe.shards[s]) pe.shard_of[u] = s;
-    }
-    // Dynamic claiming plus largest-first ordering keeps the pool busy
-    // when subtree sizes are skewed; processing order is unobservable
-    // (shards are disjoint and root-bound merges happen in shard-index
-    // order later).
-    pe.claim_order.resize(S);
-    std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-    std::stable_sort(pe.claim_order.begin(), pe.claim_order.end(),
-                     [&pe](std::size_t a, std::size_t b) {
-                       return pe.shards[a].size() > pe.shards[b].size();
-                     });
-    for (const std::vector<NodeId>& shard : pe.shards) {
-      for (NodeId u : shard) scan_types(u);
-    }
-    const bool root_in_tree = tree0.in_tree(root_);
-    if (root_in_tree) scan_types(root_);
-    build_segments(S, root_in_tree);
-  }
-
-  pe.gated = cfg_.sampling.enabled;
-  pe.next_due.clear();
-  if (pe.gated) {
-    pe.next_due.resize(type_count);
-    for (std::size_t t = 0; t < type_count; ++t) {
-      for (NodeId u : pe.plan_nodes[t]) {
-        pe.next_due[t].push_back(
-            samplers_[u].next_due(static_cast<SensorType>(t)));
-      }
-    }
-  }
-  // The own-tuple plane, read back from the range tables in one pass: a
-  // rebuild follows every path that can move an own tuple outside the
-  // plane (churn, sensor changes, sequential-fallback epochs).
-  pe.own_plane =
-      cfg_.mode == NetworkConfig::ThetaMode::Fixed && !cfg_.sampling.enabled;
-  pe.own.clear();
-  if (pe.own_plane) {
-    pe.own.resize(trees_.count());
-    for (TreeId k = 0; k < trees_.count(); ++k) {
-      pe.own[k].resize(type_count);
-      for (std::size_t t = 0; t < type_count; ++t) {
-        for (NodeId u : pe.plan_nodes[t]) {
-          pe.own[k][t].push_back(ParallelEngine::read_own(
-              nodes_[u], k, static_cast<SensorType>(t)));
-        }
-      }
-    }
-  }
-
-  pe.ctx.resize(S);
-  for (EpochShardCtx& ctx : pe.ctx) {
-    ctx.tx_delta.assign(topo_.size(), 0);
-    ctx.rx_delta.assign(topo_.size(), 0);
-  }
-  pe.due_mask.assign(type_count, {});
-  pe.filt_nodes.assign(type_count, {});
-  if (pe.tree_mode) {
-    pe.filt_seg.clear();
-  } else {
-    pe.filt_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-  }
-  pe.values.resize(type_count);
-  pe.plan_alive = topo_.alive_count();
-  pe.plan_dirty = false;
-}
-
-void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
-                                   const Message& msg) {
-  // Mirrors InstantTransport::unicast against the shard ledger (same
-  // classification helpers, same lost/out-of-range semantics); in subtree
-  // mode root-bound deliveries are deferred to the serial merge.
-  InstantTransport::charge_tx(ctx.ledger, msg);
-  if (to >= topo_.size() || !topo_.is_alive(to)) return;  // lost
-  const auto nbrs = topo_.neighbors(from);
-  if (!std::binary_search(nbrs.begin(), nbrs.end(), to)) return;
-  InstantTransport::charge_rx(ctx.ledger, msg);
-  // CRC loss, decided inside the shard: the verdict is a pure function of
-  // (tree, from, to, per-key seq) and this shard owns the key — tree-shard
-  // mode owns the whole tree plane, subtree mode owns the sender — so it
-  // equals the sequential verdict. The radio paid (rx charged above +
-  // rx_delta here, mirroring note_dropped_rx); the frame goes no further
-  // — root-bound drops are never deferred.
-  if (loss_ != nullptr) {
-    ++ctx.loss_offered;
-    if (loss_->next_drop(message_tree(msg), from, to)) {
-      ++ctx.loss_dropped;
-      ctx.rx_delta[to] += 1;
-      return;
-    }
-  }
-  if (par_->tree_mode) {
-    // Shard k owns tree k: the receiver's slot k is only ever touched by
-    // this thread (DirqNode::handle dispatches on the message's tree tag),
-    // so delivery is inline — roots included.
-    if (message_tree(msg) != static_cast<TreeId>(ctx.index)) {
-      throw std::logic_error(
-          "DirqNetwork: cross-tree message during a tree-sharded epoch");
-    }
-    ctx.rx_delta[to] += 1;
-    nodes_[to].handle(msg, from, current_epoch_);
-    return;
-  }
-  if (to == root_) {
-    ctx.to_root.emplace_back(from, msg);
-    return;
-  }
-  if (par_->shard_of[to] != ctx.index) {
-    throw std::logic_error(
-        "DirqNetwork: cross-shard delivery — node parent state diverged "
-        "from the spanning tree");
-  }
-  ctx.rx_delta[to] += 1;
-  nodes_[to].handle(msg, from, current_epoch_);
-}
-
-void DirqNetwork::consume_crossings(CrossingScratch& scratch,
-                                    std::span<const NodeId> nodes,
-                                    std::size_t seg, TreeId first, TreeId last,
-                                    bool count, std::int64_t epoch) {
-  ParallelEngine& pe = *par_;
-  // Per-node work: fail loud on an aliveness change without tree repair,
-  // and tick the gate's per-reading sample counter.
-  for (NodeId u : nodes) {
-    if (!topo_.is_alive(u)) {
-      throw std::logic_error(
-          "DirqNetwork: aliveness changed without tree repair during a "
-          "parallel run");
-    }
-    if (count) {
-      SamplingController& gate = samplers_[u];
-      for (std::size_t i = topo_.node(u).sensors.size(); i > 0; --i) {
-        gate.count_sample();
-      }
-    }
-  }
-  // 1. One flat pass per (type, tree) over the segment's plan slots finds
-  //    every reading that leaves its own tuple.
-  scratch.crossings.clear();
-  for (std::size_t t = 0; t < pe.plan_nodes.size(); ++t) {
-    const auto [b, e] = pe.segment(t, seg);
-    if (b == e) continue;
-    const auto type = static_cast<SensorType>(t);
-    const std::vector<std::uint32_t>& pos = pe.plan_pos[t];
-    scratch.slots.resize(e - b);
-    for (TreeId k = first; k < last; ++k) {
-      const ParallelEngine::OwnTuple* own = pe.own[k][t].data();
-#ifndef NDEBUG
-      // Fail loud on a stale plane: a skipped sample is exact only while
-      // the entry equals the table's tuple.
-      for (std::size_t j = b; j < e; ++j) {
-        if (!ParallelEngine::same(
-                ParallelEngine::read_own(nodes_[pe.plan_nodes[t][j]], k, type),
-                own[j])) {
-          throw std::logic_error(
-              "DirqNetwork: own-tuple plane diverged from the range table "
-              "(own tuple changed outside process_epoch/handle_*)");
-        }
-      }
-#endif
-      const std::size_t m = ParallelEngine::crossing_slots(
-          own + b, pe.values[t].data() + b, b, e - b, scratch.slots.data());
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::uint32_t j = scratch.slots[i];
-        scratch.crossings.push_back({pos[j], type, k, j});
-      }
-    }
-  }
-  // 2. The per-node walk's order: position, then type, then tree.
-  std::sort(scratch.crossings.begin(), scratch.crossings.end());
-  // 3. Only crossings reach the node; each writes its entry back.
-  for (const OwnCrossing& c : scratch.crossings) {
-    DirqNode& node = nodes_[pe.plan_nodes[c.type][c.slot]];
-    ParallelEngine::OwnTuple& own = pe.own[c.tree][c.type][c.slot];
-    node.sample_slot(c.tree, c.type, pe.values[c.type][c.slot], epoch);
-    const ParallelEngine::OwnTuple next =
-        ParallelEngine::read_own(node, c.tree, c.type);
-#ifndef NDEBUG
-    // A crossing of a present tuple re-centres it (the plane's inside
-    // test agrees with observe's).
-    if (own.lo <= own.hi && ParallelEngine::same(next, own)) {
-      throw std::logic_error(
-          "DirqNetwork: own-tuple plane saw a crossing the range table "
-          "did not");
-    }
-#endif
-    own = next;  // slot owned by this shard
-  }
-}
-
-void DirqNetwork::run_shard_consume(std::size_t shard, std::int64_t epoch) {
-  ParallelEngine& pe = *par_;
-  EpochShardCtx& ctx = pe.ctx[shard];
-  const TlsShardGuard guard(&ctx);
-  if (pe.own_plane) {
-    consume_crossings(ctx.cross, pe.shards[shard], shard, 0,
-                      static_cast<TreeId>(trees_.count()), true, epoch);
-    return;
-  }
-  const std::size_t type_count = pe.plan_nodes.size();
-  ctx.plan_cur.resize(type_count);
-  ctx.val_cur.resize(type_count);
-  for (std::size_t t = 0; t < type_count; ++t) {
-    ctx.plan_cur[t] = pe.plan_seg[t][shard];
-    ctx.val_cur[t] = pe.offsets(t)[shard];
-  }
-  for (NodeId u : pe.shards[shard]) {
-    if (!topo_.is_alive(u)) {
-      throw std::logic_error(
-          "DirqNetwork: aliveness changed without tree repair during a "
-          "parallel run");
-    }
-    const net::Node& info = topo_.node(u);
-    SamplingController& gate = samplers_[u];
-    if (!pe.gated) {
-      for (SensorType t : info.sensors) {
-        nodes_[u].sample(t, pe.values[t][ctx.val_cur[t]++], epoch);
-        gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        const std::size_t j = ctx.plan_cur[t]++;
-        if (!pe.due_mask[t][j]) {
-          gate.on_skip(t);
-          continue;
-        }
-        const double reading = pe.values[t][ctx.val_cur[t]++];
-        nodes_[u].sample(t, reading, epoch);
-        gate.on_sample(t, reading, nodes_[u].controller().theta(t), epoch);
-        pe.next_due[t][j] = gate.next_due(t);  // slot owned by this shard
-      }
-    }
-    nodes_[u].end_epoch(epoch);
-  }
-}
-
-void DirqNetwork::run_tree_shard_consume(std::size_t shard,
-                                         std::int64_t epoch) {
-  ParallelEngine& pe = *par_;
-  EpochShardCtx& ctx = pe.ctx[shard];
-  const TlsShardGuard guard(&ctx);
-  const TreeId tree = static_cast<TreeId>(shard);
-  // Shard 0 owns the shared sampling gate: it does the predictor
-  // bookkeeping inline, exactly where the sequential walk does, and it is
-  // also the shard that mutates the tree-0 controller whose theta the
-  // gate reads — so its interleaving matches the sequential pass. The
-  // other shards branch on the due_mask snapshot instead of touching the
-  // gate at all.
-  const bool lead = shard == 0;
-  if (pe.own_plane) {
-    consume_crossings(ctx.cross, pe.walk, 0, tree, tree + 1, lead, epoch);
-    return;
-  }
-  const std::size_t type_count = pe.plan_nodes.size();
-  ctx.plan_cur.assign(type_count, 0);
-  ctx.val_cur.assign(type_count, 0);
-  for (NodeId u : pe.walk) {
-    if (!topo_.is_alive(u)) {
-      throw std::logic_error(
-          "DirqNetwork: aliveness changed without tree repair during a "
-          "parallel run");
-    }
-    const net::Node& info = topo_.node(u);
-    SamplingController& gate = samplers_[u];
-    if (!pe.gated) {
-      for (SensorType t : info.sensors) {
-        nodes_[u].sample_slot(tree, t, pe.values[t][ctx.val_cur[t]++], epoch);
-        if (lead) gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        const std::size_t j = ctx.plan_cur[t]++;
-        if (!pe.due_mask[t][j]) {
-          if (lead) gate.on_skip(t);
-          continue;
-        }
-        const double reading = pe.values[t][ctx.val_cur[t]++];
-        nodes_[u].sample_slot(tree, t, reading, epoch);
-        if (lead) {
-          gate.on_sample(t, reading, nodes_[u].controller().theta(t), epoch);
-          pe.next_due[t][j] = gate.next_due(t);  // only shard 0 writes
-        }
-      }
-    }
-    nodes_[u].end_epoch_slot(tree, epoch);
-  }
-}
-
-void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
-                                         std::int64_t epoch) {
-  ParallelEngine& pe = *par_;
-  const bool want_mac = transport_ != instant_.get();
+  EpochEngine& pe = *engine_;
   const bool rebuilt = pe.plan_dirty || pe.plan_alive != topo_.alive_count() ||
-                       pe.mac_mode != want_mac;
-  if (rebuilt) rebuild_parallel_plan();
-  const std::size_t S = pe.tree_mode ? pe.ctx.size() : pe.shards.size();
+                       pe.plan_transport != transport_;
+  if (rebuilt) rebuild_plan();
   const std::size_t type_count = pe.plan_nodes.size();
 
   // Intra-type chunking needs the source's lazy node adoption settled
@@ -1018,7 +530,8 @@ void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
   // per-node cache on first sight of a node id). One serial probe of the
   // highest planned node per type — readings are pure, so this has no
   // observable effect — guarantees every chunk only reads adopted state.
-  const bool chunked_fetch = env.concurrent_type_batches() &&
+  const bool chunked_fetch = pe.pool.size() > 1 &&
+                             env.concurrent_type_batches() &&
                              env.concurrent_intra_type_chunks();
   if (rebuilt && chunked_fetch) {
     for (std::size_t t = 0; t < type_count; ++t) {
@@ -1033,39 +546,33 @@ void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
   // lists *are* the batches — zero per-epoch work. With it on, the gate
   // is a branch-light two-pass sweep per type over the next_due mirror
   // (gate_scan.hpp: a vectorizable compare pass into due_mask, then an
-  // unconditional-store compaction); slots only change through on_sample,
-  // so the mask branches exactly like the sequential should_sample walk.
+  // unconditional-store compaction per segment); slots only change
+  // through on_sample, so the mask branches exactly like should_sample.
   if (pe.gated) {
+    const std::size_t nseg = pe.segs.size();
     for (std::size_t t = 0; t < type_count; ++t) {
       const std::vector<NodeId>& pn = pe.plan_nodes[t];
-      const std::vector<std::int64_t>& due = pe.next_due[t];
       const std::size_t n = pn.size();
       pe.due_mask[t].resize(n);
-      gate_scan_mask(due.data(), n, epoch, pe.due_mask[t].data());
+      gate_scan_mask(pe.next_due[t].data(), n, epoch, pe.due_mask[t].data());
       pe.filt_nodes[t].resize(n);
-      if (pe.tree_mode) {
-        const std::size_t m = gate_compact(pn.data(), pe.due_mask[t].data(),
-                                           0, n, pe.filt_nodes[t].data());
-        pe.filt_nodes[t].resize(m);
-      } else {
-        std::size_t m = 0;
-        for (std::size_t s = 0; s <= S; ++s) {
-          pe.filt_seg[t][s] = m;
-          m += gate_compact(pn.data(), pe.due_mask[t].data(),
-                            pe.plan_seg[t][s], pe.plan_seg[t][s + 1],
-                            pe.filt_nodes[t].data() + m);
-        }
-        pe.filt_seg[t][S + 1] = m;
-        pe.filt_nodes[t].resize(m);
+      std::size_t m = 0;
+      for (std::size_t s = 0; s < nseg; ++s) {
+        pe.filt_seg[t][s] = m;
+        m += gate_compact(pn.data(), pe.due_mask[t].data(), pe.plan_seg[t][s],
+                          pe.plan_seg[t][s + 1], pe.filt_nodes[t].data() + m);
       }
+      pe.filt_seg[t][nseg] = m;
+      pe.filt_nodes[t].resize(m);
     }
   }
 
-  // Readings: batched per sensor type; types run concurrently when the
-  // source's per-type state is disjoint (both synthetic backends), and a
-  // single type's batch additionally splits into chunks when the source
-  // supports it (FastField's per-thread cell scratch) — either way the
-  // same values, since readings are pure at a fixed epoch.
+  // Readings: one batch per sensor type; types run concurrently when the
+  // source's per-type state is disjoint (both synthetic backends), and on
+  // a pool of more than one thread a single type's batch additionally
+  // splits into chunks when the source supports it (FastField's
+  // per-thread cell scratch) — either way the same values, since
+  // readings are pure at a fixed epoch.
   pe.active_types.clear();
   pe.fetch_tasks.clear();
   std::size_t total_batch = 0;
@@ -1095,7 +602,7 @@ void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
     }
   }
   const auto fetch = [&](std::size_t k) {
-    const ParallelEngine::FetchTask& ft = pe.fetch_tasks[k];
+    const EpochEngine::FetchTask& ft = pe.fetch_tasks[k];
     const std::vector<NodeId>& batch = pe.batch(ft.type);
     env.readings(ft.type,
                  std::span<const NodeId>(batch).subspan(ft.begin,
@@ -1109,53 +616,50 @@ void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
     for (std::size_t k = 0; k < pe.fetch_tasks.size(); ++k) fetch(k);
   }
 
-  // Consume: one task per shard (per tree in tree-shard mode).
-  for (std::size_t s = 0; s < S; ++s) {
-    EpochShardCtx& ctx = pe.ctx[s];
-    ctx.index = s;
+  // Consume, pool tasks first: each runs against its own shard context.
+  for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
+    EpochShardCtx& ctx = pe.ctx[i];
     ctx.ledger = CostLedger{};
     ctx.update_msgs = 0;
     ctx.to_root.clear();
     ctx.loss_offered = 0;
     ctx.loss_dropped = 0;
-    if (pe.mac_mode) ctx.tree_delta.assign(trees_.count(), CostLedger{});
+    if (pe.geometry == EpochEngine::Geometry::Chunks) {
+      ctx.tree_delta.assign(trees_.count(), CostLedger{});
+    }
   }
-  if (pe.tree_mode) {
-    pe.pool.parallel_for(S, [this, epoch](std::size_t k) {
-      run_tree_shard_consume(k, epoch);
-    });
-  } else {
-    pe.pool.parallel_for(S, [this, &pe, epoch](std::size_t k) {
-      run_shard_consume(pe.claim_order[k], epoch);
+  if (pe.pool_tasks > 0) {
+    pe.pool.parallel_for(pe.pool_tasks, [this, &pe, epoch](std::size_t i) {
+      const TlsShardGuard guard(&pe.ctx[i]);
+      run_task(i, epoch);
     });
   }
 
-  // Merge, in shard-index order (deterministic): ledgers and counters are
-  // sums, so totals equal the sequential pass; the update hook fires once
-  // per transmission with the same epoch, so recorded series are
-  // identical. Each shard's ledger also merges into its tree's mirror —
-  // in tree-shard mode shard k carries exactly tree k's traffic (asserted
-  // in parallel_unicast), in subtree mode everything belongs to tree 0,
-  // and in chunk mode the shard carried its own per-tree tree_delta
-  // mirror. Lossy-channel offered/dropped tallies merge in the same fixed
-  // order. Per-node tx/rx deltas merge (and reset) likewise.
+  // Merge, in task order (deterministic): ledgers and counters are sums,
+  // so totals equal the one-thread walk; the update hook fires once per
+  // transmission with the same epoch, so recorded series are identical.
+  // Each task's ledger also merges into its tree's mirror — a tree task
+  // carries exactly its tree's traffic (asserted in parallel_unicast), a
+  // subtree task only tree 0's, and a chunk carried its own per-tree
+  // tree_delta mirror. Lossy-channel offered/dropped tallies merge in the
+  // same fixed order. Per-node tx/rx deltas merge (and reset) likewise.
   CostLedger& ledger = transport_->mutable_costs();
-  for (std::size_t s = 0; s < S; ++s) {
-    EpochShardCtx& ctx = pe.ctx[s];
+  for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
+    EpochShardCtx& ctx = pe.ctx[i];
     accumulate(ledger, ctx.ledger);
-    if (pe.mac_mode) {
+    if (pe.geometry == EpochEngine::Geometry::Chunks) {
       for (std::size_t t = 0; t < ctx.tree_delta.size(); ++t) {
         accumulate(tree_ledgers_[t], ctx.tree_delta[t]);
       }
     } else {
-      accumulate(tree_ledgers_[pe.tree_mode ? s : 0], ctx.ledger);
+      accumulate(tree_ledgers_[pe.tasks[i].first], ctx.ledger);
     }
     if (loss_ != nullptr) {
       loss_->add_counts(ctx.loss_offered, ctx.loss_dropped);
     }
     updates_transmitted_ += ctx.update_msgs;
     if (update_hook_) {
-      for (std::int64_t i = 0; i < ctx.update_msgs; ++i) update_hook_(epoch);
+      for (std::int64_t k = 0; k < ctx.update_msgs; ++k) update_hook_(epoch);
     }
     const std::size_t n = std::min(ctx.tx_delta.size(), node_tx_.size());
     for (std::size_t u = 0; u < n; ++u) {
@@ -1165,63 +669,328 @@ void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
       ctx.rx_delta[u] = 0;
     }
   }
-  // Tree-shard and chunk modes: no deferred deliveries, no serial root
-  // pass (each tree's cascade stayed inside its shard / the root sat
-  // inside its chunk).
-  if (pe.tree_mode || pe.mac_mode) return;
+  // Subtrees: the deferred root deliveries, then (below) the root.
   merging_parallel_ = true;
-  for (std::size_t s = 0; s < S; ++s) {
-    for (const auto& [from, msg] : pe.ctx[s].to_root) {
-      deliver(root_, from, msg);  // rx already charged by the shard
+  for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
+    for (const auto& [from, msg] : pe.ctx[i].to_root) {
+      deliver(root_, from, msg);  // rx already charged by the task
     }
   }
   merging_parallel_ = false;
 
-  // The root itself, serially and last — as the reversed global walk does.
-  if (trees_.tree(0).in_tree(root_)) {
-    if (!topo_.is_alive(root_)) {
-      throw std::logic_error(
-          "DirqNetwork: aliveness changed without tree repair during a "
-          "parallel run");
-    }
-    if (pe.own_plane) {
-      consume_crossings(pe.root_cross, std::span<const NodeId>(&root_, 1), S,
-                        0, 1, true, epoch);
-      return;
-    }
-    pe.root_plan_cur.resize(type_count);
-    pe.root_val_cur.resize(type_count);
-    for (std::size_t t = 0; t < type_count; ++t) {
-      pe.root_plan_cur[t] = pe.plan_seg[t][S];
-      pe.root_val_cur[t] = pe.offsets(t)[S];
-    }
-    const net::Node& info = topo_.node(root_);
-    SamplingController& gate = samplers_[root_];
-    if (!pe.gated) {
-      for (SensorType t : info.sensors) {
-        nodes_[root_].sample(t, pe.values[t][pe.root_val_cur[t]++], epoch);
-        gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        const std::size_t j = pe.root_plan_cur[t]++;
-        if (!pe.due_mask[t][j]) {
-          gate.on_skip(t);
-          continue;
-        }
-        const double reading = pe.values[t][pe.root_val_cur[t]++];
-        nodes_[root_].sample(t, reading, epoch);
-        gate.on_sample(t, reading, nodes_[root_].controller().theta(t), epoch);
-        pe.next_due[t][j] = gate.next_due(t);
-      }
-    }
-    nodes_[root_].end_epoch(epoch);
+  // Inline tasks, on the caller with the real transport: the whole walk
+  // of a one-chunk plan, or the subtree geometry's root segment.
+  for (std::size_t i = pe.pool_tasks; i < pe.tasks.size(); ++i) {
+    run_task(i, epoch);
   }
 }
 
-std::int64_t DirqNetwork::internal_node_count() const {
-  return static_cast<std::int64_t>(trees_.tree(0).internal_node_count());
+void DirqNetwork::rebuild_plan() {
+  using Geometry = EpochEngine::Geometry;
+  EpochEngine& pe = *engine_;
+  const auto trees = static_cast<TreeId>(trees_.count());
+  // Reversed (alive-filtered) epoch walk: the one-thread visiting order.
+  // Leaves first makes the within-epoch update cascade settle in a single
+  // pass; any order is correct since parents re-check on every child
+  // update.
+  std::vector<NodeId> walk;
+  const std::vector<NodeId>& order = epoch_walk_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    if (topo_.is_alive(*it)) walk.push_back(*it);
+  }
+
+  pe.segs.clear();
+  pe.tasks.clear();
+  pe.seg_of.clear();
+  const bool instant = transport_ == instant_.get();
+  const bool deferred = transport_->deferred_delivery();
+  if (pe.pool.size() == 1 || (!instant && !deferred)) {
+    pe.geometry = Geometry::Inline;
+    pe.segs.push_back(std::move(walk));
+    pe.tasks.push_back({0, 0, trees, true});
+    pe.pool_tasks = 0;
+  } else if (deferred) {
+    pe.geometry = Geometry::Chunks;
+    const std::size_t S = std::max<std::size_t>(
+        1, std::min<std::size_t>(pe.pool.size(), walk.size()));
+    for (std::size_t s = 0; s < S; ++s) {
+      pe.segs.emplace_back(walk.begin() + s * walk.size() / S,
+                           walk.begin() + (s + 1) * walk.size() / S);
+      pe.tasks.push_back({s, 0, trees, true});
+    }
+    pe.pool_tasks = S;
+  } else if (trees == 1) {
+    pe.geometry = Geometry::Subtrees;
+    const net::SpanningTree& tree0 = trees_.tree(0);
+    pe.segs = tree0.subtree_partition();
+    // Leaves-first within each subtree: the same relative order the
+    // reversed walk visits it in, so intra-task cascades settle in one
+    // pass exactly as they do on one thread.
+    pe.seg_of.assign(nodes_.size(), EpochEngine::kNoSeg);
+    for (std::size_t s = 0; s < pe.segs.size(); ++s) {
+      std::reverse(pe.segs[s].begin(), pe.segs[s].end());
+      for (NodeId u : pe.segs[s]) pe.seg_of[u] = s;
+      pe.tasks.push_back({s, 0, 1, true});
+    }
+    // Largest first keeps the pool busy when subtree sizes are skewed;
+    // the order is unobservable (tasks are disjoint, and the root's state
+    // does not depend on the order its children's updates arrive in).
+    std::stable_sort(pe.tasks.begin(), pe.tasks.end(),
+                     [&pe](const EpochEngine::Task& a,
+                           const EpochEngine::Task& b) {
+                       return pe.segs[a.seg].size() > pe.segs[b.seg].size();
+                     });
+    pe.pool_tasks = pe.tasks.size();
+    pe.segs.emplace_back();
+    if (tree0.in_tree(root_)) pe.segs.back().push_back(root_);
+    pe.tasks.push_back({pe.segs.size() - 1, 0, 1, true});
+  } else {
+    pe.geometry = Geometry::Trees;
+    pe.segs.push_back(std::move(walk));
+    for (TreeId k = 0; k < trees; ++k) pe.tasks.push_back({0, k, k + 1, k == 0});
+    pe.pool_tasks = trees;
+  }
+
+  // Segment-major per-type plan: plan_seg[t][s] opens segment s's slots
+  // of type t and plan_seg[t][segs.size()] closes the last one.
+  const std::size_t nseg = pe.segs.size();
+  std::size_t type_count = 0;
+  for (const std::vector<NodeId>& seg : pe.segs) {
+    for (NodeId u : seg) {
+      for (SensorType t : topo_.node(u).sensors) {
+        type_count = std::max<std::size_t>(type_count, t + 1);
+      }
+    }
+  }
+  pe.plan_nodes.assign(type_count, {});
+  pe.plan_pos.assign(type_count, {});
+  pe.plan_seg.assign(type_count, std::vector<std::size_t>(nseg + 1, 0));
+  for (std::size_t s = 0; s < nseg; ++s) {
+    for (std::size_t t = 0; t < type_count; ++t) {
+      pe.plan_seg[t][s] = pe.plan_nodes[t].size();
+    }
+    for (std::size_t i = 0; i < pe.segs[s].size(); ++i) {
+      for (SensorType t : topo_.node(pe.segs[s][i]).sensors) {
+        pe.plan_nodes[t].push_back(pe.segs[s][i]);
+        pe.plan_pos[t].push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+  }
+  for (std::size_t t = 0; t < type_count; ++t) {
+    pe.plan_seg[t][nseg] = pe.plan_nodes[t].size();
+  }
+
+  pe.gated = cfg_.sampling.enabled;
+  pe.next_due.clear();
+  if (pe.gated) {
+    pe.next_due.resize(type_count);
+    for (std::size_t t = 0; t < type_count; ++t) {
+      for (NodeId u : pe.plan_nodes[t]) {
+        pe.next_due[t].push_back(
+            samplers_[u].next_due(static_cast<SensorType>(t)));
+      }
+    }
+  }
+  // The own-tuple plane, read back from the range tables in one pass: a
+  // rebuild follows every path that can move an own tuple outside the
+  // plane (churn, sensor changes).
+  pe.own_plane =
+      cfg_.mode == NetworkConfig::ThetaMode::Fixed && !cfg_.sampling.enabled;
+  pe.own.clear();
+  if (pe.own_plane) {
+    pe.own.resize(trees);
+    for (TreeId k = 0; k < trees; ++k) {
+      pe.own[k].resize(type_count);
+      for (std::size_t t = 0; t < type_count; ++t) {
+        for (NodeId u : pe.plan_nodes[t]) {
+          pe.own[k][t].push_back(EpochEngine::read_own(
+              nodes_[u], k, static_cast<SensorType>(t)));
+        }
+      }
+    }
+  }
+
+  pe.ctx.resize(pe.tasks.size());
+  for (std::size_t i = 0; i < pe.ctx.size(); ++i) {
+    const std::size_t nodes = i < pe.pool_tasks ? topo_.size() : 0;
+    pe.ctx[i].index = i;
+    pe.ctx[i].tx_delta.assign(nodes, 0);
+    pe.ctx[i].rx_delta.assign(nodes, 0);
+  }
+  pe.due_mask.assign(type_count, {});
+  pe.filt_nodes.assign(type_count, {});
+  pe.filt_seg.assign(type_count, std::vector<std::size_t>(nseg + 1, 0));
+  pe.values.resize(type_count);
+  pe.plan_alive = topo_.alive_count();
+  pe.plan_transport = transport_;
+  pe.plan_dirty = false;
 }
+
+void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
+                                   const Message& msg) {
+  // Mirrors InstantTransport::unicast against the task ledger (same
+  // classification helpers, same lost/out-of-range semantics); in the
+  // subtree geometry root-bound deliveries are deferred to the merge.
+  const EpochEngine& pe = *engine_;
+  const EpochEngine::Task& task = pe.tasks[ctx.index];
+  InstantTransport::charge_tx(ctx.ledger, msg);
+  if (to >= topo_.size() || !topo_.is_alive(to)) return;  // lost
+  const auto nbrs = topo_.neighbors(from);
+  if (!std::binary_search(nbrs.begin(), nbrs.end(), to)) return;
+  InstantTransport::charge_rx(ctx.ledger, msg);
+  // CRC loss, decided inside the task: the verdict is a pure function of
+  // (tree, from, to, per-key seq) and this task owns the key — a tree
+  // task owns the whole tree plane, a subtree task owns the sender — so
+  // it equals the one-thread verdict. The radio paid (rx charged above +
+  // rx_delta here, as deliver() books it); the frame goes no further —
+  // root-bound drops are never deferred.
+  if (loss_ != nullptr) {
+    ++ctx.loss_offered;
+    if (loss_->next_drop(message_tree(msg), from, to)) {
+      ++ctx.loss_dropped;
+      ctx.rx_delta[to] += 1;
+      return;
+    }
+  }
+  if (pe.geometry == EpochEngine::Geometry::Trees) {
+    // Task k owns tree k: the receiver's slot k is only ever touched by
+    // this thread (DirqNode::handle dispatches on the message's tree tag),
+    // so delivery is inline — roots included.
+    if (message_tree(msg) != task.first) {
+      throw std::logic_error(
+          "DirqNetwork: cross-tree message during a tree-sharded epoch");
+    }
+    ctx.rx_delta[to] += 1;
+    nodes_[to].handle(msg, from, current_epoch_);
+    return;
+  }
+  if (to == root_) {
+    ctx.to_root.emplace_back(from, msg);
+    return;
+  }
+  if (pe.seg_of[to] != task.seg) {
+    throw std::logic_error(
+        "DirqNetwork: cross-shard delivery — node parent state diverged "
+        "from the spanning tree");
+  }
+  ctx.rx_delta[to] += 1;
+  nodes_[to].handle(msg, from, current_epoch_);
+}
+
+void DirqNetwork::run_task(std::size_t task, std::int64_t epoch) {
+  if (engine_->own_plane) {
+    consume_crossings(task, epoch);
+  } else {
+    walk_segment(task, epoch);
+  }
+}
+
+void DirqNetwork::walk_segment(std::size_t task, std::int64_t epoch) {
+  EpochEngine& pe = *engine_;
+  const EpochEngine::Task& tk = pe.tasks[task];
+  EpochShardCtx& ctx = pe.ctx[task];
+  const std::size_t type_count = pe.plan_nodes.size();
+  ctx.plan_cur.resize(type_count);
+  ctx.val_cur.resize(type_count);
+  for (std::size_t t = 0; t < type_count; ++t) {
+    ctx.plan_cur[t] = pe.plan_seg[t][tk.seg];
+    ctx.val_cur[t] = pe.offsets(t)[tk.seg];
+  }
+  for (NodeId u : pe.segs[tk.seg]) {
+    if (!topo_.is_alive(u)) throw_stale_aliveness();
+    SamplingController& gate = samplers_[u];
+    DirqNode& node = nodes_[u];
+    for (SensorType t : topo_.node(u).sensors) {
+      const std::size_t j = ctx.plan_cur[t]++;
+      if (pe.gated && !pe.due_mask[t][j]) {
+        if (tk.lead) gate.on_skip(t);  // predictor confident: no ADC (§8)
+        continue;
+      }
+      const double reading = pe.values[t][ctx.val_cur[t]++];
+      node.sample_slots(tk.first, tk.last, t, reading, epoch);
+      if (!tk.lead) continue;
+      if (pe.gated) {
+        gate.on_sample(t, reading, node.controller().theta(t), epoch);
+        pe.next_due[t][j] = gate.next_due(t);  // slot owned by the lead
+      } else {
+        gate.count_sample();
+      }
+    }
+    node.end_epoch_slots(tk.first, tk.last, epoch);
+  }
+}
+
+void DirqNetwork::consume_crossings(std::size_t task, std::int64_t epoch) {
+  EpochEngine& pe = *engine_;
+  const EpochEngine::Task& tk = pe.tasks[task];
+  EpochShardCtx& ctx = pe.ctx[task];
+  // Per-node work: fail loud on an aliveness change without tree repair,
+  // and (the lead) tick the gate's per-reading sample counter.
+  for (NodeId u : pe.segs[tk.seg]) {
+    if (!topo_.is_alive(u)) throw_stale_aliveness();
+    if (tk.lead) {
+      SamplingController& gate = samplers_[u];
+      for (std::size_t i = topo_.node(u).sensors.size(); i > 0; --i) {
+        gate.count_sample();
+      }
+    }
+  }
+  // 1. One flat pass per (type, tree) over the segment's plan slots finds
+  //    every reading that leaves its own tuple.
+  ctx.crossings.clear();
+  for (std::size_t t = 0; t < pe.plan_nodes.size(); ++t) {
+    const std::size_t b = pe.plan_seg[t][tk.seg];
+    const std::size_t e = pe.plan_seg[t][tk.seg + 1];
+    if (b == e) continue;
+    const auto type = static_cast<SensorType>(t);
+    const std::vector<std::uint32_t>& pos = pe.plan_pos[t];
+    ctx.cross_slots.resize(e - b);
+    for (TreeId k = tk.first; k < tk.last; ++k) {
+      const EpochEngine::OwnTuple* own = pe.own[k][t].data();
+#ifndef NDEBUG
+      // Fail loud on a stale plane: a skipped sample is exact only while
+      // the entry equals the table's tuple.
+      for (std::size_t j = b; j < e; ++j) {
+        if (!EpochEngine::same(
+                EpochEngine::read_own(nodes_[pe.plan_nodes[t][j]], k, type),
+                own[j])) {
+          throw std::logic_error(
+              "DirqNetwork: own-tuple plane diverged from the range table "
+              "(own tuple changed outside process_epoch/handle_*)");
+        }
+      }
+#endif
+      const std::size_t m = EpochEngine::crossing_slots(
+          own + b, pe.values[t].data() + b, b, e - b, ctx.cross_slots.data());
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t j = ctx.cross_slots[i];
+        ctx.crossings.push_back({pos[j], type, k, j});
+      }
+    }
+  }
+  // 2. The per-node walk's order: position, then type, then tree.
+  std::sort(ctx.crossings.begin(), ctx.crossings.end());
+  // 3. Only crossings reach the node; each writes its entry back.
+  for (const OwnCrossing& c : ctx.crossings) {
+    DirqNode& node = nodes_[pe.plan_nodes[c.type][c.slot]];
+    EpochEngine::OwnTuple& own = pe.own[c.tree][c.type][c.slot];
+    node.sample_slots(c.tree, c.tree + 1, c.type, pe.values[c.type][c.slot],
+                      epoch);
+    const EpochEngine::OwnTuple next =
+        EpochEngine::read_own(node, c.tree, c.type);
+#ifndef NDEBUG
+    // A crossing of a present tuple re-centres it (the plane's inside
+    // test agrees with observe's).
+    if (own.lo <= own.hi && EpochEngine::same(next, own)) {
+      throw std::logic_error(
+          "DirqNetwork: own-tuple plane saw a crossing the range table "
+          "did not");
+    }
+#endif
+    own = next;  // slot owned by this task
+  }
+}
+
 
 double DirqNetwork::mean_theta_pct(SensorType type) const {
   double sum = 0.0;
@@ -1321,7 +1090,7 @@ QueryOutcome DirqNetwork::inject(TreeId tree, const query::MultiQuery& q,
 
 void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
   const std::vector<TreeId> rebuilt = trees_.rebuild_affected(topo_, changed);
-  if (par_ != nullptr) par_->plan_dirty = true;
+  engine_->plan_dirty = true;
   // Keep the lossy counter planes sized to the (possibly grown) topology
   // before the next parallel epoch.
   if (loss_ != nullptr) loss_->configure(trees_.count(), topo_.size());
@@ -1402,7 +1171,7 @@ void DirqNetwork::handle_node_addition(NodeId added, std::int64_t epoch) {
 void DirqNetwork::handle_sensor_added(NodeId id, SensorType type,
                                       std::int64_t epoch) {
   current_epoch_ = epoch;
-  if (par_ != nullptr) par_->plan_dirty = true;
+  engine_->plan_dirty = true;
   nodes_.at(id).attach_sensor(type);
   // The new sensor announces itself with the node's next sample; nothing
   // to push yet (there is no reading).
@@ -1411,7 +1180,7 @@ void DirqNetwork::handle_sensor_added(NodeId id, SensorType type,
 void DirqNetwork::handle_sensor_removed(NodeId id, SensorType type,
                                         std::int64_t epoch) {
   current_epoch_ = epoch;
-  if (par_ != nullptr) par_->plan_dirty = true;
+  engine_->plan_dirty = true;
   nodes_.at(id).detach_sensor(type, epoch);
 }
 

@@ -24,7 +24,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/dirq_node.hpp"
@@ -58,9 +57,8 @@ struct NetworkConfig {
   SamplingConfig sampling;
 };
 
-struct EpochShardCtx;    // parallel epoch internals (network.cpp)
-struct CrossingScratch;  // own-tuple plane sweep scratch (network.cpp)
-class LossChannel;       // counter-keyed CRC-loss model (core/lossy.hpp)
+struct EpochShardCtx;  // per-task epoch state (network.cpp)
+class LossChannel;     // counter-keyed CRC-loss model (core/lossy.hpp)
 
 class DirqNetwork final : public MessageSink {
  public:
@@ -89,11 +87,12 @@ class DirqNetwork final : public MessageSink {
 
   /// Installs (or clears, with nullptr) the lossy-channel model: every
   /// delivery — any transport — rolls a counter-keyed drop verdict after
-  /// the radio's rx has been charged, and dropped frames never reach the
-  /// protocol (the exact LossySink semantics, folded into deliver() so the
-  /// parallel epoch engine can evaluate verdicts inside its shards). The
-  /// channel must outlive the network's use of it; its counter planes are
-  /// pre-sized here and kept sized across churn.
+  /// the radio's rx has been charged (ledger, tree mirror and per-node
+  /// attribution), and dropped frames never reach the protocol. The
+  /// verdicts are evaluated inside deliver(), so the epoch engine's pool
+  /// tasks evaluate them in place. The channel must outlive the network's
+  /// use of it; its counter planes are pre-sized here and kept sized
+  /// across churn.
   void set_loss(LossChannel* loss);
   [[nodiscard]] const LossChannel* loss() const noexcept { return loss_; }
 
@@ -130,65 +129,69 @@ class DirqNetwork final : public MessageSink {
   /// ReadingSource::readings call per sensor type per epoch instead of a
   /// virtual reading() per node — and each physical sample is observed by
   /// every tree slot, so N sinks never multiply the sensing energy. The
-  /// walk is tree 0's cached BFS order (extended by members of other
-  /// trees outside it), so the per-node evaluation order — and therefore
-  /// every message, golden, and ledger entry — is unchanged for one sink.
-  /// Parallel epochs with fixed theta and the gate off hand a reading to
-  /// its node only when it leaves the node's own tuple (the own-tuple
-  /// plane, see set_threads): each shard sweeps its plan segment once per
-  /// epoch for crossings and runs them in the order its node walk would
-  /// reach them — (position in the shard's visiting order, sensor type,
-  /// tree) — so the outcome is the same byte for byte.
-  void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
-
-  /// Intra-run worker count for process_epoch. 1 (the default) keeps the
-  /// exact sequential code path — the only configuration goldens are
-  /// recorded against; 0 means all hardware threads. With more than one
-  /// thread, epochs on the built-in instant transport shard the consume
-  /// pass — by root-child subtree for one sink (all update traffic is
-  /// up-tree unicast, so shards only interact at the root, whose
-  /// ledger/counter/FlatMap state is order-independent), and by spanning
-  /// tree for several sinks (each shard advances only its own tree's
-  /// per-node slot, so the shards are write-disjoint; shard 0 owns the
-  /// shared sampling gate) — and run reading batches concurrently, split
-  /// below whole types when the source allows. A deferred-delivery
-  /// transport (LMAC) gets a third geometry: contiguous chunks of the
-  /// epoch walk, each node fully processed in one chunk — sends only
-  /// enqueue into the sender's own per-node MAC queue, so the walk is
-  /// write-disjoint and the slot-ordered delivery loop (the MAC's
-  /// contract) stays sequential and untouched. A lossy channel
-  /// (set_loss) no longer forces the sequential path either: drop
-  /// verdicts are pure functions of delivery identity (core/lossy.hpp),
-  /// so shards evaluate them inline. Summaries are byte-identical to the
-  /// sequential path on every transport, single- and multi-sink. Epochs
-  /// inside an open query audit on the instant transport silently run the
-  /// sequential path (chunk-mode epochs perform no deliveries, so audits
-  /// are safe there). Callers that mutate topology aliveness or sensors
-  /// must route through the handle_* entry points (as always) so the
-  /// cached shard plan is invalidated.
+  /// walk visits tree 0's cached BFS order (extended by members of other
+  /// trees outside it) in reverse, leaves first, so the within-epoch
+  /// update cascade settles in one pass.
+  ///
+  /// Every epoch runs the cached epoch plan (network.cpp): segments of
+  /// that walk and tasks that each consume one segment for a range of tree
+  /// slots. At one thread — and on a synchronous transport other than the
+  /// built-in instant one — the plan is a single chunk, the whole walk,
+  /// run on the caller with the real transport. Wider pools shard it (see
+  /// set_threads). Whatever the width, the outcome is the same byte for
+  /// byte; the oracle is the reference walk in
+  /// tests/support/reference_walk.hpp, a sequential two-pass walk that
+  /// drives the nodes through public APIs, which
+  /// core.parallel_reference_walk_test checks every width against.
   ///
   /// With fixed theta and the sampling gate off (the paper's
-  /// configuration) the engine also keeps an own-tuple plane: a dense
+  /// configuration) the plan also keeps an own-tuple plane: a dense
   /// per-(tree, type, plan slot) copy of every node's own tuple, built
   /// when the plan is rebuilt. A reading inside its own tuple changes no
   /// protocol state, so only threshold crossings reach
-  /// DirqNode::sample_slot (and the no-op end-of-epoch controller step is
+  /// DirqNode::sample_slots (and the no-op end-of-epoch controller step is
   /// skipped). Because an own tuple changes only through its own node's
   /// sample (and update cascades touch only child tuples), every crossing
-  /// of an epoch is known before the first one runs: each shard — and
-  /// the serial root pass — makes one flat per-type pass over its plan
-  /// segment that compares each reading with its plane entry and compacts
-  /// the crossing slots branch-free, then runs the crossings sorted by
-  /// (position in the shard's visiting order, type, tree), the order a
-  /// per-node walk reaches them in, writing each entry back. The per-node
-  /// work left is the aliveness check and the gate's sample count. Like
-  /// aliveness, own tuples may change only inside process_epoch and the
-  /// handle_* entry points; a DirqNode driven directly
-  /// (node(id).sample(...)) between parallel epochs leaves the plane
-  /// stale. Builds without NDEBUG check every plane entry against its
-  /// range table before the sweep uses it (and that every crossing
-  /// re-centres the tuple) and throw std::logic_error on a mismatch.
-  /// ATC, the gate and threads == 1 never use the plane.
+  /// of an epoch is known before the first one runs: each task makes one
+  /// flat per-type pass over its segment that compares each reading with
+  /// its plane entry and compacts the crossing slots branch-free, then
+  /// runs the crossings sorted by (position in the segment's visiting
+  /// order, type, tree), the order a per-node walk reaches them in,
+  /// writing each entry back. ATC and gated runs walk every node
+  /// (sample_slots for the task's trees, the gate's bookkeeping,
+  /// end_epoch_slots).
+  ///
+  /// Contract, at every width: aliveness, sensors and own tuples change
+  /// only inside process_epoch and the handle_* entry points, which
+  /// invalidate the cached plan. A DirqNode driven directly
+  /// (node(id).sample(...)) between epochs leaves the plane stale, and a
+  /// node found dead in the plan throws std::logic_error. Builds without
+  /// NDEBUG check every plane entry against its range table before the
+  /// sweep uses it (and that every crossing re-centres the tuple) and
+  /// throw std::logic_error on a mismatch.
+  void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
+
+  /// Intra-run worker count for process_epoch: 1 (the default) runs the
+  /// plan as one chunk on the caller; 0 means all hardware threads. With
+  /// more than one thread the plan shards the walk. On the built-in
+  /// instant transport it shards by root-child subtree for one sink (all
+  /// update traffic is up-tree unicast, so tasks only meet at the root,
+  /// whose deliveries are replayed after the merge before the root's own
+  /// segment runs) and by spanning tree for several sinks (each task
+  /// advances only its own tree's per-node slot, so the tasks are
+  /// write-disjoint; task 0 owns the shared sampling gate). A
+  /// deferred-delivery transport (LMAC) gets contiguous chunks of the
+  /// walk, each node fully processed in one chunk — sends only enqueue
+  /// into the sender's own per-node MAC queue, so the walk is
+  /// write-disjoint and the slot-ordered delivery loop (the MAC's
+  /// contract) stays sequential and untouched. Any other transport runs
+  /// the one-chunk plan. Pool tasks charge task-local ledgers merged in
+  /// task order, evaluate loss verdicts in place (they are pure functions
+  /// of delivery identity, core/lossy.hpp), and — like every epoch — run
+  /// inside an open query audit unchanged, since an epoch sends only
+  /// update traffic and audits record only query deliveries. Reading
+  /// batches run concurrently, split below whole types when the source
+  /// allows.
   ///
   /// The pool's workers spin for sim::ThreadPool::kSpinWindow after each
   /// job, so between the two fork-joins of an epoch (fetch, consume) and
@@ -291,24 +294,6 @@ class DirqNetwork final : public MessageSink {
     return node_tx_.at(id) + node_rx_.at(id);
   }
 
-  /// Accounts the reception energy of a frame the radio received but the
-  /// protocol never saw (CRC failure — a lossy-channel drop). The transport's
-  /// ledger already charged this rx; calling it keeps the per-node
-  /// distribution reconciled with the ledger (see core/lossy.hpp). Like
-  /// deliver(), grows the attribution array when the recipient's topology
-  /// slot exists but its protocol instance does not yet (the add_node →
-  /// retarget window) — the ledger was charged, so the node must be too.
-  /// The message-carrying form also books the rx against the dropped
-  /// frame's tree, keeping the per-sink mirrors reconciled under loss.
-  void note_dropped_rx(NodeId to) {
-    if (to >= node_rx_.size()) node_rx_.resize(topo_.size(), 0);
-    node_rx_.at(to) += 1;
-  }
-  void note_dropped_rx(NodeId to, const Message& msg) {
-    charge_tree_rx(msg);
-    note_dropped_rx(to);
-  }
-
   /// Hook invoked once per Update Message transmission with the epoch —
   /// the driver records the Fig. 6 time series through this.
   using UpdateHook = std::function<void(std::int64_t epoch)>;
@@ -329,7 +314,7 @@ class DirqNetwork final : public MessageSink {
   void deliver(NodeId to, NodeId from, const Message& msg) override;
 
  private:
-  struct ParallelEngine;
+  struct EpochEngine;
 
   void wire_node(DirqNode& n);
   void begin_audit(QueryId id, TreeId tree, std::int64_t epoch);
@@ -337,32 +322,31 @@ class DirqNetwork final : public MessageSink {
   /// reconciles those trees' parent/children pointers, removing stale
   /// child tuples and re-announcing moved subtrees.
   void retarget_trees(NodeId changed, std::int64_t epoch);
-  /// The sequential epoch walk: tree 0's cached BFS order for one sink,
-  /// the cached union walk (tree 0 + members of other trees outside it)
-  /// otherwise.
+  /// The epoch walk, in BFS order (visited reversed): tree 0's cached
+  /// order for one sink, the cached union walk (tree 0 + members of other
+  /// trees outside it) otherwise.
   [[nodiscard]] const std::vector<NodeId>& epoch_walk_order() const;
   void rebuild_union_walk();
   void charge_tree_tx(const Message& msg);
   void charge_tree_rx(const Message& msg);
-  [[nodiscard]] std::int64_t internal_node_count() const;
 
-  // Parallel epoch path (network.cpp): shard plan, per-shard consume,
-  // shard-local unicast mirroring InstantTransport's accounting.
-  void rebuild_parallel_plan();
-  void process_epoch_parallel(const data::ReadingSource& env,
-                              std::int64_t epoch);
-  void run_shard_consume(std::size_t shard, std::int64_t epoch);
-  void run_tree_shard_consume(std::size_t shard, std::int64_t epoch);
-  /// Consumes plan segment `seg` (the one of `nodes`, the shard's
-  /// visiting order) for tree slots [first, last) through the own-tuple
-  /// plane (fixed theta, gate off): a flat sweep finds the readings that
-  /// leave their own tuple, and only those reach sample_slot, in the
-  /// order a per-node walk of `nodes` would. `count` ticks the gate's
-  /// per-reading sample counter.
-  void consume_crossings(CrossingScratch& scratch,
-                         std::span<const NodeId> nodes, std::size_t seg,
-                         TreeId first, TreeId last, bool count,
-                         std::int64_t epoch);
+  // The epoch engine (network.cpp): the one partition step, the two
+  // consume bodies, and the pool tasks' unicast mirroring
+  // InstantTransport's accounting.
+  void rebuild_plan();
+  /// Runs plan task `task`: consume_crossings with the own-tuple plane,
+  /// walk_segment otherwise.
+  void run_task(std::size_t task, std::int64_t epoch);
+  /// The per-node walk of the task's segment: for each node, every
+  /// reading due under the gate snapshot goes to sample_slots for the
+  /// task's tree slots; the lead does the gate's bookkeeping; then
+  /// end_epoch_slots for the same slots.
+  void walk_segment(std::size_t task, std::int64_t epoch);
+  /// The task's segment through the own-tuple plane (fixed theta, gate
+  /// off): a flat sweep finds the readings that leave their own tuple,
+  /// and only those reach sample_slots, in the order walk_segment would
+  /// reach them. The lead ticks the gate's per-reading sample counter.
+  void consume_crossings(std::size_t task, std::int64_t epoch);
   void parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
                         const Message& msg);
 
@@ -383,26 +367,18 @@ class DirqNetwork final : public MessageSink {
   Transport* transport_ = nullptr;
   LossChannel* loss_ = nullptr;  // CRC-loss model, nullptr when lossless
 
-  /// Present iff set_threads(> 1): the persistent worker pool plus the
-  /// cached shard-major walk plan (see network.cpp).
-  std::unique_ptr<ParallelEngine> par_;
-
-  // Scratch for the batched sampling path (reused across epochs so the
-  // hot loop never allocates): per sensor type, the nodes that will
-  // physically sample this epoch in walk order, their readings, and the
-  // consumption cursor of the second pass.
-  std::vector<std::vector<NodeId>> batch_nodes_;
-  std::vector<std::vector<double>> batch_values_;
-  std::vector<std::size_t> batch_cursor_;
+  /// The worker pool (size 1 spawns no thread) plus the cached epoch
+  /// plan (see network.cpp).
+  std::unique_ptr<EpochEngine> engine_;
 
   std::int64_t current_epoch_ = 0;
   std::int64_t updates_transmitted_ = 0;
   UpdateHook update_hook_;
   QueryDoneHook query_done_hook_;
 
-  /// True while the parallel merge replays deferred root deliveries:
-  /// their rx was already charged into the shard ledger (and merged into
-  /// the tree mirror), so deliver() must not book it twice.
+  /// True while the merge replays deferred root deliveries: their rx was
+  /// already charged into the task ledger (and merged into the tree
+  /// mirror), so deliver() must not book it twice.
   bool merging_parallel_ = false;
 
   // Per-query audit state.

@@ -72,8 +72,8 @@ class SamplingController {
   /// Epoch the next physical sample is due for a type (0 — always due —
   /// when the type has never been sampled). This is the whole gate:
   /// should_sample(t, e) == (e >= next_due(t)) for an enabled controller,
-  /// which is what lets the parallel epoch engine mirror the gate into a
-  /// flat per-shard array and evaluate it without touching the FlatMap.
+  /// which is what lets the epoch engine mirror the gate into a flat
+  /// per-plan-slot array and evaluate it without touching the FlatMap.
   [[nodiscard]] std::int64_t next_due(SensorType type) const;
 
   /// Predicted value at `epoch` (level + trend extrapolation); only

@@ -49,24 +49,21 @@ std::vector<Frame> make_frames() {
   return frames;
 }
 
-/// Feeds `order` (indices into `frames`) through a fresh LossySink and
-/// returns the verdict of every frame, indexed by frame id. A frame's
-/// verdict is observed as the dropped-counter delta across its delivery.
+/// Feeds `order` (indices into `frames`) through a fresh channel, the
+/// way DirqNetwork::deliver does (next_drop, then note), and returns the
+/// verdict of every frame, indexed by frame id. A frame's verdict is
+/// observed as the dropped-counter delta across its delivery.
 std::vector<bool> verdicts_in_order(const std::vector<Frame>& frames,
                                     const std::vector<std::size_t>& order) {
-  struct Null final : MessageSink {
-    void deliver(NodeId, NodeId, const Message&) override {}
-  } null;
-  LossySink lossy(null, 0.3, sim::CounterRng(1234).substream("loss"));
+  LossChannel channel(0.3, sim::CounterRng(1234).substream("loss"));
   std::vector<bool> verdict(frames.size(), false);
   for (std::size_t id : order) {
     const Frame& f = frames[id];
-    UpdateMessage upd;
-    upd.tree = f.tree;
-    const std::int64_t before = lossy.dropped();
-    lossy.deliver(f.to, f.from, Message{upd});
-    verdict[id] = lossy.dropped() != before;
+    const std::int64_t before = channel.dropped();
+    channel.note(channel.next_drop(f.tree, f.from, f.to));
+    verdict[id] = channel.dropped() != before;
   }
+  EXPECT_EQ(channel.offered(), static_cast<std::int64_t>(order.size()));
   return verdict;
 }
 

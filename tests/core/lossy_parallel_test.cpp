@@ -81,7 +81,7 @@ TEST(LossyParallel, LossyLmacByteIdenticalAcrossThreads) {
 
 TEST(LossyParallel, LossyMultiSinkLedgerReconcilesAtEverySinkCount) {
   // Under loss, a CRC-failed reception still charges the ledger and the
-  // receiving node (note_dropped_rx); the per-node attribution must stay
+  // receiving node (DirqNetwork::deliver); the per-node attribution must stay
   // in lockstep with the ledger at every sink count and thread count.
   for (std::size_t sinks : {2u, 4u, 8u}) {
     // The channel must actually be engaging (a vacuous reconcile proves

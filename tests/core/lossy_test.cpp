@@ -1,6 +1,8 @@
-// Failure injection: DirQ under message loss. The protocol must degrade
-// gracefully — no crashes, no corrupted state, coverage falling with the
-// loss rate and healing once the channel recovers.
+// Failure injection: DirQ under message loss (a LossChannel installed
+// with DirqNetwork::set_loss). The protocol must degrade gracefully — no
+// crashes, no corrupted state, coverage falling with the loss rate and
+// healing once the channel recovers — and every dropped frame's rx must
+// stay reconciled between the ledger and the per-node attribution.
 #include "core/lossy.hpp"
 
 #include <gtest/gtest.h>
@@ -20,16 +22,14 @@ struct LossyWorld {
   net::Topology topo;
   data::Environment env;
   DirqNetwork net;
-  LossySink lossy;
-  InstantTransport transport;
+  LossChannel loss;
 
   LossyWorld(std::uint64_t seed, double drop)
       : topo(make(seed)),
         env(topo, 4, sim::Rng(seed).substream("env")),
         net(topo, 0, cfg()),
-        lossy(net, drop, sim::CounterRng(seed).substream("loss")),
-        transport(topo, lossy) {
-    net.use_transport(transport);
+        loss(drop, sim::CounterRng(seed).substream("loss")) {
+    net.set_loss(&loss);
   }
   static net::Topology make(std::uint64_t seed) {
     sim::Rng rng(seed);
@@ -62,22 +62,18 @@ struct LossyWorld {
   }
 };
 
-TEST(LossySink, DropsAtConfiguredRate) {
-  struct Null final : MessageSink {
-    void deliver(NodeId, NodeId, const Message&) override {}
-  } null;
-  LossySink lossy(null, 0.3, sim::CounterRng(1));
-  const Message msg{UpdateMessage{}};
-  for (int i = 0; i < 10000; ++i) lossy.deliver(0, 1, msg);
-  EXPECT_EQ(lossy.offered(), 10000);
-  EXPECT_NEAR(static_cast<double>(lossy.dropped()) / 10000.0, 0.3, 0.02);
+TEST(LossChannel, DropsAtConfiguredRate) {
+  LossChannel channel(0.3, sim::CounterRng(1));
+  for (int i = 0; i < 10000; ++i) channel.note(channel.next_drop(0, 1, 0));
+  EXPECT_EQ(channel.offered(), 10000);
+  EXPECT_NEAR(static_cast<double>(channel.dropped()) / 10000.0, 0.3, 0.02);
 }
 
-TEST(LossySink, ZeroLossIsTransparent) {
+TEST(LossChannel, ZeroLossIsTransparent) {
   LossyWorld w(3, 0.0);
   w.run(0, 50);
-  EXPECT_EQ(w.lossy.dropped(), 0);
-  EXPECT_GT(w.lossy.offered(), 0);
+  EXPECT_EQ(w.loss.dropped(), 0);
+  EXPECT_GT(w.loss.offered(), 0);
   EXPECT_GT(w.mean_coverage(50, 20, 99), 99.0);
 }
 
@@ -109,16 +105,16 @@ TEST(LossyProtocol, StaleRangesHealAfterChannelRecovers) {
   net::Topology topo = LossyWorld::make(11);
   data::Environment env(topo, 4, sim::Rng(11).substream("env"));
   DirqNetwork net(topo, 0, LossyWorld::cfg());
-  LossySink lossy(net, 0.5, sim::CounterRng(11).substream("loss"));
-  InstantTransport lossy_transport(topo, lossy);
-  InstantTransport clean_transport(topo, net);
+  LossChannel loss(0.5, sim::CounterRng(11).substream("loss"));
 
-  net.use_transport(lossy_transport);
+  net.set_loss(&loss);
   for (std::int64_t e = 0; e < 200; ++e) {
     env.advance_to(e);
     net.process_epoch(env, e);
   }
-  net.use_transport(clean_transport);
+  ASSERT_GT(loss.dropped(), 0);
+  net.set_loss(nullptr);
+  const std::int64_t offered = loss.offered();
   // The environment keeps drifting; within a few hundred epochs every
   // subtree whose aggregate moved re-announces over the clean channel.
   for (std::int64_t e = 200; e < 1200; ++e) {
@@ -137,35 +133,38 @@ TEST(LossyProtocol, StaleRangesHealAfterChannelRecovers) {
     cov.push(metrics::audit_query(truth.involved, out.received).coverage_pct());
   }
   EXPECT_GT(cov.mean(), 90.0);
+  EXPECT_EQ(loss.offered(), offered);  // the cleared channel saw nothing
 }
 
-TEST(LossySink, DropHookReconcilesPerNodeRxWithLedger) {
-  // The transport charges the ledger's rx before the drop decision
-  // (CRC-failure semantics); the drop hook must keep the per-node
-  // distribution in step so sum(node_rx) always equals the ledger's rx.
+TEST(LossyProtocol, DroppedRxReconcilesPerNodeAndTreeWithLedger) {
+  // The ledger's rx is charged before the drop decision (CRC-failure
+  // semantics); a dropped frame's rx must land in the per-node
+  // distribution and the tree mirror too, so sum(node_rx) and the tree
+  // ledger always equal the ledger — queries included.
   LossyWorld w(5, 0.3);
-  w.lossy.set_drop_hook([&w](NodeId to, NodeId, const Message&) {
-    w.net.note_dropped_rx(to);
-  });
-  const auto rx_sum = [&w] {
-    CostUnits s = 0;
-    for (NodeId u = 0; u < w.net.size(); ++u) s += w.net.node_rx(u);
-    return s;
-  };
-  // Delta from here on: the constructor's bootstrap wave ran on the
-  // internal transport whose ledger w.net.costs() no longer reports.
-  const CostUnits before = rx_sum();
   w.run(0, 200);
-  ASSERT_GT(w.lossy.dropped(), 0);
+  w.mean_coverage(200, 10, 3);
+  ASSERT_GT(w.loss.dropped(), 0);
+  CostUnits tx_sum = 0, rx_sum = 0;
+  for (NodeId u = 0; u < w.net.size(); ++u) {
+    tx_sum += w.net.node_tx(u);
+    rx_sum += w.net.node_rx(u);
+  }
   const CostLedger& l = w.net.costs();
-  EXPECT_EQ(rx_sum() - before, l.query_rx + l.update_rx + l.control_rx);
+  EXPECT_EQ(tx_sum, l.query_tx + l.update_tx + l.control_tx);
+  EXPECT_EQ(rx_sum, l.query_rx + l.update_rx + l.control_rx);
+  const CostLedger& tree = w.net.tree_ledger(0);
+  EXPECT_EQ(tree.query_rx, l.query_rx);
+  EXPECT_EQ(tree.update_rx, l.update_rx);
+  EXPECT_EQ(tree.control_rx, l.control_rx);
+  EXPECT_EQ(tree.total(), l.total());
 }
 
 TEST(LossyProtocol, DeterministicGivenSeed) {
   LossyWorld a(9, 0.3), b(9, 0.3);
   a.run(0, 100);
   b.run(0, 100);
-  EXPECT_EQ(a.lossy.dropped(), b.lossy.dropped());
+  EXPECT_EQ(a.loss.dropped(), b.loss.dropped());
   EXPECT_EQ(a.net.updates_transmitted(), b.net.updates_transmitted());
 }
 

@@ -142,15 +142,12 @@ TEST(MultiSink, EffectiveThreadsHonoursMultiSinkRequests) {
   ExperimentConfig cfg = small_config(4);
   cfg.threads = 4;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
-  EXPECT_EQ(Experiment::thread_clamp_reason(cfg), nullptr);
   cfg.transport = TransportKind::Lmac;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
-  EXPECT_EQ(Experiment::thread_clamp_reason(cfg), nullptr);
   EXPECT_NE(Experiment::thread_mode_note(cfg), nullptr);
   cfg.transport = TransportKind::Instant;
   cfg.loss_rate = 0.1;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
-  EXPECT_EQ(Experiment::thread_clamp_reason(cfg), nullptr);
   EXPECT_EQ(Experiment::thread_mode_note(cfg), nullptr);
 }
 

@@ -1,8 +1,12 @@
 // Intra-run parallelism determinism tier: an N-thread run must produce a
-// byte-identical ExperimentResults summary to the 1-thread sequential
-// path (goldens are only ever recorded against --threads 1, so this is
-// the contract that makes the parallel engine safe to enable at all),
-// and order-sensitive backends must fall back to 1 thread.
+// byte-identical ExperimentResults summary to the 1-thread run. Every
+// width runs the same epoch plan — one chunk at 1 thread, shards of the
+// walk above it — and goldens are only ever recorded against --threads 1,
+// so this is the contract that makes the wider plans safe to enable at
+// all. The oracle for every width, 1 included, is the reference walk
+// (tests/support/reference_walk.hpp, checked epoch by epoch in
+// parallel_reference_walk_test.cpp). Every backend honours the requested
+// width.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,11 +74,9 @@ TEST(ParallelEpoch, EffectiveThreadsHonoursEveryBackend) {
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
   cfg.transport = TransportKind::Lmac;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
-  EXPECT_EQ(Experiment::thread_clamp_reason(cfg), nullptr);
   cfg.transport = TransportKind::Instant;
   cfg.loss_rate = 0.1;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
-  EXPECT_EQ(Experiment::thread_clamp_reason(cfg), nullptr);
   cfg.loss_rate = 0.0;
   cfg.threads = 0;
   EXPECT_GE(Experiment::effective_threads(cfg), 1u);
@@ -160,6 +162,46 @@ TEST(ParallelEpoch, ChurnInvalidatesPlanAndMatchesSequentialTwin) {
   });
   for (; epoch < 30; ++epoch) step(epoch);
 
+  expect_networks_identical(seq, par);
+}
+
+TEST(ParallelEpoch, CustomSynchronousTransportRunsTheOneChunkPlan) {
+  // A synchronous transport other than the built-in instant one delivers
+  // inside the walk through its own path, so at any width the engine runs
+  // the one-chunk plan on the caller; swapping transports mid-run (and
+  // back) rebuilds the plan each time.
+  NetworkConfig ncfg;
+  ncfg.mode = NetworkConfig::ThetaMode::Atc;
+  ncfg.atc.initial_pct = ncfg.atc.min_pct;  // narrow: updates every epoch
+
+  net::Topology topo_seq = cross_topology();
+  net::Topology topo_par = cross_topology();
+  data::Environment env_seq(topo_seq, /*sensor_type_count=*/1, sim::Rng(5));
+  data::Environment env_par(topo_par, /*sensor_type_count=*/1, sim::Rng(5));
+  DirqNetwork seq(topo_seq, 0, ncfg);
+  DirqNetwork par(topo_par, 0, ncfg);
+  par.set_threads(4);
+  Transport& builtin_seq = seq.transport();
+  Transport& builtin_par = par.transport();
+  InstantTransport custom_seq(topo_seq, seq);
+  InstantTransport custom_par(topo_par, par);
+
+  for (std::int64_t epoch = 0; epoch < 30; ++epoch) {
+    if (epoch == 10) {
+      seq.use_transport(custom_seq);
+      par.use_transport(custom_par);
+    } else if (epoch == 20) {
+      EXPECT_GT(custom_par.costs().update_tx, 0);
+      EXPECT_EQ(custom_par.costs().update_tx, custom_seq.costs().update_tx);
+      EXPECT_EQ(custom_par.costs().update_rx, custom_seq.costs().update_rx);
+      seq.use_transport(builtin_seq);
+      par.use_transport(builtin_par);
+    }
+    env_seq.advance_to(epoch);
+    env_par.advance_to(epoch);
+    seq.process_epoch(env_seq, epoch);
+    par.process_epoch(env_par, epoch);
+  }
   expect_networks_identical(seq, par);
 }
 

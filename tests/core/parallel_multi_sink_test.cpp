@@ -1,6 +1,6 @@
 // Tree-sharded parallel epochs for multi-sink runs: an N-thread multi-sink
 // run must produce a byte-identical ExperimentResults summary to the
-// 1-thread sequential path (the same contract parallel_epoch_test.cpp pins
+// 1-thread run (the same contract parallel_epoch_test.cpp pins
 // for one sink), across sink counts, routing policies, both field
 // backends, ATC and the sampling gate — and the per-sink ledger mirrors
 // must still reconcile component-wise against the global ledger when the

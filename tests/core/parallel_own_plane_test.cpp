@@ -1,12 +1,12 @@
-// The own-tuple plane of the parallel epoch engine (fixed theta, gate
-// off): readings inside a node's own tuple skip DirqNode::sample_slot, so
-// the plane must agree with RangeTable::observe's inside test on every
+// The own-tuple plane of the epoch engine (fixed theta, gate off):
+// readings inside a node's own tuple skip DirqNode::sample_slots, so the
+// plane must agree with RangeTable::observe's inside test on every
 // edge — a reading exactly on r0 - theta or r0 + theta (inside), one ulp
 // beyond either bound (a crossing), +-inf (a crossing, then inside the
 // degenerate [inf, inf] tuple) and NaN (always a crossing) — and must be
 // re-read after every sensor change, death and revival. Networks at 2 and
-// 4 threads are compared with the sequential walk after every epoch, in
-// the subtree geometry (1 sink, plus the serial root pass) and the
+// 4 threads are compared with the 1-thread plan (one chunk) after every
+// epoch, in the subtree geometry (1 sink, plus the root segment) and the
 // tree-shard geometry (4 sinks). A second script pins the order in which
 // the crossing sweep runs an epoch's crossings: one node crosses on two
 // types and its parent crosses too, over a lossy channel whose verdicts
@@ -126,7 +126,7 @@ net::Topology make_topology() {
   placement.sensor_type_count = kTypes;
   net::Topology topo = net::random_connected(placement, rng);
   // The gateway carries no sensor by default; give it two so the subtree
-  // geometry's serial root pass consumes through the plane too.
+  // geometry's root segment consumes through the plane too.
   topo.add_sensor(0, 0);
   topo.add_sensor(0, 2);
   return topo;
@@ -301,7 +301,7 @@ TEST(ParallelOwnPlane, TreeShardsMatchSequentialOnTupleEdges) {
 }
 
 TEST(ParallelOwnPlane, ScriptHitsEveryEdge) {
-  // The boundary readings are exact: on the sequential walk a reading on
+  // The boundary readings are exact: on the one-thread walk a reading on
   // either bound leaves the own tuple untouched, and one ulp past a bound
   // re-centres it.
   net::Topology topo = make_topology();
@@ -441,7 +441,7 @@ void run_order_case(const std::vector<NodeId>& roots, bool lmac) {
   }
   ASSERT_NE(mover, kNoNode);
   // The gateway carries types 0 and 2 (make_topology); it steps too, so
-  // the 1-sink serial root pass runs crossings.
+  // the 1-sink root segment runs crossings.
   StepSource env(ref.topo.size(), {{mover, shared, 20.0},
                                    {mover, other, 20.0},
                                    {parent, shared, 40.0},

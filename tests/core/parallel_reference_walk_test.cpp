@@ -1,12 +1,16 @@
 // The epoch engine against the reference walk (tests/support/
 // reference_walk.hpp), epoch by epoch. Every cell runs one network driven
 // by the reference walk and three driven by DirqNetwork::process_epoch at
-// 1, 2 and 4 threads, through the same script: loss 0.1 (set_loss), EHr
+// 1, 2 and 4 threads, through the same script: a jumpy field (below),
+// loss 0.1 (set_loss), EHr
 // floods every 50 epochs, a query every 20 epochs, and churn through the
 // handle_* entry points — a relay dies, a sensor is removed, another is
 // added, a brand-new node joins. On the instant transport one epoch runs
 // inside an open inject_async audit; on LMAC every query is collected at
 // the next query boundary, so epochs run inside open audits throughout.
+// The readings are the pinned field plus a square wave on a third of the
+// (node, type) pairs, so a reading leaves its tuple and later returns into
+// the one it left — the case a stale own-tuple plane entry gets wrong.
 //
 // Cells: sinks {1, 3} x {fixed theta 5 %, ATC} x gate {off, margin 0.5} x
 // {instant, LMAC} — the fixed-theta, gate-off cells consume through the
@@ -29,10 +33,12 @@
 #include <string>
 #include <vector>
 
+#include "core/atc.hpp"
 #include "core/lmac_transport.hpp"
 #include "core/lossy.hpp"
 #include "core/network.hpp"
 #include "data/field_model.hpp"
+#include "data/reading_source.hpp"
 #include "mac/lmac.hpp"
 #include "net/placement.hpp"
 #include "net/topology.hpp"
@@ -95,6 +101,29 @@ net::Topology make_topology() {
   return net::random_connected(placement, rng);
 }
 
+/// The pinned field plus a square wave of 0.15 x the type's span (wider
+/// than any ATC theta) that switches every 4 epochs on the (node, type)
+/// pairs with (node + type) % 3 == 0.
+class JumpyField final : public data::ReadingSource {
+ public:
+  explicit JumpyField(const net::Topology& topo)
+      : inner_(topo, kTypes, sim::Rng(kSeed).substream("env")) {}
+
+  void advance_to(std::int64_t epoch) override { inner_.advance_to(epoch); }
+  [[nodiscard]] double reading(NodeId node, SensorType type) const override {
+    const bool up = (node + type) % 3 == 0 && (inner_.epoch() / 4) % 2 == 1;
+    return inner_.reading(node, type) + (up ? 0.15 * nominal_span(type) : 0.0);
+  }
+  [[nodiscard]] bool concurrent_type_batches() const noexcept override {
+    return inner_.concurrent_type_batches();
+  }
+  [[nodiscard]] std::size_t type_count() const override { return kTypes; }
+  [[nodiscard]] std::int64_t epoch() const override { return inner_.epoch(); }
+
+ private:
+  data::Environment inner_;
+};
+
 NetworkConfig network_config(const Cell& c) {
   NetworkConfig cfg;
   cfg.mode = c.atc ? NetworkConfig::ThetaMode::Atc
@@ -109,7 +138,7 @@ NetworkConfig network_config(const Cell& c) {
 /// mutates it), environment, loss channel and, on LMAC, the MAC stack.
 struct World {
   net::Topology topo = make_topology();
-  data::Environment env{topo, kTypes, sim::Rng(kSeed).substream("env")};
+  JumpyField env{topo};
   LossChannel loss{kLoss, sim::CounterRng(kSeed).substream("loss")};
   std::unique_ptr<DirqNetwork> net;
   sim::Scheduler sched;

@@ -2,10 +2,10 @@
 // transmission and each decoded reception is attributed to exactly one
 // node, so the summed per-node counters must equal the ledger's tx/rx
 // totals — including the bootstrap announce wave carried over at a
-// transport swap and, under loss, the CRC-failed receptions accounted
-// through the LossySink drop hook. Used by the experiment unit tests and
-// the LMAC scenario tier so the invariant's decomposition can never drift
-// between the two.
+// transport swap and, under loss, the CRC-failed receptions, which
+// DirqNetwork::deliver books against the receiving node too. Used by the
+// experiment unit tests and the scenario tiers so the invariant's
+// decomposition can never drift between them.
 #pragma once
 
 #include <gtest/gtest.h>

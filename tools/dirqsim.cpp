@@ -67,10 +67,11 @@ namespace {
       "  --burst SPEC      query arrivals: 'smooth' (default) or L/G —\n"
       "                    L-epoch bursts separated by G silent epochs\n"
       "  --threads N       intra-run worker count for the epoch loop\n"
-      "                    (default 1 — the golden sequential path; 0 =\n"
-      "                    all hardware threads; every backend honours it,\n"
-      "                    byte-identical to 1 — lmac keeps slot delivery\n"
-      "                    sequential and parallelises the epoch phases)\n"
+      "                    (default 1 — the whole walk as one chunk; 0 =\n"
+      "                    all hardware threads; every width runs the same\n"
+      "                    epoch plan, byte-identical to 1 — lmac keeps\n"
+      "                    slot delivery sequential and parallelises the\n"
+      "                    epoch phases)\n"
       "  --series          print the update-per-100-epoch TSV series\n"
       "  --help            this text\n"
       "\n"
@@ -1041,13 +1042,10 @@ int main(int argc, char** argv) {
   // (--threads 1) keeps the table byte-stable against every recorded
   // golden. The row reports the *effective* count — plus how the backend
   // parallelises when that needs saying (LMAC: the slot-ordered delivery
-  // loop stays sequential by contract), or the clamp reason should a
-  // future backend ever force the sequential path again.
+  // loop stays sequential by contract).
   if (cfg.threads != 1) {
     std::string cell = std::to_string(core::Experiment::effective_threads(cfg));
-    if (const char* why = core::Experiment::thread_clamp_reason(cfg)) {
-      cell += std::string(" (forced sequential: ") + why + ")";
-    } else if (const char* note = core::Experiment::thread_mode_note(cfg)) {
+    if (const char* note = core::Experiment::thread_mode_note(cfg)) {
       cell += std::string(" (") + note + ")";
     }
     t.add_row({"threads", cell});
