@@ -1,7 +1,6 @@
-// The reference epoch walk: the sequential two-pass walk that
-// DirqNetwork::process_epoch ran at one thread before the cached epoch
-// plan became the only walk, kept as the oracle the engine is checked
-// against (tests/core/parallel_reference_walk_test.cpp).
+// The reference epoch walk: a plain sequential two-pass walk over the
+// whole network, the oracle DirqNetwork::process_epoch is checked against
+// at every width (tests/core/parallel_reference_walk_test.cpp).
 //
 // It drives a DirqNetwork through public APIs only — node(), trees() and
 // a sampling gate of its own per node — so it shares nothing with the
