@@ -350,6 +350,7 @@ void BM_GateScan(benchmark::State& state) {
   }
   std::vector<std::uint8_t> mask(kN);
   std::vector<NodeId> out(kN);
+  std::vector<std::uint32_t> slots(kN);
   const std::int64_t epoch = 10;
   for (auto _ : state) {
     std::size_t m = 0;
@@ -358,10 +359,12 @@ void BM_GateScan(benchmark::State& state) {
                                 out.data());
     } else {
       core::gate_scan_mask(due.data(), kN, epoch, mask.data());
-      m = core::gate_compact(nodes.data(), mask.data(), 0, kN, out.data());
+      m = core::gate_compact(nodes.data(), mask.data(), 0, kN, out.data(),
+                             slots.data());
     }
     benchmark::DoNotOptimize(m);
     benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(slots.data());
   }
   state.SetItemsProcessed(state.iterations() * kN);
 }

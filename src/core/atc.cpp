@@ -2,10 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace dirq::core {
 
-AtcController::AtcController(AtcConfig cfg) : cfg_(cfg) {}
+AtcController::AtcController(AtcConfig cfg) : cfg_(cfg) {
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("AtcConfig: ") + what);
+  };
+  for (double x : {cfg.additive_step_pct, cfg.initial_pct, cfg.min_pct,
+                   cfg.max_pct, cfg.gain_up, cfg.gain_down, cfg.band_lo,
+                   cfg.band_hi, cfg.variability_alpha}) {
+    if (!std::isfinite(x)) fail("every parameter must be finite");
+  }
+  if (!(cfg.initial_pct > 0.0)) fail("initial_pct must be > 0");
+  if (cfg.min_pct > cfg.max_pct) fail("min_pct must be <= max_pct");
+  if (cfg.rate_window_epochs <= 0) fail("rate_window_epochs must be > 0");
+}
 
 AtcController::TypeState& AtcController::state(SensorType type) {
   auto it = types_.find(type);
@@ -26,12 +40,7 @@ double AtcController::theta(SensorType type) const {
 }
 
 void AtcController::on_reading(SensorType type, double reading) {
-  TypeState& st = state(type);
-  if (st.has_prev) {
-    st.variability.push(std::abs(reading - st.prev_reading));
-  }
-  st.prev_reading = reading;
-  st.has_prev = true;
+  observe(state(type), reading);
 }
 
 void AtcController::on_update_sent(SensorType type, std::int64_t epoch) {
@@ -59,7 +68,14 @@ double AtcController::estimated_rate_per_hour(std::int64_t epoch) const {
 }
 
 void AtcController::on_epoch(std::int64_t epoch) {
-  // Trim the sliding windows.
+  if (epoch - last_adjust_epoch_ < cfg_.adjust_period) return;
+  last_adjust_epoch_ = epoch;
+  // Only adjust reads the window sizes (estimated_rate_per_hour counts
+  // from the back), so the windows are trimmed only when one is due. That
+  // is exact: trimming every epoch and trimming once here both pop the
+  // maximal prefix of stamps older than this window start, so adjust sees
+  // the same deques. Between adjusts they hold at most one adjust period
+  // of extra sends.
   const std::int64_t window_start = epoch - cfg_.rate_window_epochs;
   while (!sent_epochs_.empty() && sent_epochs_.front() < window_start) {
     sent_epochs_.pop_front();
@@ -69,10 +85,7 @@ void AtcController::on_epoch(std::int64_t epoch) {
       st.sent_epochs.pop_front();
     }
   }
-  if (epoch - last_adjust_epoch_ >= cfg_.adjust_period) {
-    last_adjust_epoch_ = epoch;
-    adjust(epoch);
-  }
+  adjust(epoch);
 }
 
 void AtcController::adjust(std::int64_t epoch) {

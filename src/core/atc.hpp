@@ -22,6 +22,7 @@
 //     sensor converges in a few steps instead of drifting for hours.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -111,13 +112,49 @@ struct AtcConfig {
 /// Per-node ATC state machine (one instance per node; tracks all types).
 class AtcController final : public ThetaController {
  public:
+  /// Per-type state. Entries live in a std::map and are never erased, so
+  /// a reference to one stays valid while other types are inserted (a
+  /// relay's on_update_sent inserts mid-epoch the types it forwards).
+  struct TypeState {
+    double theta_scale = 1.0;  // multiplier on the initial theta
+    sim::Ewma variability;     // EWMA of |reading - prev reading|
+    double prev_reading = 0.0;
+    bool has_prev = false;
+    std::deque<std::int64_t> sent_epochs;  // this type's txs in the window
+    TypeState() : variability(0.0) {}
+    explicit TypeState(double alpha) : variability(alpha) {}
+  };
+
+  /// Throws std::invalid_argument on a config the control law cannot run:
+  /// a non-finite parameter, initial_pct <= 0 (infinite scale bounds),
+  /// min_pct > max_pct (an empty clamp range) or rate_window_epochs <= 0
+  /// (a rate divided by zero).
   explicit AtcController(AtcConfig cfg);
+
+  /// on_reading's whole body, for one type's state: the epoch engine runs
+  /// it as a flat pass over cached references, so both paths share every
+  /// bit of the EWMA arithmetic.
+  static void observe(TypeState& st, double reading) noexcept {
+    if (st.has_prev) st.variability.push(std::abs(reading - st.prev_reading));
+    st.prev_reading = reading;
+    st.has_prev = true;
+  }
+
+  /// The type's state, created on first use.
+  TypeState& state(SensorType type);
+
+  /// Epoch of the last adjust; on_epoch adjusts once `epoch -
+  /// last_adjust_epoch() >= adjust_period` and is a no-op otherwise.
+  [[nodiscard]] std::int64_t last_adjust_epoch() const noexcept {
+    return last_adjust_epoch_;
+  }
 
   [[nodiscard]] double theta(SensorType type) const override;
 
   void on_reading(SensorType type, double reading) override;
   void on_update_sent(SensorType type, std::int64_t epoch) override;
   void on_ehr(const EhrMessage& msg, std::int64_t epoch) override;
+  /// When an adjust is due: trims the sliding windows, then adjusts.
   void on_epoch(std::int64_t epoch) override;
 
   /// Node's current updates/hour budget share (0 before the first EHr).
@@ -129,17 +166,6 @@ class AtcController final : public ThetaController {
   [[nodiscard]] const AtcConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct TypeState {
-    double theta_scale = 1.0;  // multiplier on the initial theta
-    sim::Ewma variability;     // EWMA of |reading - prev reading|
-    double prev_reading = 0.0;
-    bool has_prev = false;
-    std::deque<std::int64_t> sent_epochs;  // this type's txs in the window
-    TypeState() : variability(0.0) {}
-    explicit TypeState(double alpha) : variability(alpha) {}
-  };
-
-  TypeState& state(SensorType type);
   void adjust(std::int64_t epoch);
 
   AtcConfig cfg_;

@@ -33,35 +33,29 @@ const RangeTable* DirqNode::table(TreeId tree, SensorType type) const {
 }
 
 void DirqNode::sample(SensorType type, double reading, std::int64_t epoch) {
-  sample_slots(0, static_cast<TreeId>(slots_.size()), type, reading, epoch);
-}
-
-void DirqNode::sample_slots(TreeId first, TreeId last, SensorType type,
-                            double reading, std::int64_t epoch) {
   if (!std::binary_search(sensors_.begin(), sensors_.end(), type)) {
     return;  // not our sensor: ignore
   }
   // One physical sample, observed by each slot: each tree keeps its own
   // theta and its own sent tuple, so one reading can trigger an update in
   // one tree and none in another.
-  for (TreeId tree = first; tree < last; ++tree) {
-    TreeSlot& slot = slots_.at(tree);
-    slot.controller->on_reading(type, reading);
-    RangeTable& t = slot.tables[type];
-    if (t.observe(reading, slot.controller->theta(type))) {
-      maybe_send_update(tree, type, epoch);
-    }
+  for (TreeId tree = 0; tree < slots_.size(); ++tree) {
+    slots_[tree].controller->on_reading(type, reading);
+    observe_slot(tree, type, reading, epoch);
+  }
+}
+
+void DirqNode::observe_slot(TreeId tree, SensorType type, double reading,
+                            std::int64_t epoch) {
+  if (!std::binary_search(sensors_.begin(), sensors_.end(), type)) return;
+  TreeSlot& slot = slots_.at(tree);
+  if (slot.tables[type].observe(reading, slot.controller->theta(type))) {
+    maybe_send_update(tree, type, epoch);
   }
 }
 
 void DirqNode::end_epoch(std::int64_t epoch) {
-  end_epoch_slots(0, static_cast<TreeId>(slots_.size()), epoch);
-}
-
-void DirqNode::end_epoch_slots(TreeId first, TreeId last, std::int64_t epoch) {
-  for (TreeId tree = first; tree < last; ++tree) {
-    slots_.at(tree).controller->on_epoch(epoch);
-  }
+  for (TreeSlot& slot : slots_) slot.controller->on_epoch(epoch);
 }
 
 void DirqNode::maybe_send_update(TreeId tree, SensorType type,

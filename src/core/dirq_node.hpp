@@ -91,25 +91,25 @@ class DirqNode {
   // --- sensing (paper §4.1, Fig. 1) ----------------------------------------
 
   /// Feeds one epoch's reading for an attached sensor. The reading is
-  /// observed by every tree slot (one physical sample, N protocol views):
-  /// sample_slots over all slots.
+  /// observed by every tree slot in ascending TreeId order (one physical
+  /// sample, N protocol views): each slot's controller sees it
+  /// (ThetaController::on_reading), then observe_slot. Readings for a
+  /// sensor the node does not carry are ignored.
   void sample(SensorType type, double reading, std::int64_t epoch);
 
-  /// Observes the reading in tree slots [first, last) only, in ascending
-  /// TreeId order; each slot may emit an Update Message toward its own
-  /// parent if its aggregate moved beyond its theta. Readings for a
-  /// sensor the node does not carry are ignored. The epoch walk calls
-  /// this for the slots its task covers; slots share no mutable state
-  /// (per-slot update counters included), so tasks owning disjoint slot
-  /// ranges can call it on one node concurrently.
-  void sample_slots(TreeId first, TreeId last, SensorType type,
-                    double reading, std::int64_t epoch);
+  /// The range-table half of sample for one tree slot: the reading may
+  /// re-centre the slot's own tuple and emit an Update Message toward the
+  /// slot's parent if its aggregate moved beyond its theta. The slot's
+  /// controller is not fed (the epoch engine runs ATC's per-reading
+  /// update as a flat pass, AtcController::observe). Readings for a
+  /// sensor the node does not carry are ignored. Slots share no mutable
+  /// state (per-slot update counters included), so tasks owning disjoint
+  /// slots can call it on one node concurrently.
+  void observe_slot(TreeId tree, SensorType type, double reading,
+                    std::int64_t epoch);
 
-  /// End-of-epoch hook: end_epoch_slots over all slots.
+  /// End-of-epoch hook: drives every slot's threshold controller.
   void end_epoch(std::int64_t epoch);
-
-  /// Drives the threshold controllers of tree slots [first, last).
-  void end_epoch_slots(TreeId first, TreeId last, std::int64_t epoch);
 
   // --- message handling ----------------------------------------------------
 

@@ -12,7 +12,9 @@
 //      (verified with -fopt-info-vec, see bench/micro_kernel.cpp
 //      BM_GateScan).
 //   2. gate_compact — an unconditional-store compaction (`out[m] = n[j];
-//      m += mask[j]`) that stays branch-free in the loop body.
+//      slots[m] = j; m += mask[j]`) that stays branch-free in the loop
+//      body. The slots let the crossing sweep find each due reading's
+//      plan-slot state.
 //
 // gate_filter_ref is the obvious scalar branchy loop, kept as the test
 // oracle (tests/core/gate_scan_test.cpp asserts equivalence on randomized
@@ -47,16 +49,18 @@ inline void gate_scan_mask(const std::int64_t* due, std::size_t n,
   }
 }
 
-/// Compacts nodes[j] for every set mask bit in [begin, end) into `out`
-/// (which must have room for end - begin entries); returns the count
-/// written. The store is unconditional and the cursor advances by the mask
-/// byte, so the loop body has no data-dependent branch.
+/// Compacts nodes[j] into `out` and j itself into `slots` for every set
+/// mask bit in [begin, end) (both must have room for end - begin
+/// entries); returns the count written. The stores are unconditional and
+/// the cursor advances by the mask byte, so the loop body has no
+/// data-dependent branch.
 inline std::size_t gate_compact(const NodeId* nodes, const std::uint8_t* mask,
                                 std::size_t begin, std::size_t end,
-                                NodeId* out) noexcept {
+                                NodeId* out, std::uint32_t* slots) noexcept {
   std::size_t m = 0;
   for (std::size_t j = begin; j < end; ++j) {
     out[m] = nodes[j];
+    slots[m] = static_cast<std::uint32_t>(j);
     m += mask[j];
   }
   return m;

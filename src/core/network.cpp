@@ -46,23 +46,29 @@ template <typename T>
 using ShardVector = std::vector<T, CacheLineAllocator<T>>;
 }  // namespace
 
-/// A threshold crossing found by the own-tuple plane's flat pass. Sorted
-/// by (pos, type, tree) — the order the per-node walk reaches it in.
-struct OwnCrossing {
-  std::uint32_t pos = 0;   // position in the segment's visiting order
+/// One event of a task's epoch: a threshold crossing found by the flat
+/// sweep or, with type kAdjust, a due ATC adjust. Sorted by (pos, type,
+/// tree): the order the reference walk reaches it in, a node's samples
+/// type by type and tree by tree, then its controllers' end-of-epoch step
+/// tree by tree.
+struct SweepEvent {
+  static constexpr SensorType kAdjust = std::numeric_limits<SensorType>::max();
+
+  std::uint32_t pos = 0;  // position in the segment's visiting order
   SensorType type = 0;
   TreeId tree = 0;
-  std::uint32_t slot = 0;  // plan slot of type `type`
+  std::uint32_t index = 0;  // reading index into values[type]; kAdjust: node
 
-  friend bool operator<(const OwnCrossing& a, const OwnCrossing& b) noexcept {
+  friend bool operator<(const SweepEvent& a, const SweepEvent& b) noexcept {
     if (a.pos != b.pos) return a.pos < b.pos;
     if (a.type != b.type) return a.type < b.type;
     return a.tree < b.tree;
   }
 };
+static_assert(sizeof(SweepEvent) == 16);
 
-/// One epoch task's state: its walk cursors and crossing-sweep scratch
-/// and, for a task the pool runs, the shard-local accounting. Every
+/// One epoch task's state: its crossing-sweep scratch and, for a task the
+/// pool runs, the shard-local accounting. Every
 /// message a pool task's nodes emit is charged here instead of the shared
 /// transport ledger, and per-node tx/rx attribution lands in shard-local
 /// dense delta arrays (with one task per tree the same node transmits in
@@ -72,22 +78,19 @@ struct OwnCrossing {
 /// exactly one thread. Merged into the real ledger/counters in task order
 /// after the join, which keeps the totals equal to the one-thread walk
 /// (they are sums of the same per-message charges). Inline tasks run with
-/// the real transport and use only the cursors and the scratch.
+/// the real transport and use only the scratch.
 ///
 /// alignas(64): each task's hot merge state gets its own cache line(s);
 /// without it neighbouring tasks' ledgers share lines and every charge
 /// bounces the line between cores (see BM_ParallelEpochShardScaling). The
 /// heap buffers of its vectors come from CacheLineAllocator for the same
-/// reason: two tasks' small cursor or scratch arrays must never share a
-/// line, or both threads running at once costs more than one.
+/// reason: two tasks' small scratch arrays must never share a line, or
+/// both threads running at once costs more than one.
 struct alignas(64) EpochShardCtx {
   std::size_t index = 0;  // the task this context belongs to
   CostLedger ledger;
   std::int64_t update_msgs = 0;  // wire-level UpdateMessage transmissions
   ShardVector<std::pair<NodeId, Message>> to_root;  // {from, msg}, in order
-  // Per-type walk cursors (resized to the plan's type count each epoch).
-  ShardVector<std::size_t> plan_cur;
-  ShardVector<std::size_t> val_cur;
   // Per-node tx/rx deltas for this task's pass (cleared each epoch,
   // merged in task order).
   ShardVector<CostUnits> tx_delta;
@@ -100,10 +103,10 @@ struct alignas(64) EpochShardCtx {
   // trees' messages when multiple sinks ride a deferred transport, so the
   // task's single ledger cannot be attributed to one tree at merge.
   ShardVector<CostLedger> tree_delta;
-  // Own-tuple plane sweep: one (type, tree) pass's crossing slots, and
-  // the epoch's crossings.
-  ShardVector<std::uint32_t> cross_slots;
-  ShardVector<OwnCrossing> crossings;
+  // The sweep: one (type, tree) pass's crossing readings, and the
+  // epoch's events.
+  ShardVector<std::uint32_t> cross_reads;
+  ShardVector<SweepEvent> crossings;
 };
 
 namespace {
@@ -133,14 +136,31 @@ void accumulate(CostLedger& into, const CostLedger& from) {
   throw std::logic_error(
       "DirqNetwork: aliveness changed without tree repair during an epoch");
 }
+
+/// Tree k's controller on `node` in an ATC run (make_controller builds
+/// every controller of a network alike).
+AtcController& atc_of(DirqNode& node, TreeId k) {
+  return dynamic_cast<AtcController&>(node.controller(k));
+}
+
+/// The ATC state a reading of `type` on `node` feeds in tree k: the
+/// controller's entry, created if absent (as on_reading creates it), or
+/// nullptr when the node itself lacks the type (the topology's sensor list
+/// can disagree with the node's), so that such a slot never touches ATC
+/// state.
+AtcController::TypeState* atc_state(DirqNode& node, TreeId k,
+                                    SensorType type) {
+  const std::vector<SensorType>& s = node.sensors();
+  if (!std::binary_search(s.begin(), s.end(), type)) return nullptr;
+  return &atc_of(node, k).state(type);
+}
 }  // namespace
 
 /// The epoch engine: the pool plus the cached plan that every epoch walks.
 ///
 /// The plan is a list of segments — each a contiguous stretch of the
 /// epoch walk in visiting order — and a list of tasks, each one segment
-/// for a range of tree slots. Every task runs either walk_segment (the
-/// per-node walk) or, with the own-tuple plane, consume_crossings. One
+/// for a range of tree slots, and every task runs consume_crossings. One
 /// partition step (rebuild_plan) picks the geometry:
 ///
 /// * Inline (a pool of 1, or a synchronous transport other than the
@@ -168,15 +188,15 @@ void accumulate(CostLedger& into, const CostLedger& from) {
 ///
 /// * Trees (the built-in instant transport, several trees): one segment,
 ///   the reversed union walk, and one task per tree, each advancing only
-///   its own tree's slot per node (DirqNode::sample_slots /
-///   end_epoch_slots) — slots share no mutable state, so the tasks are
+///   its own tree's slot per node (DirqNode::observe_slot and the slot's
+///   controller) — slots share no mutable state, so the tasks are
 ///   write-disjoint and each tree's cascade, into its own root included,
 ///   stays inside its task. Task 0 leads.
 ///
-/// The lead task of a node owns the shared sampling gate: it does the
-/// on_skip/on_sample/count_sample bookkeeping inline, exactly where the
-/// per-node walk does (the gate reads the tree-0 controller's theta,
-/// which only the lead mutates). Every plan has one lead per node.
+/// The lead task of a node owns the shared sampling gate and does its
+/// on_skip/on_sample/count_sample bookkeeping (the gate reads the tree-0
+/// controller's theta, which only the lead mutates). Every plan has one
+/// lead per node.
 ///
 /// For every sensor type t, plan_nodes[t] lists the nodes carrying t in
 /// segment-major visiting order and plan_seg[t] holds segs.size() + 1
@@ -186,24 +206,52 @@ void accumulate(CostLedger& into, const CostLedger& from) {
 /// the per-epoch gate filter is a flat int64 scan — gate_scan.hpp — over
 /// a dense array instead of a FlatMap lookup per sensor); the lead writes
 /// a slot back right after on_sample. In gated epochs due_mask[t] holds
-/// the per-slot decision byte computed before any task runs, so every
-/// task branches on the same snapshot.
+/// the per-slot decision byte computed before any task runs and
+/// filt_slot[t] the plan slot of each due reading (values[t] is the
+/// compacted batch), so every task reads the same snapshot. The lead runs
+/// the gate's bookkeeping as flat per-type passes before any crossing:
+/// on_skip for each skipped slot, on_sample for each due one. That is
+/// exact because a node's theta moves only in its own adjust, which runs
+/// after all of that node's samples, and the gate's per-(node, type)
+/// state and counters do not depend on the order across nodes.
 ///
 /// own[k][t][j] (the own-tuple plane) mirrors tree k's own tuple
 /// (lo = THmin, hi = THmax) for plan slot j of type t, indexed like
-/// next_due. It exists only when every controller is FixedTheta and the
-/// gate is off: then a reading inside its own tuple changes nothing at
-/// all (observe is a no-op, on_reading/on_epoch are no-ops), so only
-/// crossings enter DirqNode::sample_slots. An own tuple changes only in
-/// observe (the node's own sample, always a crossing here — the task
-/// writes the entry back right after it) and clear_own (through
-/// handle_sensor_removed, which dirties the plan), so the plane stays
-/// exact between rebuilds. Update cascades touch only child tuples, so
-/// every crossing of an epoch is known before the first one runs: each
-/// task finds them in one flat sweep over its segment and runs them in
-/// (plan_pos, type, tree) order — plan_pos[t][j] is slot j's position in
-/// its segment's visiting order — which is the order a per-node walk
-/// reaches them in (consume_crossings).
+/// next_due. RangeTable::observe tests the stored tuple and uses theta
+/// only to re-centre it, so a reading inside its own tuple leaves the
+/// table as it is in every mode, and only crossings enter
+/// DirqNode::observe_slot. An own tuple changes only in observe (the
+/// node's own sample, always a crossing — the task writes the entry back
+/// right after it) and clear_own (through handle_sensor_removed, which
+/// dirties the plan), so the plane stays exact between rebuilds. Update
+/// cascades touch only child tuples, so every crossing of an epoch is
+/// known before the first one runs: each task finds them in one flat
+/// sweep over its segment and runs them in (plan_pos, type, tree) order —
+/// plan_pos[t][j] is slot j's position in its segment's visiting order —
+/// which is the order the reference walk reaches them in
+/// (consume_crossings).
+///
+/// ATC adds per-reading work (on_reading: an EWMA of |delta reading|),
+/// per-send work (on_update_sent, inside the node) and per-epoch work
+/// (on_epoch: an adjust every adjust_period epochs, which alone reads the
+/// EWMA and the windows and alone moves theta). So in ATC runs
+/// atc[k][t][j] caches plan slot j's state inside tree k's controller,
+/// and each task feeds every reading to it with AtcController::observe,
+/// a flat pass beside the crossing test; running those updates before
+/// the epoch's crossings is exact since a node's adjust follows all of its
+/// own samples. A rebuild clears the cache and a slot's first reading
+/// after it resolves the entry, creating it exactly where on_reading
+/// would (creating it at the rebuild could be observed: adjust narrows
+/// every entry, and a gated slot whose node just gained the type need not
+/// be due). It stays nullptr while the node lacks the type. The entries
+/// sit in std::map nodes, which keep their addresses until the next
+/// rebuild even when a relay's on_update_sent inserts a type mid-epoch.
+/// last_adjust[k][u] mirrors the
+/// last adjust epoch of tree k's controller on node u; a due adjust is
+/// an event keyed (position, after every type, tree), which sorts after
+/// the node's crossings and before the next node's — where the reference
+/// walk calls end_epoch — so an epoch with no adjust due touches no
+/// controller.
 struct DirqNetwork::EpochEngine {
   explicit EpochEngine(unsigned threads) : pool(threads) {}
 
@@ -258,6 +306,22 @@ struct DirqNetwork::EpochEngine {
     return m;
   }
 
+  /// crossing_slots over a gated batch, whose reading r[i] belongs to
+  /// plan slot slot[i]; writes begin + i, the reading's index.
+  static std::size_t crossing_reads(const OwnTuple* own,
+                                    const std::uint32_t* slot,
+                                    const double* r, std::size_t begin,
+                                    std::size_t n,
+                                    std::uint32_t* out) noexcept {
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const OwnTuple& o = own[slot[i]];
+      out[m] = static_cast<std::uint32_t>(begin + i);
+      m += static_cast<std::size_t>(!((o.lo <= r[i]) & (r[i] <= o.hi)));
+    }
+    return m;
+  }
+
   /// One readings() call: a contiguous slice of type t's batch. Splitting
   /// below whole types is only done on a pool of more than one thread
   /// when the source advertises concurrent_intra_type_chunks().
@@ -283,13 +347,16 @@ struct DirqNetwork::EpochEngine {
   std::vector<std::vector<std::uint32_t>> plan_pos;  // see the own plane
   std::vector<std::vector<std::size_t>> plan_seg;
   std::vector<std::vector<std::int64_t>> next_due;  // gate mirror (gated)
-  bool own_plane = false;  // fixed theta, gate off: consume via `own`
   std::vector<std::vector<std::vector<OwnTuple>>> own;  // [tree][type][slot]
+  // ATC runs only: [tree][type][slot] and [tree][node].
+  std::vector<std::vector<std::vector<AtcController::TypeState*>>> atc;
+  std::vector<std::vector<std::int64_t>> last_adjust;
 
   // Per-epoch scratch, reused so the hot loop never allocates.
   std::vector<EpochShardCtx> ctx;                   // one per task
   std::vector<std::vector<std::uint8_t>> due_mask;  // gated: 0/1 per slot
   std::vector<std::vector<NodeId>> filt_nodes;  // gated: nodes due this epoch
+  std::vector<std::vector<std::uint32_t>> filt_slot;  // gated: their slots
   std::vector<std::vector<std::size_t>> filt_seg;
   std::vector<std::vector<double>> values;
   std::vector<FetchTask> fetch_tasks;
@@ -302,6 +369,10 @@ struct DirqNetwork::EpochEngine {
   }
   [[nodiscard]] const std::vector<std::size_t>& offsets(std::size_t t) const {
     return gated ? filt_seg[t] : plan_seg[t];
+  }
+  // The plan slot of reading i of type t's batch.
+  [[nodiscard]] std::size_t slot_of(std::size_t t, std::size_t i) const {
+    return gated ? filt_slot[t][i] : i;
   }
 };
 
@@ -556,14 +627,17 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
       pe.due_mask[t].resize(n);
       gate_scan_mask(pe.next_due[t].data(), n, epoch, pe.due_mask[t].data());
       pe.filt_nodes[t].resize(n);
+      pe.filt_slot[t].resize(n);
       std::size_t m = 0;
       for (std::size_t s = 0; s < nseg; ++s) {
         pe.filt_seg[t][s] = m;
         m += gate_compact(pn.data(), pe.due_mask[t].data(), pe.plan_seg[t][s],
-                          pe.plan_seg[t][s + 1], pe.filt_nodes[t].data() + m);
+                          pe.plan_seg[t][s + 1], pe.filt_nodes[t].data() + m,
+                          pe.filt_slot[t].data() + m);
       }
       pe.filt_seg[t][nseg] = m;
       pe.filt_nodes[t].resize(m);
+      pe.filt_slot[t].resize(m);
     }
   }
 
@@ -631,7 +705,7 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
   if (pe.pool_tasks > 0) {
     pe.pool.parallel_for(pe.pool_tasks, [this, &pe, epoch](std::size_t i) {
       const TlsShardGuard guard(&pe.ctx[i]);
-      run_task(i, epoch);
+      consume_crossings(i, epoch);
     });
   }
 
@@ -681,7 +755,7 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
   // Inline tasks, on the caller with the real transport: the whole walk
   // of a one-chunk plan, or the subtree geometry's root segment.
   for (std::size_t i = pe.pool_tasks; i < pe.tasks.size(); ++i) {
-    run_task(i, epoch);
+    consume_crossings(i, epoch);
   }
 }
 
@@ -793,19 +867,27 @@ void DirqNetwork::rebuild_plan() {
   }
   // The own-tuple plane, read back from the range tables in one pass: a
   // rebuild follows every path that can move an own tuple outside the
-  // plane (churn, sensor changes).
-  pe.own_plane =
-      cfg_.mode == NetworkConfig::ThetaMode::Fixed && !cfg_.sampling.enabled;
-  pe.own.clear();
-  if (pe.own_plane) {
-    pe.own.resize(trees);
-    for (TreeId k = 0; k < trees; ++k) {
-      pe.own[k].resize(type_count);
-      for (std::size_t t = 0; t < type_count; ++t) {
-        for (NodeId u : pe.plan_nodes[t]) {
-          pe.own[k][t].push_back(EpochEngine::read_own(
-              nodes_[u], k, static_cast<SensorType>(t)));
-        }
+  // plane (churn, sensor changes). ATC runs also reset each slot's cached
+  // controller state and mirror each controller's last adjust epoch.
+  const bool atc = cfg_.mode == NetworkConfig::ThetaMode::Atc;
+  pe.own.assign(trees, {});
+  pe.atc.assign(atc ? trees : 0, {});
+  pe.last_adjust.assign(atc ? trees : 0, {});
+  for (TreeId k = 0; k < trees; ++k) {
+    pe.own[k].resize(type_count);
+    if (atc) pe.atc[k].resize(type_count);
+    for (std::size_t t = 0; t < type_count; ++t) {
+      const auto type = static_cast<SensorType>(t);
+      for (NodeId u : pe.plan_nodes[t]) {
+        pe.own[k][t].push_back(EpochEngine::read_own(nodes_[u], k, type));
+      }
+      if (atc) pe.atc[k][t].assign(pe.plan_nodes[t].size(), nullptr);
+    }
+    if (!atc) continue;
+    pe.last_adjust[k].assign(topo_.size(), 0);
+    for (const std::vector<NodeId>& seg : pe.segs) {
+      for (NodeId u : seg) {
+        pe.last_adjust[k][u] = atc_of(nodes_[u], k).last_adjust_epoch();
       }
     }
   }
@@ -819,6 +901,7 @@ void DirqNetwork::rebuild_plan() {
   }
   pe.due_mask.assign(type_count, {});
   pe.filt_nodes.assign(type_count, {});
+  pe.filt_slot.assign(type_count, {});
   pe.filt_seg.assign(type_count, std::vector<std::size_t>(nseg + 1, 0));
   pe.values.resize(type_count);
   pe.plan_alive = topo_.alive_count();
@@ -877,105 +960,115 @@ void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
   nodes_[to].handle(msg, from, current_epoch_);
 }
 
-void DirqNetwork::run_task(std::size_t task, std::int64_t epoch) {
-  if (engine_->own_plane) {
-    consume_crossings(task, epoch);
-  } else {
-    walk_segment(task, epoch);
-  }
-}
-
-void DirqNetwork::walk_segment(std::size_t task, std::int64_t epoch) {
-  EpochEngine& pe = *engine_;
-  const EpochEngine::Task& tk = pe.tasks[task];
-  EpochShardCtx& ctx = pe.ctx[task];
-  const std::size_t type_count = pe.plan_nodes.size();
-  ctx.plan_cur.resize(type_count);
-  ctx.val_cur.resize(type_count);
-  for (std::size_t t = 0; t < type_count; ++t) {
-    ctx.plan_cur[t] = pe.plan_seg[t][tk.seg];
-    ctx.val_cur[t] = pe.offsets(t)[tk.seg];
-  }
-  for (NodeId u : pe.segs[tk.seg]) {
-    if (!topo_.is_alive(u)) throw_stale_aliveness();
-    SamplingController& gate = samplers_[u];
-    DirqNode& node = nodes_[u];
-    for (SensorType t : topo_.node(u).sensors) {
-      const std::size_t j = ctx.plan_cur[t]++;
-      if (pe.gated && !pe.due_mask[t][j]) {
-        if (tk.lead) gate.on_skip(t);  // predictor confident: no ADC (§8)
-        continue;
-      }
-      const double reading = pe.values[t][ctx.val_cur[t]++];
-      node.sample_slots(tk.first, tk.last, t, reading, epoch);
-      if (!tk.lead) continue;
-      if (pe.gated) {
-        gate.on_sample(t, reading, node.controller().theta(t), epoch);
-        pe.next_due[t][j] = gate.next_due(t);  // slot owned by the lead
-      } else {
-        gate.count_sample();
-      }
-    }
-    node.end_epoch_slots(tk.first, tk.last, epoch);
-  }
-}
-
 void DirqNetwork::consume_crossings(std::size_t task, std::int64_t epoch) {
   EpochEngine& pe = *engine_;
   const EpochEngine::Task& tk = pe.tasks[task];
   EpochShardCtx& ctx = pe.ctx[task];
+  const bool atc = !pe.atc.empty();
+  ctx.crossings.clear();
   // Per-node work: fail loud on an aliveness change without tree repair,
-  // and (the lead) tick the gate's per-reading sample counter.
-  for (NodeId u : pe.segs[tk.seg]) {
+  // (the lead, gate off) tick the gate's per-reading sample counter, and
+  // (ATC) queue each due adjust after the node's crossings.
+  const std::vector<NodeId>& seg = pe.segs[tk.seg];
+  for (std::size_t i = 0; i < seg.size(); ++i) {
+    const NodeId u = seg[i];
     if (!topo_.is_alive(u)) throw_stale_aliveness();
-    if (tk.lead) {
+    if (tk.lead && !pe.gated) {
       SamplingController& gate = samplers_[u];
-      for (std::size_t i = topo_.node(u).sensors.size(); i > 0; --i) {
+      for (std::size_t n = topo_.node(u).sensors.size(); n > 0; --n) {
         gate.count_sample();
       }
     }
+    if (!atc) continue;
+    for (TreeId k = tk.first; k < tk.last; ++k) {
+      if (epoch - pe.last_adjust[k][u] >= cfg_.atc.adjust_period) {
+        ctx.crossings.push_back(
+            {static_cast<std::uint32_t>(i), SweepEvent::kAdjust, k, u});
+      }
+    }
   }
-  // 1. One flat pass per (type, tree) over the segment's plan slots finds
-  //    every reading that leaves its own tuple.
-  ctx.crossings.clear();
+  // 1. Per type: the lead's gate bookkeeping, then one flat pass per tree
+  //    over the segment's readings — ATC's per-reading update, and the
+  //    test that finds every reading that leaves its own tuple.
   for (std::size_t t = 0; t < pe.plan_nodes.size(); ++t) {
     const std::size_t b = pe.plan_seg[t][tk.seg];
     const std::size_t e = pe.plan_seg[t][tk.seg + 1];
     if (b == e) continue;
+    const std::size_t rb = pe.offsets(t)[tk.seg];
+    const std::size_t re = pe.offsets(t)[tk.seg + 1];
     const auto type = static_cast<SensorType>(t);
-    const std::vector<std::uint32_t>& pos = pe.plan_pos[t];
-    ctx.cross_slots.resize(e - b);
+    const double* vals = pe.values[t].data();
+    if (pe.gated && tk.lead) {
+      for (std::size_t j = b; j < e; ++j) {
+        if (pe.due_mask[t][j] == 0) samplers_[pe.plan_nodes[t][j]].on_skip(type);
+      }
+      for (std::size_t i = rb; i < re; ++i) {
+        const std::uint32_t j = pe.filt_slot[t][i];
+        const NodeId u = pe.plan_nodes[t][j];
+        SamplingController& gate = samplers_[u];
+        gate.on_sample(type, vals[i], nodes_[u].controller().theta(type),
+                       epoch);
+        pe.next_due[t][j] = gate.next_due(type);  // slot owned by the lead
+      }
+    }
+    ctx.cross_reads.resize(re - rb);
     for (TreeId k = tk.first; k < tk.last; ++k) {
       const EpochEngine::OwnTuple* own = pe.own[k][t].data();
 #ifndef NDEBUG
-      // Fail loud on a stale plane: a skipped sample is exact only while
-      // the entry equals the table's tuple.
+      // Fail loud on a stale plan: a skipped sample is exact only while
+      // the plane entry equals the table's tuple, and the ATC pass only
+      // while each cached state is its controller's entry.
       for (std::size_t j = b; j < e; ++j) {
-        if (!EpochEngine::same(
-                EpochEngine::read_own(nodes_[pe.plan_nodes[t][j]], k, type),
-                own[j])) {
+        DirqNode& node = nodes_[pe.plan_nodes[t][j]];
+        if (!EpochEngine::same(EpochEngine::read_own(node, k, type), own[j])) {
           throw std::logic_error(
               "DirqNetwork: own-tuple plane diverged from the range table "
               "(own tuple changed outside process_epoch/handle_*)");
         }
+        if (atc && pe.atc[k][t][j] != nullptr &&
+            pe.atc[k][t][j] != atc_state(node, k, type)) {
+          throw std::logic_error(
+              "DirqNetwork: cached ATC state diverged from its controller");
+        }
       }
 #endif
-      const std::size_t m = EpochEngine::crossing_slots(
-          own + b, pe.values[t].data() + b, b, e - b, ctx.cross_slots.data());
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::uint32_t j = ctx.cross_slots[i];
-        ctx.crossings.push_back({pos[j], type, k, j});
+      if (atc) {
+        AtcController::TypeState** st = pe.atc[k][t].data();
+        for (std::size_t i = rb; i < re; ++i) {
+          const std::size_t j = pe.slot_of(t, i);
+          if (st[j] == nullptr) {  // first reading since the rebuild
+            st[j] = atc_state(nodes_[pe.plan_nodes[t][j]], k, type);
+          }
+          if (st[j] != nullptr) AtcController::observe(*st[j], vals[i]);
+        }
+      }
+      const std::size_t m =
+          pe.gated ? EpochEngine::crossing_reads(
+                         own, pe.filt_slot[t].data() + rb, vals + rb, rb,
+                         re - rb, ctx.cross_reads.data())
+                   : EpochEngine::crossing_slots(own + b, vals + b, b, e - b,
+                                                 ctx.cross_reads.data());
+      for (std::size_t c = 0; c < m; ++c) {
+        const std::uint32_t i = ctx.cross_reads[c];
+        ctx.crossings.push_back({pe.plan_pos[t][pe.slot_of(t, i)], type, k, i});
       }
     }
   }
-  // 2. The per-node walk's order: position, then type, then tree.
+  // 2. The reference walk's order: position, then type, then tree.
   std::sort(ctx.crossings.begin(), ctx.crossings.end());
-  // 3. Only crossings reach the node; each writes its entry back.
-  for (const OwnCrossing& c : ctx.crossings) {
-    DirqNode& node = nodes_[pe.plan_nodes[c.type][c.slot]];
-    EpochEngine::OwnTuple& own = pe.own[c.tree][c.type][c.slot];
-    node.sample_slots(c.tree, c.tree + 1, c.type, pe.values[c.type][c.slot],
-                      epoch);
+  // 3. Only crossings and due adjusts reach the node; each crossing writes
+  //    its plane entry back, each adjust its mirror.
+  for (const SweepEvent& c : ctx.crossings) {
+    if (c.type == SweepEvent::kAdjust) {
+      AtcController& ctrl = atc_of(nodes_[c.index], c.tree);
+      ctrl.on_epoch(epoch);
+      pe.last_adjust[c.tree][c.index] = ctrl.last_adjust_epoch();
+      continue;
+    }
+    const std::size_t j = pe.slot_of(c.type, c.index);
+    DirqNode& node = nodes_[pe.plan_nodes[c.type][j]];
+    EpochEngine::OwnTuple& own = pe.own[c.tree][c.type][j];
+    node.observe_slot(c.tree, c.type, pe.values[c.type][c.index], epoch);
     const EpochEngine::OwnTuple next =
         EpochEngine::read_own(node, c.tree, c.type);
 #ifndef NDEBUG
@@ -990,7 +1083,6 @@ void DirqNetwork::consume_crossings(std::size_t task, std::int64_t epoch) {
     own = next;  // slot owned by this task
   }
 }
-
 
 double DirqNetwork::mean_theta_pct(SensorType type) const {
   double sum = 0.0;

@@ -144,31 +144,32 @@ class DirqNetwork final : public MessageSink {
   /// drives the nodes through public APIs, which
   /// core.parallel_reference_walk_test checks every width against.
   ///
-  /// With fixed theta and the sampling gate off (the paper's
-  /// configuration) the plan also keeps an own-tuple plane: a dense
+  /// In every mode the plan keeps an own-tuple plane: a dense
   /// per-(tree, type, plan slot) copy of every node's own tuple, built
-  /// when the plan is rebuilt. A reading inside its own tuple changes no
-  /// protocol state, so only threshold crossings reach
-  /// DirqNode::sample_slots (and the no-op end-of-epoch controller step is
-  /// skipped). Because an own tuple changes only through its own node's
-  /// sample (and update cascades touch only child tuples), every crossing
-  /// of an epoch is known before the first one runs: each task makes one
-  /// flat per-type pass over its segment that compares each reading with
-  /// its plane entry and compacts the crossing slots branch-free, then
-  /// runs the crossings sorted by (position in the segment's visiting
-  /// order, type, tree), the order a per-node walk reaches them in,
-  /// writing each entry back. ATC and gated runs walk every node
-  /// (sample_slots for the task's trees, the gate's bookkeeping,
-  /// end_epoch_slots).
+  /// when the plan is rebuilt. A reading inside its own tuple leaves the
+  /// range table as it is (theta only re-centres a tuple at a crossing),
+  /// so only threshold crossings reach DirqNode::observe_slot. Because an
+  /// own tuple changes only through its own node's sample (and update
+  /// cascades touch only child tuples), every crossing of an epoch is
+  /// known before the first one runs: each task makes one flat pass per
+  /// (type, tree) over its segment's due readings that compares each
+  /// reading with its plane entry and compacts the crossings branch-free,
+  /// then runs them sorted by (position in the segment's visiting order,
+  /// type, tree), the order the reference walk reaches them in, writing
+  /// each entry back. ATC runs feed every reading to the slot's
+  /// controller state in a flat pass beside that test, and a controller
+  /// whose adjust is due runs it after the node's crossings; the sampling
+  /// gate's bookkeeping is a flat per-type pass of the node's lead task.
   ///
   /// Contract, at every width: aliveness, sensors and own tuples change
   /// only inside process_epoch and the handle_* entry points, which
   /// invalidate the cached plan. A DirqNode driven directly
   /// (node(id).sample(...)) between epochs leaves the plane stale, and a
   /// node found dead in the plan throws std::logic_error. Builds without
-  /// NDEBUG check every plane entry against its range table before the
-  /// sweep uses it (and that every crossing re-centres the tuple) and
-  /// throw std::logic_error on a mismatch.
+  /// NDEBUG check every plane entry against its range table and every
+  /// cached ATC state against its controller before the sweep uses them
+  /// (and that every crossing re-centres the tuple) and throw
+  /// std::logic_error on a mismatch.
   void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
 
   /// Intra-run worker count for process_epoch: 1 (the default) runs the
@@ -330,22 +331,15 @@ class DirqNetwork final : public MessageSink {
   void charge_tree_tx(const Message& msg);
   void charge_tree_rx(const Message& msg);
 
-  // The epoch engine (network.cpp): the one partition step, the two
-  // consume bodies, and the pool tasks' unicast mirroring
+  // The epoch engine (network.cpp): the one partition step, the one
+  // consume body, and the pool tasks' unicast mirroring
   // InstantTransport's accounting.
   void rebuild_plan();
-  /// Runs plan task `task`: consume_crossings with the own-tuple plane,
-  /// walk_segment otherwise.
-  void run_task(std::size_t task, std::int64_t epoch);
-  /// The per-node walk of the task's segment: for each node, every
-  /// reading due under the gate snapshot goes to sample_slots for the
-  /// task's tree slots; the lead does the gate's bookkeeping; then
-  /// end_epoch_slots for the same slots.
-  void walk_segment(std::size_t task, std::int64_t epoch);
-  /// The task's segment through the own-tuple plane (fixed theta, gate
-  /// off): a flat sweep finds the readings that leave their own tuple,
-  /// and only those reach sample_slots, in the order walk_segment would
-  /// reach them. The lead ticks the gate's per-reading sample counter.
+  /// Runs plan task `task`: a flat sweep over the segment's due readings
+  /// finds the ones that leave their own tuple (and feeds ATC's
+  /// per-reading update), and only those crossings and the due ATC
+  /// adjusts reach the nodes, in the reference walk's order. The lead
+  /// does the sampling gate's bookkeeping.
   void consume_crossings(std::size_t task, std::int64_t epoch);
   void parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
                         const Message& msg);

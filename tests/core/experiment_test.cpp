@@ -255,6 +255,35 @@ TEST(Experiment, ConfigValidationRejectsDivisionByZeroKnobs) {
   }
 }
 
+TEST(Experiment, RejectsAtcConfigsTheControllerCannotRun) {
+  // Each of these used to run to completion: an empty clamp range is UB
+  // inside theta(), a zero rate window steers on inf/NaN rates, and a zero
+  // initial theta ends the theta series in NaN. The controller rejects
+  // them when the network builds it, so every driver fails loud.
+  const auto atc_cfg = [] {
+    ExperimentConfig cfg = short_cfg(/*epochs=*/200);
+    cfg.network.mode = NetworkConfig::ThetaMode::Atc;
+    return cfg;
+  };
+  {
+    ExperimentConfig cfg = atc_cfg();
+    cfg.network.atc.min_pct = 13.0;
+    cfg.network.atc.max_pct = 12.0;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
+  }
+  {
+    ExperimentConfig cfg = atc_cfg();
+    cfg.network.atc.rate_window_epochs = 0;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
+  }
+  {
+    ExperimentConfig cfg = atc_cfg();
+    cfg.network.atc.initial_pct = 0.0;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(Experiment(atc_cfg()).run());
+}
+
 TEST(Experiment, ConfigValidationRejectsBadRatesAndLmacGeometry) {
   {
     ExperimentConfig cfg = short_cfg();

@@ -19,7 +19,18 @@ std::vector<NodeId> scan_compact(const std::vector<std::int64_t>& due,
   std::vector<std::uint8_t> mask(due.size());
   gate_scan_mask(due.data(), due.size(), epoch, mask.data());
   std::vector<NodeId> out(end - begin);
-  out.resize(gate_compact(nodes.data(), mask.data(), begin, end, out.data()));
+  std::vector<std::uint32_t> slots(end - begin);
+  out.resize(gate_compact(nodes.data(), mask.data(), begin, end, out.data(),
+                          slots.data()));
+  // Each compacted entry names the slot it came from, in slot order.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], nodes[slots[i]]);
+    EXPECT_EQ(mask[slots[i]], 1);
+    EXPECT_TRUE(slots[i] >= begin && slots[i] < end);
+    if (i > 0) {
+      EXPECT_LT(slots[i - 1], slots[i]);
+    }
+  }
   return out;
 }
 

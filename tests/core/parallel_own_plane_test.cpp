@@ -1,5 +1,5 @@
-// The own-tuple plane of the epoch engine (fixed theta, gate off):
-// readings inside a node's own tuple skip DirqNode::sample_slots, so the
+// The own-tuple plane of the epoch engine (here at fixed theta, gate off):
+// readings inside a node's own tuple skip DirqNode::observe_slot, so the
 // plane must agree with RangeTable::observe's inside test on every
 // edge — a reading exactly on r0 - theta or r0 + theta (inside), one ulp
 // beyond either bound (a crossing), +-inf (a crossing, then inside the

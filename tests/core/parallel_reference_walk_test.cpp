@@ -4,8 +4,10 @@
 // 1, 2 and 4 threads, through the same script: a jumpy field (below),
 // loss 0.1 (set_loss), EHr
 // floods every 50 epochs, a query every 20 epochs, and churn through the
-// handle_* entry points — a relay dies, a sensor is removed, another is
-// added, a brand-new node joins. On the instant transport one epoch runs
+// handle_* entry points — a relay dies, a sensor is removed from a node
+// only (the topology keeps listing it, so the plan holds a slot whose
+// node lacks the type), another is removed from both, one is added, a
+// brand-new node joins. On the instant transport one epoch runs
 // inside an open inject_async audit; on LMAC every query is collected at
 // the next query boundary, so epochs run inside open audits throughout.
 // The readings are the pinned field plus a square wave on a third of the
@@ -13,15 +15,18 @@
 // the one it left — the case a stale own-tuple plane entry gets wrong.
 //
 // Cells: sinks {1, 3} x {fixed theta 5 %, ATC} x gate {off, margin 0.5} x
-// {instant, LMAC} — the fixed-theta, gate-off cells consume through the
-// own-tuple crossing sweep, the others through the per-node walk, and the
+// {instant, LMAC}. Every cell consumes through the crossing sweep; the
+// ATC cells add its per-reading pass and the adjust events, the gated
+// cells the compacted due readings and the lead's gate passes, and the
 // widths cover every plan geometry (one chunk, root-child subtrees plus
 // the serial root segment, one task per tree, LMAC chunks).
 //
 // After every epoch each engine network must equal the reference on:
 // per-node tx/rx, the global and per-tree ledgers, update count, samples
 // taken and skipped, loss-channel tallies, and every (node, tree, type)
-// own tuple and subtree aggregate, bitwise. Every QueryOutcome must match.
+// own tuple, subtree aggregate and theta, bitwise — theta is what ATC
+// moves, so a diverging adjust shows the epoch it happens, not once it
+// has moved a tuple. Every QueryOutcome must match.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,6 +64,7 @@ constexpr std::int64_t kQueryPeriod = 20;
 constexpr std::int64_t kEhrPeriod = 50;
 constexpr std::int64_t kAuditEpoch = 100;  // instant: a query left open
 constexpr std::int64_t kKillEpoch = 35;
+constexpr std::int64_t kNodeSensorOffEpoch = 45;  // node only, not topology
 constexpr std::int64_t kSensorOffEpoch = 55;
 constexpr std::int64_t kSensorOnEpoch = 70;
 constexpr std::int64_t kJoinEpoch = 85;
@@ -244,6 +250,9 @@ void expect_same_state(const World& ref, const World& w,
         expect_same_entry(x != nullptr ? x->aggregate() : std::nullopt,
                           y != nullptr ? y->aggregate() : std::nullopt,
                           at + " aggregate");
+        EXPECT_EQ(bits(a.node(u).controller(k).theta(t)),
+                  bits(b.node(u).controller(k).theta(t)))
+            << at << " theta";
       }
     }
   }
@@ -274,9 +283,9 @@ TEST_P(ReferenceWalkCell, EngineMatchesReferenceEveryEpoch) {
   World& ref = *worlds.front();
 
   // Churn targets, chosen on the reference: an internal relay of tree 0
-  // that is no sink, a node with two or more sensors, and one lacking
+  // that is no sink, two nodes with two or more sensors, and one lacking
   // type 1.
-  NodeId relay = kNoNode, rich = kNoNode, lacking = kNoNode;
+  NodeId relay = kNoNode, rich = kNoNode, lacking = kNoNode, bare = kNoNode;
   for (NodeId u = 1; u < ref.topo.size(); ++u) {
     const bool is_root = std::find(roots.begin(), roots.end(), u) != roots.end();
     const auto& s = ref.topo.node(u).sensors;
@@ -287,12 +296,16 @@ TEST_P(ReferenceWalkCell, EngineMatchesReferenceEveryEpoch) {
     } else if (lacking == kNoNode &&
                !std::binary_search(s.begin(), s.end(), SensorType{1})) {
       lacking = u;
+    } else if (bare == kNoNode && s.size() >= 2) {
+      bare = u;
     }
   }
   ASSERT_NE(relay, kNoNode);
   ASSERT_NE(rich, kNoNode);
   ASSERT_NE(lacking, kNoNode);
+  ASSERT_NE(bare, kNoNode);
   const SensorType dropped = ref.topo.node(rich).sensors.back();
+  const SensorType unplugged = ref.topo.node(bare).sensors.front();
   net::Node newcomer;
   newcomer.x = ref.topo.node(rich).x + 1.0;
   newcomer.y = ref.topo.node(rich).y;
@@ -324,6 +337,8 @@ TEST_P(ReferenceWalkCell, EngineMatchesReferenceEveryEpoch) {
         topo.kill_node(relay);
         // LMAC detects the death through its control timeout instead.
         if (!c.lmac) n.handle_node_death(relay, e);
+      } else if (e == kNodeSensorOffEpoch) {
+        n.handle_sensor_removed(bare, unplugged, e);  // topology keeps it
       } else if (e == kSensorOffEpoch) {
         topo.remove_sensor(rich, dropped);
         n.handle_sensor_removed(rich, dropped, e);
@@ -375,6 +390,10 @@ TEST_P(ReferenceWalkCell, EngineMatchesReferenceEveryEpoch) {
   EXPECT_GT(queries, 0);
   EXPECT_GT(reached, 0u);
   EXPECT_FALSE(ref.topo.is_alive(relay));
+  const auto& listed = ref.topo.node(bare).sensors;
+  EXPECT_TRUE(std::binary_search(listed.begin(), listed.end(), unplugged));
+  const auto& carried = ref.net->node(bare).sensors();
+  EXPECT_FALSE(std::binary_search(carried.begin(), carried.end(), unplugged));
   EXPECT_EQ(ref.repaired.count(relay), c.lmac ? 1u : 0u);  // MAC detected it
   if (c.gated) {
     EXPECT_GT(ref.samples_skipped(), 0);
@@ -385,6 +404,82 @@ TEST_P(ReferenceWalkCell, EngineMatchesReferenceEveryEpoch) {
 
 INSTANTIATE_TEST_SUITE_P(Cells, ReferenceWalkCell,
                          ::testing::ValuesIn(all_cells()), cell_name);
+
+/// Readings on a straight line per (node, type): the gate's predictor
+/// tracks them exactly, so its sampling intervals double up to the cap.
+class RampField final : public data::ReadingSource {
+ public:
+  void advance_to(std::int64_t epoch) override { epoch_ = epoch; }
+  [[nodiscard]] double reading(NodeId node, SensorType type) const override {
+    return 10.0 + node + 5.0 * type + 0.01 * static_cast<double>(epoch_);
+  }
+  [[nodiscard]] std::size_t type_count() const override { return 2; }
+  [[nodiscard]] std::int64_t epoch() const override { return epoch_; }
+
+ private:
+  std::int64_t epoch_ = 0;
+};
+
+TEST(ReferenceWalkAtc, TypeRegainedWhileTheGateHoldsItsSlot) {
+  // A leaf loses a type before its first sample while the topology keeps
+  // listing it, so the gate samples the slot (its interval grows on the
+  // ramp) but no controller sees a reading of it. The leaf regains the
+  // type at an epoch where its adjust is due and narrows (a huge budget)
+  // and the slot is not due: as in the reference walk, the slot's ATC
+  // entry must appear at its next reading, not at the plan rebuild, or
+  // the adjust narrows an entry the reference does not have yet.
+  constexpr NodeId kLeaf = 2;
+  constexpr SensorType kType = 1;
+  NetworkConfig cfg;
+  cfg.mode = NetworkConfig::ThetaMode::Atc;
+  cfg.atc.adjust_period = 10;
+  cfg.sampling.enabled = true;
+  std::vector<net::Node> line(3);
+  for (NodeId u = 0; u < 3; ++u) {
+    line[u].x = static_cast<double>(u);
+    if (u > 0) line[u].sensors = {0, 1};
+  }
+  net::Topology ref_topo(line, 1.1);
+  net::Topology topo(line, 1.1);
+  DirqNetwork ref(ref_topo, 0, cfg);
+  DirqNetwork net(topo, 0, cfg);
+  ReferenceWalk walk(cfg.sampling);
+  RampField env;
+  std::int64_t regained = -1;
+  for (std::int64_t e = 0; e < 200; ++e) {
+    if (e == 0) {
+      ref.handle_sensor_removed(kLeaf, kType, e);
+      net.handle_sensor_removed(kLeaf, kType, e);
+    }
+    if (e % 50 == 0) {
+      ref.broadcast_ehr(1e6, e);
+      net.broadcast_ehr(1e6, e);
+    }
+    if (regained < 0 && e >= 40 && e % cfg.atc.adjust_period == 0 &&
+        net.sampler(kLeaf).next_due(kType) > e) {
+      ref.handle_sensor_added(kLeaf, kType, e);
+      net.handle_sensor_added(kLeaf, kType, e);
+      regained = e;
+    }
+    env.advance_to(e);
+    walk.epoch(ref, ref_topo, env, e);
+    net.process_epoch(env, e);
+    ASSERT_EQ(ref.updates_transmitted(), net.updates_transmitted()) << e;
+    ASSERT_EQ(walk.samples_taken(), net.samples_taken()) << e;
+    ASSERT_EQ(walk.samples_skipped(), net.samples_skipped()) << e;
+    for (NodeId u = 0; u < 3; ++u) {
+      for (SensorType t = 0; t < 2; ++t) {
+        ASSERT_EQ(bits(ref.node(u).controller().theta(t)),
+                  bits(net.node(u).controller().theta(t)))
+            << "epoch " << e << " node " << u << " type " << t;
+      }
+    }
+  }
+  ASSERT_GT(regained, 0);
+  // The leaf's other type was narrowed, so the regained type's theta
+  // really depends on when its entry appeared.
+  EXPECT_LT(net.node(kLeaf).controller().theta_pct(0), cfg.atc.initial_pct);
+}
 
 }  // namespace
 }  // namespace dirq::core
