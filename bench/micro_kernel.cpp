@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -310,9 +311,10 @@ BENCHMARK(BM_ParallelEpochShardScaling)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_LmacFrame(benchmark::State& state) {
   // One steady-state LMAC frame (Arg = node count) on 64-slot frames:
-  // control sections only, no DirQ traffic. Items are control receptions
-  // (sum of degrees), so ns per item stays flat when a frame is
-  // O(sum of degrees) and grows with degree when it is not.
+  // control sections only, no DirQ traffic. A steady section visits no
+  // receiver, so a frame costs its 64 slot events plus one counter bump
+  // per node. Items are still control receptions (sum of degrees), so the
+  // rate stays comparable with runs from when each frame walked them all.
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng(1);
   net::Topology topo = net::random_connected(net::scaled_placement(n), rng);
@@ -332,6 +334,57 @@ void BM_LmacFrame(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * topo.link_count()));
 }
 BENCHMARK(BM_LmacFrame)->Arg(50)->Arg(500)->Arg(2000);
+
+void BM_LmacFrameChurn(benchmark::State& state) {
+  // BM_LmacFrame under churn: every 8 frames one node dies and the previous
+  // victim revives with its old id and position, so deaths, timeout scans,
+  // an election and the dirty sections a join causes all run in timed
+  // frames. Occupancy views only grow, so each revival claims a slot never
+  // used before; the network is rebuilt (untimed, with 8 frames to settle)
+  // every 64 frames, long before the 64 slots run out. Items are frames.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(1);
+  const net::Topology pristine =
+      net::random_connected(net::scaled_placement(n), rng);
+  mac::LmacConfig cfg;
+  cfg.slots_per_frame = 64;
+  cfg.ticks_per_slot = 16;
+  constexpr std::int64_t kScriptFrames = 64;
+  constexpr std::int64_t kChurnEvery = 8;
+  std::optional<net::Topology> topo;
+  std::optional<sim::Scheduler> sched;
+  std::optional<mac::LmacNetwork> mac;
+  SimTime until = 0;
+  std::int64_t frame = kScriptFrames;  // the first iteration builds
+  NodeId victim = kNoNode;
+  std::size_t round = 0;
+  for (auto _ : state) {
+    if (frame == kScriptFrames) {
+      state.PauseTiming();
+      mac.reset();
+      sched.reset();
+      topo.emplace(pristine);
+      sched.emplace();
+      mac.emplace(*sched, *topo, cfg);
+      mac->start();
+      until = 8 * cfg.frame_ticks() - 1;
+      sched->run_until(until);
+      frame = 0;
+      victim = kNoNode;
+      state.ResumeTiming();
+    }
+    if (frame % kChurnEvery == 0) {
+      if (victim != kNoNode) topo->add_node(topo->node(victim));
+      victim = static_cast<NodeId>((++round * 7919) % n);
+      topo->kill_node(victim);
+    }
+    until += cfg.frame_ticks();
+    benchmark::DoNotOptimize(sched->run_until(until));
+    ++frame;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LmacFrameChurn)->Arg(500);
 
 void BM_GateScan(benchmark::State& state) {
   // The sampling-gate sweep at plan scale (4096 slots, ~half due):

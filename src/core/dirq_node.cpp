@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hpp"
-
 namespace dirq::core {
 
 DirqNode::DirqNode(NodeId id, std::vector<SensorType> sensors,
@@ -246,11 +244,7 @@ bool DirqNode::believes_relevant(TreeId tree,
 void DirqNode::on_child_lost(TreeId tree, NodeId child, std::int64_t epoch) {
   TreeSlot& slot = slots_.at(tree);
   for (auto& [type, t] : slot.tables) {
-    if (t.remove_child(child)) {
-      sim::log(sim::LogLevel::Debug, "dirq", "node ", id_,
-               " dropped child ", child, " from table ", type);
-      maybe_send_update(tree, type, epoch);
-    }
+    if (t.remove_child(child)) maybe_send_update(tree, type, epoch);
   }
   if (slot.child_boxes.erase(child) > 0) announce_location(tree, epoch);
   std::erase(slot.children, child);

@@ -11,7 +11,6 @@
 #include "analysis/cost_model.hpp"
 #include "core/gate_scan.hpp"
 #include "core/lossy.hpp"
-#include "sim/logging.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace dirq::core {
@@ -1250,13 +1249,11 @@ void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
 
 void DirqNetwork::handle_node_death(NodeId dead, std::int64_t epoch) {
   current_epoch_ = epoch;
-  sim::log(sim::LogLevel::Info, "dirq", "node ", dead, " died; repairing tree");
   retarget_trees(dead, epoch);
 }
 
 void DirqNetwork::handle_node_addition(NodeId added, std::int64_t epoch) {
   current_epoch_ = epoch;
-  sim::log(sim::LogLevel::Info, "dirq", "node ", added, " joined; repairing tree");
   retarget_trees(added, epoch);
 }
 

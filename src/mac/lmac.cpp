@@ -1,23 +1,22 @@
 #include "mac/lmac.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <deque>
 #include <stdexcept>
-
-#include "sim/logging.hpp"
 
 namespace dirq::mac {
 
 namespace {
 
-constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
-
-/// Position of `id`'s entry in `table`, or kNoEntry.
-std::size_t entry_index(const std::vector<NeighborEntry>& table, NodeId id) {
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table[i].id == id) return i;
+/// `id`'s entry in `table`, or nullptr. Only dirty sections and deaths
+/// look entries up, so a scan is enough.
+template <typename Entry>
+Entry* find_entry(std::vector<Entry>& table, NodeId id) {
+  for (Entry& e : table) {
+    if (e.id == id) return &e;
   }
-  return kNoEntry;
+  return nullptr;
 }
 
 }  // namespace
@@ -93,24 +92,40 @@ void LmacNetwork::start() {
   // Validate and elect before committing any state: a failed start leaves
   // the MAC unstarted, so a retry fails the same way and send/broadcast
   // keep rejecting.
-  if (cfg_.slots_per_frame > 64) {
+  if (cfg_.slots_per_frame < 1 || cfg_.slots_per_frame > 64) {
     throw std::invalid_argument(
-        "LmacNetwork: occupied-slot bitmasks support at most 64 slots");
+        "LmacNetwork: slots_per_frame must be in [1, 64] (the occupied-slot "
+        "bitmask width)");
+  }
+  if (cfg_.ticks_per_slot < 1) {
+    throw std::invalid_argument("LmacNetwork: ticks_per_slot must be >= 1");
+  }
+  if (cfg_.timeout_frames < 1) {
+    throw std::invalid_argument("LmacNetwork: timeout_frames must be >= 1");
   }
   const std::vector<int> slots = elect_slots(topo_, /*root=*/0, cfg_.slots_per_frame);
   state_.assign(topo_.size(), {});
   slot_members_.assign(cfg_.slots_per_frame, {});
   for (NodeId u = 0; u < topo_.size(); ++u) {
     if (!topo_.is_alive(u)) continue;
-    state_[u].slot = slots[u];
+    NodeState& st = state_[u];
+    st.slot = slots[u];
     slot_members_[static_cast<std::size_t>(slots[u])].push_back(u);
     // Prime neighbour tables from the converged election: after bootstrap
-    // every node has heard each neighbour at least once.
-    for (NodeId v : topo_.neighbors(u)) {
-      state_[u].neighbors.push_back(NeighborEntry{v, -1, slots[v]});
-      state_[u].occupied_view |= (1ULL << static_cast<unsigned>(slots[v]));
+    // every node has heard each neighbour at least once. An entry is live
+    // from the start (its neighbour's last_tx_frame is -1 until it
+    // transmits), and every node starts dirty. A neighbour that is dead
+    // from the start (explicit links may name one) never transmits: its
+    // entry is frozen at -1 and times out like any dead sender's.
+    const auto nbrs = topo_.neighbors(u);
+    st.receivers.assign(nbrs.begin(), nbrs.end());
+    for (NodeId v : nbrs) {
+      const bool live = topo_.is_alive(v);
+      st.neighbors.push_back(NeighborEntry{v, -1, live, 0});
+      if (!live) file_scan(u, cfg_.timeout_frames - 1);
+      st.occupied_view |= (1ULL << static_cast<unsigned>(slots[v]));
     }
-    state_[u].occupied_view |= (1ULL << static_cast<unsigned>(slots[u]));
+    st.occupied_view |= (1ULL << static_cast<unsigned>(slots[u]));
   }
   frame_ = 0;
   next_slot_ = 0;
@@ -143,32 +158,15 @@ void LmacNetwork::run_slot(std::size_t slot_index) {
 
 void LmacNetwork::transmit(NodeId owner) {
   NodeState& st = state_[owner];
-  // Control section: one broadcast transmission, every alive neighbour
-  // receives (and refreshes its liveness entry for `owner`).
-  st.control_tx += 1;
-  const auto nbrs = topo_.neighbors(owner);
-  if (st.entry_pos.size() != nbrs.size()) st.entry_pos.resize(nbrs.size(), 0);
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    const NodeId v = nbrs[k];
-    NodeState& recv = state_[v];
-    recv.control_rx += 1;
-    std::size_t& pos = st.entry_pos[k];
-    if (pos >= recv.neighbors.size() || recv.neighbors[pos].id != owner) {
-      pos = entry_index(recv.neighbors, owner);
-    }
-    if (pos == kNoEntry) {
-      // First time this node hears `owner` (node addition, §4.2).
-      pos = recv.neighbors.size();
-      recv.neighbors.push_back(NeighborEntry{owner, frame_, st.slot});
-      recv.occupied_view |= (1ULL << static_cast<unsigned>(st.slot));
-      if (observer_ != nullptr) observer_->on_neighbor_found(v, owner);
-    } else {
-      recv.neighbors[pos].last_heard_frame = frame_;
-      recv.neighbors[pos].slot = st.slot;
-    }
-    // Occupied-slot gossip: hearers fold the sender's view into their own
-    // (this is how LMAC propagates 2-hop occupancy).
-    recv.occupied_view |= st.occupied_view;
+  // Control section: one broadcast transmission that every alive neighbour
+  // receives. A clean section reaches the receivers of the last dirty one,
+  // whose entries are live and whose views already hold the sender's, so
+  // it only counts itself and stamps its frame (see the header comment).
+  if (st.dirty) {
+    transmit_control_dirty(owner);
+  } else {
+    st.control_tx += 1;
+    st.last_tx_frame = frame_;
   }
 
   // Data section: queued messages, transmitted this slot.
@@ -194,47 +192,109 @@ void LmacNetwork::transmit(NodeId owner) {
   }
 }
 
+void LmacNetwork::transmit_control_dirty(NodeId owner) {
+  NodeState& st = state_[owner];
+  const auto nbrs = topo_.neighbors(owner);
+  // Settle every receiver's entry first, so that until the loop below
+  // reaches a receiver its control_rx does not count this section. Only
+  // that loop grows a table, one with no entry here, so the pointers hold.
+  heard_entries_.clear();
+  for (NodeId v : nbrs) {
+    NeighborEntry* e = find_entry(state_[v].neighbors, owner);
+    if (e != nullptr) settle(state_[v], *e);
+    heard_entries_.push_back(e);
+  }
+  st.control_tx += 1;
+  st.last_tx_frame = frame_;
+  st.dirty = false;  // before any callback, so a join it causes re-dirties
+  st.receivers.assign(nbrs.begin(), nbrs.end());
+  const NeighborEntry heard{owner, frame_, true, st.control_tx};
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    const NodeId v = nbrs[k];
+    NodeState& recv = state_[v];
+    const std::uint64_t view_before = recv.occupied_view;
+    recv.control_rx += 1;
+    if (NeighborEntry* e = heard_entries_[k]) {
+      *e = heard;
+    } else {
+      // First time this node hears `owner` (node addition, §4.2).
+      recv.neighbors.push_back(heard);
+      recv.occupied_view |= (1ULL << static_cast<unsigned>(st.slot));
+      if (observer_ != nullptr) observer_->on_neighbor_found(v, owner);
+    }
+    // Occupied-slot gossip: hearers fold the sender's view into their own.
+    // A hearer whose view grew must pass it on in its next section.
+    recv.occupied_view |= st.occupied_view;
+    if (recv.occupied_view != view_before) recv.dirty = true;
+  }
+}
+
+void LmacNetwork::settle(NodeState& holder, NeighborEntry& entry) {
+  if (!entry.live) return;
+  const NodeState& sender = state_[entry.id];
+  holder.control_rx += sender.control_tx - entry.mark;
+  entry.last_heard_frame = sender.last_tx_frame;
+  entry.live = false;
+}
+
+void LmacNetwork::file_scan(NodeId id, std::int64_t frame) {
+  assert(frame >= frame_);
+  scans_due_[frame].push_back(id);
+}
+
 void LmacNetwork::end_of_frame() {
-  for (NodeId u = 0; u < topo_.size(); ++u) {
+  // Only two kinds of node can have work: joiners, and nodes holding an
+  // entry that expires this frame. Visit them in id order, as a pass over
+  // every node would.
+  std::vector<NodeId>& visit = frame_visits_;
+  visit.assign(joiners_.begin(), joiners_.end());
+  if (auto due = scans_due_.find(frame_); due != scans_due_.end()) {
+    visit.insert(visit.end(), due->second.begin(), due->second.end());
+    scans_due_.erase(due);
+  }
+  std::sort(visit.begin(), visit.end());
+  visit.erase(std::unique(visit.begin(), visit.end()), visit.end());
+  joiners_.clear();
+  for (NodeId u : visit) {
     if (!topo_.is_alive(u)) continue;
-    if (state_[u].joining) {
-      elect_joining_node(u);
-    } else if (frame_ - state_[u].heard_floor >= cfg_.timeout_frames) {
-      // Below that, no entry can have gone silent long enough to expire.
+    if (!state_[u].joining) {
       check_timeouts(u);
+      continue;
+    }
+    elect_joining_node(u);
+    if (state_[u].joining) {
+      joiners_.push_back(u);
+    } else {
+      // A joiner is never scanned, so an entry may have expired while it
+      // listened: scan it the frame after it elects.
+      file_scan(u, frame_ + 1);
     }
   }
 }
 
 void LmacNetwork::check_timeouts(NodeId id) {
   NodeState& st = state_[id];
-  // Entries added later are heard at frame_ or after.
-  std::int64_t floor = frame_;
   for (std::size_t i = 0; i < st.neighbors.size();) {
-    NeighborEntry& e = st.neighbors[i];
-    // last_heard_frame == -1 means "primed at bootstrap, not heard since";
-    // treat bootstrap as frame -1 so a node dead from frame 0 still times
-    // out after timeout_frames frames.
-    const std::int64_t silent = frame_ - e.last_heard_frame;
-    if (silent >= cfg_.timeout_frames) {
+    const NeighborEntry& e = st.neighbors[i];
+    // A live entry was heard this frame. A frozen one keeps the frame its
+    // sender last transmitted in, -1 for a sender that died before its
+    // first section, so it still times out after timeout_frames frames.
+    if (!e.live && frame_ - e.last_heard_frame >= cfg_.timeout_frames) {
       const NodeId lost = e.id;
       st.neighbors.erase(st.neighbors.begin() + static_cast<std::ptrdiff_t>(i));
-      sim::log(sim::LogLevel::Debug, "lmac",
-               "node ", id, " lost neighbor ", lost, " at frame ", frame_);
       if (observer_ != nullptr) observer_->on_neighbor_lost(id, lost);
     } else {
-      floor = std::min(floor, e.last_heard_frame);
       ++i;
     }
   }
-  st.heard_floor = floor;
 }
 
 void LmacNetwork::elect_joining_node(NodeId id) {
   NodeState& st = state_[id];
   // The joiner has listened for a full frame: its occupied_view now holds
-  // every slot used within two hops (1-hop control sections carry 2-hop
-  // occupancy). Claim the lowest free slot.
+  // every slot used within two hops, and, since gossip is transitive, every
+  // slot its neighbours' views hold (see the header notes). Claim the
+  // lowest slot outside them all.
   std::uint64_t taken = st.occupied_view;
   for (NodeId v : topo_.neighbors(id)) {
     taken |= state_[v].occupied_view;
@@ -247,15 +307,13 @@ void LmacNetwork::elect_joining_node(NodeId id) {
     }
   }
   if (chosen == kNoSlot) {
-    sim::log(sim::LogLevel::Warn, "lmac", "node ", id,
-             " found no free slot; will retry next frame");
+    ++join_retries_;
     return;  // stays joining; retries after the next frame
   }
   st.slot = chosen;
   st.joining = false;
   slot_members_[static_cast<std::size_t>(chosen)].push_back(id);
   st.occupied_view |= (1ULL << static_cast<unsigned>(chosen));
-  sim::log(sim::LogLevel::Debug, "lmac", "node ", id, " claimed slot ", chosen);
 }
 
 void LmacNetwork::send(NodeId from, NodeId to, std::any payload) {
@@ -275,6 +333,15 @@ std::vector<NodeId> LmacNetwork::known_neighbors(NodeId id) const {
   return out;
 }
 
+CostUnits LmacNetwork::control_rx(NodeId id) const {
+  const NodeState& st = state_.at(id);
+  CostUnits rx = st.control_rx;
+  for (const NeighborEntry& e : st.neighbors) {
+    if (e.live) rx += state_[e.id].control_tx - e.mark;
+  }
+  return rx;
+}
+
 CostUnits LmacNetwork::total_data_cost() const {
   CostUnits total = 0;
   for (const NodeState& st : state_) total += st.data_tx + st.data_rx;
@@ -289,16 +356,31 @@ void LmacNetwork::on_node_died(NodeId id) {
     st.slot = kNoSlot;
   }
   st.tx_queue.clear();
-  // Note: the dead node's neighbours are NOT told here — they find out by
-  // missing its control messages (timeout), exactly as in real LMAC.
+  // The dead node's neighbours are NOT told — they find out by missing its
+  // control messages (timeout), exactly as in real LMAC. Here the entries
+  // they hold for it stop being live, and each holder is filed for a scan
+  // at the frame its entry expires. The topology has already unlinked the
+  // node; `receivers` still names its last hearers.
+  for (NodeId v : st.receivers) {
+    NeighborEntry* e = find_entry(state_[v].neighbors, id);
+    if (e == nullptr || !e->live) continue;
+    settle(state_[v], *e);
+    file_scan(v, e->last_heard_frame + cfg_.timeout_frames);
+  }
+  st.receivers.clear();
+  // A dead node hears nothing more.
+  for (NeighborEntry& e : st.neighbors) settle(st, e);
 }
 
 void LmacNetwork::on_node_added(NodeId id) {
   if (!started_) return;
   if (state_.size() < topo_.size()) state_.resize(topo_.size());
   NodeState& st = state_.at(id);
-  st = NodeState{};
+  st = NodeState{};   // dirty, with an empty table and view
   st.joining = true;  // listen for one full frame, then claim a slot
+  joiners_.push_back(id);
+  // Its neighbours' next sections must find it and fill its view.
+  for (NodeId v : topo_.neighbors(id)) state_[v].dirty = true;
 }
 
 }  // namespace dirq::mac

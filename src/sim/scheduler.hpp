@@ -8,9 +8,9 @@
 //   * scheduling during dispatch is allowed, including at the current time.
 //
 // Cancellation is lazy: a cancelled entry stays in the heap and is skipped
-// at pop time. With the workloads in this repo (LMAC timeouts being
-// re-armed every frame) this is both simpler and faster than a mutable
-// indexed heap.
+// at pop time. That is simpler than a mutable indexed heap and cheap while
+// cancellations are rare; the library itself cancels nothing (LMAC runs one
+// event per slot and files its neighbour timeouts per frame itself).
 #pragma once
 
 #include <cstdint>

@@ -9,10 +9,11 @@
 //
 // The log records every lost/found callback as (frame, self, neighbour)
 // and, after each frame, every node's known_neighbors and control_rx. The
-// per-frame FNV-1a digests below were captured before the MAC gained its
-// cached entry positions and timeout floor; both are simulator bookkeeping
-// and must not move a single byte. Do NOT regenerate them with current
-// code. A mismatch names the first differing frame and prints its log.
+// per-frame FNV-1a digests below were captured from a MAC whose every
+// section walked every receiver; the bookkeeping that lets a section skip
+// them (clean sections, closed-form counts, timeout buckets) must not move
+// a single byte. Do NOT regenerate them with current code. A mismatch
+// names the first differing frame and prints its log.
 //
 // Exact bytes are libstdc++-specific (the placement draws through
 // std::uniform_real_distribution); the structural checks run everywhere.

@@ -276,6 +276,73 @@ TEST(Lmac, FailedElectionLeavesMacUnstarted) {
   EXPECT_EQ(sched.pending(), 0u);  // no frame loop was scheduled
 }
 
+TEST(Lmac, StartRejectsConfigsTheFrameLoopCannotRun) {
+  // Zero ticks per slot never leaves the current tick, zero timeout frames
+  // expires every entry every frame, and zero slots is no frame at all.
+  // start() must refuse them before it schedules anything.
+  sim::Rng rng(1);
+  net::Topology topo = net::random_connected(net::scaled_placement(50), rng);
+  const auto reject = [&](LmacConfig cfg, const char* what) {
+    sim::Scheduler sched;
+    LmacNetwork mac(sched, topo, cfg);
+    try {
+      mac.start();
+      ADD_FAILURE() << what << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": wrong exception: " << e.what();
+    }
+    EXPECT_EQ(sched.pending(), 0u) << what;  // no frame loop was scheduled
+    expect_unstarted(mac);
+  };
+  LmacConfig cfg;
+  cfg.slots_per_frame = 64;
+  cfg.ticks_per_slot = 16;
+  LmacConfig bad = cfg;
+  bad.slots_per_frame = 0;
+  reject(bad, "slots_per_frame");
+  bad = cfg;
+  bad.ticks_per_slot = 0;
+  reject(bad, "ticks_per_slot");
+  bad = cfg;
+  bad.timeout_frames = 0;
+  reject(bad, "timeout_frames");
+}
+
+TEST(Lmac, JoinerWithNoFreeSlotRetriesEveryFrame) {
+  // At the smallest frame the election accepts, some node's two hops use
+  // every slot, and occupancy gossip is transitive: every view in the
+  // (connected) network fills up, so a newcomer never finds a free slot.
+  sim::Rng rng(1);
+  net::Topology topo = net::random_connected(net::RandomPlacementConfig{}, rng);
+  std::size_t slots = 1;
+  while (true) {
+    try {
+      (void)elect_slots(topo, 0, slots);
+      break;
+    } catch (const std::runtime_error&) {
+      ++slots;
+    }
+  }
+  LmacConfig cfg;
+  cfg.slots_per_frame = slots;
+  Harness h(std::move(topo), cfg);
+  h.run_frames(20);  // views converge
+  EXPECT_EQ(h.mac.join_retries(), 0u);
+  NodeId densest = 0;
+  for (NodeId u = 0; u < h.topo.size(); ++u) {
+    if (h.topo.neighbors(u).size() > h.topo.neighbors(densest).size()) densest = u;
+  }
+  net::Node newcomer;
+  newcomer.x = h.topo.node(densest).x + 0.1;
+  newcomer.y = h.topo.node(densest).y;
+  const NodeId id = h.topo.add_node(newcomer);
+  h.run_frames(6);
+  EXPECT_EQ(h.mac.slot_of(id), kNoSlot);
+  EXPECT_EQ(h.mac.join_retries(), 6u);
+}
+
 TEST(Lmac, FrameCounterAdvances) {
   Harness h(line(2));
   h.run_frames(7);
