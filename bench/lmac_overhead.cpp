@@ -16,10 +16,11 @@
 //     mac_ctl / (mac_ctl + dirq) — how much of the radio's energy the
 //     schedule keeps for itself.
 //
-// --threads adds a worker-count axis (0 = all hardware threads): the
-// chunk-sharded LMAC epoch engine keeps every cell's ledger byte-identical
-// across the axis, so only wall_seconds moves — the row pairs are the
-// partial-parallelism speedup surface.
+// --threads adds a worker-count axis (0 = all hardware threads): LMAC
+// runs keep the epoch walk and slot drain on the caller and put only the
+// reading fetch on the pool, so every cell's ledger is byte-identical
+// across the axis and only wall_seconds moves — the row pairs measure
+// what the pool-parallel fetch buys.
 //
 // Rows are emitted through the sweep result sinks; --json writes the
 // dirq.sweep.v1 document (whose metrics block carries mac_control_total).

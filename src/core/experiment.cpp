@@ -20,13 +20,6 @@
 
 namespace dirq::core {
 
-const char* Experiment::thread_mode_note(const ExperimentConfig& cfg) {
-  if (cfg.transport == TransportKind::Lmac) {
-    return "epoch phases parallel; slot delivery stays sequential";
-  }
-  return nullptr;
-}
-
 unsigned Experiment::effective_threads(const ExperimentConfig& cfg) {
   return sim::ThreadPool::resolve(cfg.threads);
 }
@@ -161,7 +154,7 @@ ExperimentResults Experiment::run() {
   // Intra-run parallelism: the network runs its epoch plan on one thread
   // unless asked for more. Every backend honours the count — lossy runs
   // evaluate their order-independent drop verdicts inside the pool tasks,
-  // LMAC runs chunk the epoch walk around the sequential slot loop.
+  // LMAC runs fetch readings on the pool and walk on the caller.
   const unsigned threads = effective_threads(cfg_);
   if (threads > 1) network.set_threads(threads);
 

@@ -91,10 +91,11 @@ struct ExperimentConfig {
   /// 1 (default) runs the epoch plan as one chunk — the golden
   /// configuration; 0 means all hardware threads. Single-sink instant
   /// runs shard by root-child subtree, multi-sink instant runs by
-  /// spanning tree, LMAC runs chunk the epoch walk around the (still
-  /// sequential) slot loop, and lossy channels evaluate their
-  /// counter-keyed drop verdicts inside the pool tasks; every combination
-  /// is byte-identical to 1 thread — see Experiment::effective_threads.
+  /// spanning tree, and lossy channels evaluate their counter-keyed drop
+  /// verdicts inside the pool tasks. LMAC runs keep the one-chunk walk
+  /// and slot loop on the caller and use the pool for the reading fetch.
+  /// Every combination is byte-identical to 1 thread — see
+  /// Experiment::effective_threads.
   unsigned threads = 1;
   TransportKind transport = TransportKind::Instant;
   /// Frame geometry when transport == Lmac. The default (32 slots x 32
@@ -251,20 +252,12 @@ class Experiment {
   ExperimentResults run();
 
   /// The worker count a config actually runs with: cfg.threads resolved
-  /// (0 → hardware concurrency). Every transport honours it: lossy
-  /// channels use order-independent counter-keyed drop verdicts
-  /// (core/lossy.hpp) and LMAC runs its epoch walk in parallel chunks
-  /// around the still-sequential slot loop — every width is
-  /// byte-identical to --threads 1. Exposed so the CLI reports the
-  /// resolved count.
+  /// (0 → hardware concurrency), the size of the run's pool on every
+  /// transport. Lossy channels use order-independent counter-keyed drop
+  /// verdicts (core/lossy.hpp); LMAC runs use the pool for the reading
+  /// fetch only — every width is byte-identical to --threads 1. Exposed
+  /// so the CLI and the benches report the resolved count.
   [[nodiscard]] static unsigned effective_threads(const ExperimentConfig& cfg);
-
-  /// A short note on *how* a config parallelises when that needs saying —
-  /// LMAC reports partial parallelism (the slot-ordered delivery loop is
-  /// the MAC's contract and stays sequential; sampling, gating, and
-  /// update preparation fan out). nullptr when there is nothing to add.
-  [[nodiscard]] static const char* thread_mode_note(
-      const ExperimentConfig& cfg);
 
   [[nodiscard]] const ExperimentConfig& config() const noexcept { return cfg_; }
 

@@ -9,42 +9,15 @@ LmacTransport::LmacTransport(mac::LmacNetwork& mac, MessageSink& sink)
   mac_.set_observer(this);
 }
 
-void LmacTransport::charge_tx(const Message& msg) {
-  if (std::holds_alternative<QueryMessage>(msg) ||
-      std::holds_alternative<MultiQueryMessage>(msg)) {
-    ledger_.query_tx += 1;
-  } else if (std::holds_alternative<UpdateMessage>(msg)) {
-    ledger_.update_tx += 1;
-  } else {
-    ledger_.control_tx += 1;
-  }
-}
-
-void LmacTransport::charge_rx(const Message& msg) {
-  if (std::holds_alternative<QueryMessage>(msg) ||
-      std::holds_alternative<MultiQueryMessage>(msg)) {
-    ledger_.query_rx += 1;
-  } else if (std::holds_alternative<UpdateMessage>(msg)) {
-    ledger_.update_rx += 1;
-  } else {
-    ledger_.control_rx += 1;
-  }
-}
-
 void LmacTransport::unicast(NodeId from, NodeId to, const Message& msg) {
-  charge_tx(msg);
-  mac_.send(from, to, msg);
-}
-
-void LmacTransport::unicast_uncharged(NodeId from, NodeId to,
-                                      const Message& msg) {
+  InstantTransport::charge_tx(ledger_, msg);
   mac_.send(from, to, msg);
 }
 
 void LmacTransport::multicast(NodeId from, std::span<const NodeId> targets,
                               const Message& msg) {
   if (targets.empty()) return;
-  charge_tx(msg);
+  InstantTransport::charge_tx(ledger_, msg);
   // One transmission; the target set rides in the payload (as in LMAC's
   // data section addressing). Delivered via link broadcast; non-addressed
   // hearers discard without charging reception (they sleep through the
@@ -56,7 +29,7 @@ void LmacTransport::multicast(NodeId from, std::span<const NodeId> targets,
 }
 
 void LmacTransport::broadcast(NodeId from, const Message& msg) {
-  charge_tx(msg);
+  InstantTransport::charge_tx(ledger_, msg);
   mac_.broadcast(from, msg);
 }
 
@@ -66,12 +39,12 @@ void LmacTransport::on_message(NodeId self, const mac::Frame& frame) {
                             addressed->targets.end(), self)) {
       return;  // data section not addressed to us
     }
-    charge_rx(addressed->msg);
+    InstantTransport::charge_rx(ledger_, addressed->msg);
     sink_.deliver(self, frame.src, addressed->msg);
     return;
   }
   if (const auto* msg = std::any_cast<Message>(&frame.payload)) {
-    charge_rx(*msg);
+    InstantTransport::charge_rx(ledger_, *msg);
     sink_.deliver(self, frame.src, *msg);
   }
 }

@@ -7,9 +7,15 @@
 // harness). This is the paper's §4.2 cross-layer path.
 //
 // Cost note: this transport reports *data-section* costs in its ledger
-// (the DirQ messages); LMAC's own control traffic is accounted inside
-// LmacNetwork and is the MAC's standing cost, present for flooding and
-// DirQ alike.
+// (the DirQ messages), split by kind through InstantTransport's shared
+// classifier; LMAC's own control traffic is accounted inside LmacNetwork
+// and is the MAC's standing cost, present for flooding and DirQ alike.
+//
+// Sends only enqueue into the sender's MAC queue; the scheduler's slot
+// loop delivers them later, in slot order. The epoch engine runs its walk
+// on the caller over this transport at every --threads width (the pool
+// still runs the reading fetch), so the walk's sends and the slot loop
+// both stay on one thread.
 #pragma once
 
 #include <functional>
@@ -32,22 +38,10 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
   void broadcast(NodeId from, const Message& msg) override;
   [[nodiscard]] const CostLedger& costs() const override { return ledger_; }
   /// Writable ledger access so a driver swapping transports mid-run can
-  /// carry an earlier transport's accumulated costs over, and so the
-  /// parallel epoch engine can merge its shard-local ledgers in.
+  /// carry an earlier transport's accumulated costs over.
   [[nodiscard]] CostLedger& mutable_costs() noexcept override {
     return ledger_;
   }
-  /// Sends only enqueue into the sender's per-node tx queue; delivery
-  /// happens later in the scheduler's slot loop. This is what lets the
-  /// epoch engine walk nodes in parallel chunks: during the walk nothing
-  /// is delivered, so slot order — the MAC's contract — is untouched.
-  [[nodiscard]] bool deferred_delivery() const noexcept override {
-    return true;
-  }
-  /// Enqueue without charging ledger_ — mac::LmacNetwork::send is a pure
-  /// push into the sender's own queue, so distinct senders can enqueue
-  /// concurrently while the engine's shard-local ledgers take the charge.
-  void unicast_uncharged(NodeId from, NodeId to, const Message& msg) override;
 
   // --- cross-layer notifications ---------------------------------------------
   using NeighborHandler = std::function<void(NodeId self, NodeId neighbor)>;
@@ -64,9 +58,6 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
     std::vector<NodeId> targets;
     Message msg;
   };
-
-  void charge_tx(const Message& msg);
-  void charge_rx(const Message& msg);
 
   mac::LmacNetwork& mac_;
   MessageSink& sink_;

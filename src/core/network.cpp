@@ -98,10 +98,6 @@ struct alignas(64) EpochShardCtx {
   // are order-independent; only these tallies need the ordered merge).
   std::int64_t loss_offered = 0;
   std::int64_t loss_dropped = 0;
-  // Chunk geometry only: per-tree tx mirror — a chunk carries several
-  // trees' messages when multiple sinks ride a deferred transport, so the
-  // task's single ledger cannot be attributed to one tree at merge.
-  ShardVector<CostLedger> tree_delta;
   // The sweep: one (type, tree) pass's crossing readings, and the
   // epoch's events.
   ShardVector<std::uint32_t> cross_reads;
@@ -162,20 +158,11 @@ AtcController::TypeState* atc_state(DirqNode& node, TreeId k,
 /// for a range of tree slots, and every task runs consume_crossings. One
 /// partition step (rebuild_plan) picks the geometry:
 ///
-/// * Inline (a pool of 1, or a synchronous transport other than the
-///   built-in instant one): one chunk — the whole reversed epoch walk —
-///   and one task over all trees, run on the caller with the real
-///   transport, so every send delivers (or enqueues) as it happens.
-///
-/// * Chunks (a deferred-delivery transport, i.e. LMAC, with a pool of
-///   more than 1): min(pool, walk) contiguous chunks of the reversed walk,
-///   each task all trees. This is safe for any sink count because sends
-///   on a deferred transport only enqueue into the *sender's* per-node
-///   MAC queue (mac::LmacNetwork::send is a pure push), so nothing
-///   crosses chunks during the walk; the slot-ordered transmit/deliver
-///   loop — the MAC's ordering contract — runs later, sequentially, in
-///   the scheduler. Sends charge the task ledger plus a per-tree
-///   tree_delta mirror, both merged in task order.
+/// * Inline (a pool of 1, or any transport other than the built-in
+///   instant one, LMAC included): one chunk — the whole reversed epoch
+///   walk — and one task over all trees, run on the caller with the real
+///   transport, so every send delivers (or, on LMAC, enqueues for the
+///   slot loop) as it happens. A wider pool still runs the fetch.
 ///
 /// * Subtrees (the built-in instant transport, one tree): segment s is
 ///   the s-th root child's subtree in leaves-first (reversed cached-BFS)
@@ -256,7 +243,7 @@ struct DirqNetwork::EpochEngine {
 
   static constexpr std::size_t kNoSeg = static_cast<std::size_t>(-1);
 
-  enum class Geometry { Inline, Chunks, Subtrees, Trees };
+  enum class Geometry { Inline, Subtrees, Trees };
 
   /// Segment `seg` for tree slots [first, last); `lead` owns the gate.
   struct Task {
@@ -476,19 +463,6 @@ void DirqNetwork::wire_node(DirqNode& n) {
       // per tree `from` transmits in several tasks at once.
       if (std::holds_alternative<UpdateMessage>(msg)) ++ctx->update_msgs;
       ctx->tx_delta.at(from) += 1;
-      if (engine_->geometry == EpochEngine::Geometry::Chunks) {
-        // The send only enqueues into `from`'s own MAC queue
-        // (single-writer — this chunk owns `from`). Charge the task
-        // ledger and the message's per-tree mirror locally; both merge in
-        // task order after the join.
-        InstantTransport::charge_tx(ctx->ledger, msg);
-        const TreeId t = message_tree(msg);
-        if (t < ctx->tree_delta.size()) {
-          InstantTransport::charge_tx(ctx->tree_delta[t], msg);
-        }
-        transport_->unicast_uncharged(from, to, msg);
-        return;
-      }
       parallel_unicast(*ctx, from, to, msg);
       return;
     }
@@ -697,9 +671,6 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
     ctx.to_root.clear();
     ctx.loss_offered = 0;
     ctx.loss_dropped = 0;
-    if (pe.geometry == EpochEngine::Geometry::Chunks) {
-      ctx.tree_delta.assign(trees_.count(), CostLedger{});
-    }
   }
   if (pe.pool_tasks > 0) {
     pe.pool.parallel_for(pe.pool_tasks, [this, &pe, epoch](std::size_t i) {
@@ -713,20 +684,14 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
   // transmission with the same epoch, so recorded series are identical.
   // Each task's ledger also merges into its tree's mirror — a tree task
   // carries exactly its tree's traffic (asserted in parallel_unicast), a
-  // subtree task only tree 0's, and a chunk carried its own per-tree
-  // tree_delta mirror. Lossy-channel offered/dropped tallies merge in the
-  // same fixed order. Per-node tx/rx deltas merge (and reset) likewise.
+  // subtree task only tree 0's. Lossy-channel offered/dropped tallies
+  // merge in the same fixed order. Per-node tx/rx deltas merge (and
+  // reset) likewise.
   CostLedger& ledger = transport_->mutable_costs();
   for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
     EpochShardCtx& ctx = pe.ctx[i];
     accumulate(ledger, ctx.ledger);
-    if (pe.geometry == EpochEngine::Geometry::Chunks) {
-      for (std::size_t t = 0; t < ctx.tree_delta.size(); ++t) {
-        accumulate(tree_ledgers_[t], ctx.tree_delta[t]);
-      }
-    } else {
-      accumulate(tree_ledgers_[pe.tasks[i].first], ctx.ledger);
-    }
+    accumulate(tree_ledgers_[pe.tasks[i].first], ctx.ledger);
     if (loss_ != nullptr) {
       loss_->add_counts(ctx.loss_offered, ctx.loss_dropped);
     }
@@ -775,23 +740,13 @@ void DirqNetwork::rebuild_plan() {
   pe.segs.clear();
   pe.tasks.clear();
   pe.seg_of.clear();
-  const bool instant = transport_ == instant_.get();
-  const bool deferred = transport_->deferred_delivery();
-  if (pe.pool.size() == 1 || (!instant && !deferred)) {
+  // Pool tasks mirror the built-in instant transport's accounting
+  // (parallel_unicast), so only it is sharded.
+  if (pe.pool.size() == 1 || transport_ != instant_.get()) {
     pe.geometry = Geometry::Inline;
     pe.segs.push_back(std::move(walk));
     pe.tasks.push_back({0, 0, trees, true});
     pe.pool_tasks = 0;
-  } else if (deferred) {
-    pe.geometry = Geometry::Chunks;
-    const std::size_t S = std::max<std::size_t>(
-        1, std::min<std::size_t>(pe.pool.size(), walk.size()));
-    for (std::size_t s = 0; s < S; ++s) {
-      pe.segs.emplace_back(walk.begin() + s * walk.size() / S,
-                           walk.begin() + (s + 1) * walk.size() / S);
-      pe.tasks.push_back({s, 0, trees, true});
-    }
-    pe.pool_tasks = S;
   } else if (trees == 1) {
     pe.geometry = Geometry::Subtrees;
     const net::SpanningTree& tree0 = trees_.tree(0);

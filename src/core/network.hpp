@@ -135,11 +135,11 @@ class DirqNetwork final : public MessageSink {
   ///
   /// Every epoch runs the cached epoch plan (network.cpp): segments of
   /// that walk and tasks that each consume one segment for a range of tree
-  /// slots. At one thread — and on a synchronous transport other than the
-  /// built-in instant one — the plan is a single chunk, the whole walk,
-  /// run on the caller with the real transport. Wider pools shard it (see
-  /// set_threads). Whatever the width, the outcome is the same byte for
-  /// byte; the oracle is the reference walk in
+  /// slots. At one thread, and on any transport other than the built-in
+  /// instant one (LMAC included), the plan is a single chunk, the whole
+  /// walk, run on the caller with the real transport. Wider pools shard it
+  /// on the instant transport (see set_threads). Whatever the width, the
+  /// outcome is the same byte for byte; the oracle is the reference walk in
   /// tests/support/reference_walk.hpp, a sequential two-pass walk that
   /// drives the nodes through public APIs, which
   /// core.parallel_reference_walk_test checks every width against.
@@ -174,25 +174,21 @@ class DirqNetwork final : public MessageSink {
 
   /// Intra-run worker count for process_epoch: 1 (the default) runs the
   /// plan as one chunk on the caller; 0 means all hardware threads. With
-  /// more than one thread the plan shards the walk. On the built-in
-  /// instant transport it shards by root-child subtree for one sink (all
-  /// update traffic is up-tree unicast, so tasks only meet at the root,
-  /// whose deliveries are replayed after the merge before the root's own
+  /// more than one thread the plan shards the walk on the built-in
+  /// instant transport: by root-child subtree for one sink (all update
+  /// traffic is up-tree unicast, so tasks only meet at the root, whose
+  /// deliveries are replayed after the merge before the root's own
   /// segment runs) and by spanning tree for several sinks (each task
   /// advances only its own tree's per-node slot, so the tasks are
-  /// write-disjoint; task 0 owns the shared sampling gate). A
-  /// deferred-delivery transport (LMAC) gets contiguous chunks of the
-  /// walk, each node fully processed in one chunk — sends only enqueue
-  /// into the sender's own per-node MAC queue, so the walk is
-  /// write-disjoint and the slot-ordered delivery loop (the MAC's
-  /// contract) stays sequential and untouched. Any other transport runs
-  /// the one-chunk plan. Pool tasks charge task-local ledgers merged in
-  /// task order, evaluate loss verdicts in place (they are pure functions
-  /// of delivery identity, core/lossy.hpp), and — like every epoch — run
-  /// inside an open query audit unchanged, since an epoch sends only
-  /// update traffic and audits record only query deliveries. Reading
-  /// batches run concurrently, split below whole types when the source
-  /// allows.
+  /// write-disjoint; task 0 owns the shared sampling gate). Any other
+  /// transport (LMAC included) runs the one-chunk plan on the caller at
+  /// every width, and its pool runs only the reading fetch. Pool tasks
+  /// charge task-local ledgers merged in task order, evaluate loss
+  /// verdicts in place (they are pure functions of delivery identity,
+  /// core/lossy.hpp), and — like every epoch — run inside an open query
+  /// audit unchanged, since an epoch sends only update traffic and audits
+  /// record only query deliveries. Reading batches run concurrently,
+  /// split below whole types when the source allows.
   ///
   /// The pool's workers spin for sim::ThreadPool::kSpinWindow after each
   /// job, so between the two fork-joins of an epoch (fetch, consume) and

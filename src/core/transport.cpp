@@ -1,15 +1,8 @@
 #include "core/transport.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace dirq::core {
-
-void Transport::unicast_uncharged(NodeId /*from*/, NodeId /*to*/,
-                                  const Message& /*msg*/) {
-  throw std::logic_error(
-      "unicast_uncharged: transport does not defer delivery");
-}
 
 void InstantTransport::charge_tx(CostLedger& ledger, const Message& msg,
                                  CostUnits n) {

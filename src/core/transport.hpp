@@ -14,6 +14,10 @@
 //     over the event scheduler: slot-synchronous delivery, real timeout-
 //     based neighbour-death detection. Used by integration tests and the
 //     topology-churn example.
+//
+// The epoch engine shards its walk only on the network's built-in
+// InstantTransport, whose accounting its pool tasks mirror; any other
+// transport runs the walk on the caller (DirqNetwork::set_threads).
 #pragma once
 
 #include <span>
@@ -69,21 +73,6 @@ class Transport {
   /// shard-local ledgers into this, and drivers swapping transports
   /// mid-run use it to carry accumulated costs over.
   [[nodiscard]] virtual CostLedger& mutable_costs() noexcept = 0;
-
-  /// True when sends enqueue for later delivery instead of delivering
-  /// synchronously (LMAC: frames ride the slot schedule). The epoch
-  /// engine keys its shard geometry on this — deferred transports see no
-  /// deliveries during the epoch walk, so whole nodes can be processed
-  /// in parallel chunks with delivery order untouched.
-  [[nodiscard]] virtual bool deferred_delivery() const noexcept {
-    return false;
-  }
-
-  /// Enqueues a unicast without charging the shared ledger — the
-  /// parallel engine charges its shard-local ledger instead and merges
-  /// deterministically. Only meaningful on deferred-delivery transports;
-  /// the default throws.
-  virtual void unicast_uncharged(NodeId from, NodeId to, const Message& msg);
 };
 
 /// Synchronous unit-cost transport over the topology graph.
@@ -103,8 +92,8 @@ class InstantTransport final : public Transport {
   }
 
   /// Message-kind classification of one charge (query / update / control),
-  /// shared with the parallel epoch engine's shard-local ledgers so the
-  /// kind split can never drift from the transport's.
+  /// shared with LmacTransport, the per-tree mirrors and the parallel
+  /// epoch engine's shard-local ledgers so the kind split can never drift.
   static void charge_tx(CostLedger& ledger, const Message& msg,
                         CostUnits n = 1);
   static void charge_rx(CostLedger& ledger, const Message& msg,

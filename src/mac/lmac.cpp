@@ -114,15 +114,12 @@ void LmacNetwork::start() {
     // Prime neighbour tables from the converged election: after bootstrap
     // every node has heard each neighbour at least once. An entry is live
     // from the start (its neighbour's last_tx_frame is -1 until it
-    // transmits), and every node starts dirty. A neighbour that is dead
-    // from the start (explicit links may name one) never transmits: its
-    // entry is frozen at -1 and times out like any dead sender's.
+    // transmits), and every node starts dirty. Links only join alive
+    // nodes, so every neighbour has a slot.
     const auto nbrs = topo_.neighbors(u);
     st.receivers.assign(nbrs.begin(), nbrs.end());
     for (NodeId v : nbrs) {
-      const bool live = topo_.is_alive(v);
-      st.neighbors.push_back(NeighborEntry{v, -1, live, 0});
-      if (!live) file_scan(u, cfg_.timeout_frames - 1);
+      st.neighbors.push_back(NeighborEntry{v, -1, true, 0});
       st.occupied_view |= (1ULL << static_cast<unsigned>(slots[v]));
     }
     st.occupied_view |= (1ULL << static_cast<unsigned>(slots[u]));

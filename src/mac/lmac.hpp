@@ -44,9 +44,7 @@
 //     sections since. The entry was last heard at the sender's last
 //     transmit frame.
 //   * Links only drop when a node dies, so a death is the only way an
-//     entry goes silent (start() freezes the entry for a neighbour that
-//     explicit links name but that is dead from the start). A death
-//     settles and freezes the entries in both
+//     entry goes silent. A death settles and freezes the entries in both
 //     directions and files each holder for a timeout scan at the frame its
 //     frozen entry expires; end_of_frame scans only those holders (and a
 //     joiner the frame after it elects, since a joiner is never scanned),

@@ -34,8 +34,7 @@ void SpanningTree::rebuild(const Topology& topo) {
     max_depth_ = std::max(max_depth_, depth_[u]);
     // Topology adjacency lists are sorted ascending, so children adopt the
     // lowest-id reachable parent first: deterministic rebuilds. The alive
-    // filter is centralised here: a dead node never becomes a member even
-    // when links still name it (explicit-link topologies).
+    // filter is centralised here: a dead node never becomes a member.
     for (NodeId v : topo.neighbors(u)) {
       if (depth_[v] >= 0 || !topo.is_alive(v)) continue;
       depth_[v] = depth_[u] + 1;

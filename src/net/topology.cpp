@@ -38,7 +38,8 @@ Topology::Topology(std::vector<Node> nodes,
     if (a == b) throw std::invalid_argument("Topology: self link");
     if (a >= nodes_.size() || b >= nodes_.size())
       throw std::invalid_argument("Topology: link endpoint out of range");
-    link(a, b);
+    // A dead node has no links, as after kill_node.
+    if (nodes_[a].alive && nodes_[b].alive) link(a, b);
   }
   // Index the positions anyway: add_node revivals re-link by unit disk.
   std::vector<double> xs, ys;
@@ -73,8 +74,8 @@ bool Topology::is_connected() const {
     stack.pop_back();
     ++reached;
     for (NodeId v : adjacency_[u]) {
-      // Explicit-link topologies may keep links naming dead nodes; the
-      // alive filter here matches SpanningTree::rebuild.
+      // Links only join alive nodes; the alive filter is a guard that
+      // matches SpanningTree::rebuild's.
       if (!seen[v] && nodes_[v].alive) {
         seen[v] = true;
         stack.push_back(v);

@@ -53,7 +53,8 @@ class Topology {
 
   /// Constructs with an explicit link list (used for exact k-ary trees in
   /// the analytical validation, where a unit-disk embedding would add
-  /// unwanted cross links). Later add_node calls link by unit disk with
+  /// unwanted cross links). A link that names a dead node is dropped, as
+  /// kill_node would drop it. Later add_node calls link by unit disk with
   /// radio_range 0, i.e. revived nodes start isolated.
   Topology(std::vector<Node> nodes,
            const std::vector<std::pair<NodeId, NodeId>>& links);
@@ -76,8 +77,7 @@ class Topology {
   [[nodiscard]] std::size_t link_count() const noexcept { return link_count_; }
 
   /// True if the alive subgraph is connected (trivially true for <= 1 node).
-  /// Dead nodes are never traversed, even if links name them (possible
-  /// with the explicit-link constructor).
+  /// Dead nodes are never traversed.
   [[nodiscard]] bool is_connected() const;
 
   /// Reference O(n^2) unit-disk adjacency (the pre-spatial-index link

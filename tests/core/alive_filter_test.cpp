@@ -63,9 +63,10 @@ TEST(AliveFilter, DeadNodeLeavesCachedBfsOrderInternalCountAndThetaMean) {
 }
 
 TEST(AliveFilter, ExplicitLinkTopologyNeverTraversesDeadNodes) {
-  // The explicit-link constructor keeps links naming dead nodes; the tree
-  // and connectivity traversals must still skip them (this used to differ
-  // between is_connected, BFS membership, and the per-caller filters).
+  // Links below name a node that is dead on arrival; the explicit-link
+  // constructor drops them, and the tree and connectivity traversals must
+  // skip the node either way (this used to differ between is_connected,
+  // BFS membership, and the per-caller filters).
   std::vector<net::Node> nodes(4);
   nodes[2].alive = false;  // dead on arrival, but named by links below
   for (auto& n : nodes) n.sensors = {kSensorTemperature};

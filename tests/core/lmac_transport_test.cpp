@@ -108,9 +108,9 @@ TEST(LmacTransport, MulticastUnsortedTargetsAllReceiveExactlyOnce) {
 }
 
 TEST(LmacTransport, LedgerClassifiesEveryMessageKind) {
-  // charge_tx/charge_rx routing: Query and MultiQuery feed the query
-  // counters, Update the update counters, and everything else (EhrMessage,
-  // LocationAnnounce) is control traffic.
+  // The shared classifier (InstantTransport::charge_tx/charge_rx): Query
+  // and MultiQuery feed the query counters, Update the update counters,
+  // and everything else (EhrMessage, LocationAnnounce) is control traffic.
   Rig r(3);
   r.transport.unicast(1, 0, Message{QueryMessage{}});
   r.transport.unicast(1, 0, Message{MultiQueryMessage{}});

@@ -3,9 +3,8 @@
 // shards. A verdict depends only on the delivery's identity
 // (tree, from, to, per-key sequence number), so any interleaving of
 // deliveries that preserves each key's own subsequence order must produce
-// the identical per-frame verdict set. The sequential engine, the
-// tree-sharded engine, and the chunk-sharded LMAC engine are all such
-// interleavings of one another.
+// the identical per-frame verdict set. The one-chunk walk and the subtree-
+// and tree-sharded engines are all such interleavings of one another.
 #include "core/lossy.hpp"
 
 #include <gtest/gtest.h>

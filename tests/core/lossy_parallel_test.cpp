@@ -2,8 +2,8 @@
 // run and an LMAC run at N threads must produce byte-identical
 // ExperimentResults to the same run at --threads 1, on every transport and
 // at every sink count. The sequential engine is the specification; the
-// shard geometries (subtree, tree, LMAC chunk) are implementations that
-// must be observationally invisible.
+// shard geometries (subtree, tree) and LMAC's pool-parallel fetch are
+// implementations that must be observationally invisible.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -70,8 +70,8 @@ TEST(LossyParallel, LmacMultiSinkByteIdenticalAcrossThreads) {
 }
 
 TEST(LossyParallel, LossyLmacByteIdenticalAcrossThreads) {
-  // Both unclamped backends stacked: counter-mode drops riding the
-  // chunk-sharded LMAC epoch walk.
+  // Both unclamped backends stacked: counter-mode drops riding the LMAC
+  // epoch walk beside a pool-parallel fetch.
   const ExperimentConfig cfg = base_config(2, 0.15, TransportKind::Lmac);
   const std::string sequential = run_at(cfg, 1);
   for (unsigned threads : {2u, 4u}) {

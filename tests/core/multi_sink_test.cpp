@@ -136,19 +136,17 @@ TEST(MultiSink, AdmissionBalancesEnergyAtLeastAsWellAsRoundRobin) {
 }
 
 TEST(MultiSink, EffectiveThreadsHonoursMultiSinkRequests) {
-  // Every backend honours the requested thread count now: the lossy
-  // channel evaluates counter-mode drops in-shard and LMAC parallelises
-  // its epoch phases, so no configuration clamps back to sequential.
+  // Every backend honours the requested thread count: the lossy channel
+  // evaluates counter-mode drops in-shard and LMAC runs its fetch on the
+  // pool, so no configuration clamps the pool back to one thread.
   ExperimentConfig cfg = small_config(4);
   cfg.threads = 4;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
   cfg.transport = TransportKind::Lmac;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
-  EXPECT_NE(Experiment::thread_mode_note(cfg), nullptr);
   cfg.transport = TransportKind::Instant;
   cfg.loss_rate = 0.1;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
-  EXPECT_EQ(Experiment::thread_mode_note(cfg), nullptr);
 }
 
 TEST(MultiSink, ValidateRejectsBadSinkConfigs) {

@@ -1,12 +1,12 @@
 // Intra-run parallelism determinism tier: an N-thread run must produce a
 // byte-identical ExperimentResults summary to the 1-thread run. Every
-// width runs the same epoch plan — one chunk at 1 thread, shards of the
-// walk above it — and goldens are only ever recorded against --threads 1,
-// so this is the contract that makes the wider plans safe to enable at
-// all. The oracle for every width, 1 included, is the reference walk
-// (tests/support/reference_walk.hpp, checked epoch by epoch in
-// parallel_reference_walk_test.cpp). Every backend honours the requested
-// width.
+// width runs the same epoch plan — one chunk at 1 thread and on LMAC,
+// shards of the walk above it on the instant transport — and goldens are
+// only ever recorded against --threads 1, so this is the contract that
+// makes the wider plans safe to enable at all. The oracle for every width,
+// 1 included, is the reference walk (tests/support/reference_walk.hpp,
+// checked epoch by epoch in parallel_reference_walk_test.cpp). Every
+// backend honours the requested width.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -68,7 +68,7 @@ TEST(ParallelEpoch, SamplingSuppressionSummariesByteIdentical) {
 
 TEST(ParallelEpoch, EffectiveThreadsHonoursEveryBackend) {
   // Historically LMAC and lossy runs clamped to one thread; counter-mode
-  // drop decisions and chunk-sharded LMAC epochs removed both clamps.
+  // drop decisions and LMAC's pool-parallel fetch removed both clamps.
   ExperimentConfig cfg;
   cfg.threads = 4;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);

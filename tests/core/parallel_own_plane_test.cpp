@@ -11,7 +11,8 @@
 // the crossing sweep runs an epoch's crossings: one node crosses on two
 // types and its parent crosses too, over a lossy channel whose verdicts
 // depend on the order of messages on each link — at 1 sink, 4 sinks and
-// on LMAC with 2 sinks (the chunk geometry).
+// on LMAC with 2 sinks (the one-chunk plan on the caller at every width,
+// beside a pool-parallel fetch).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -494,7 +495,7 @@ TEST(ParallelOwnPlane, CrossingOrderTreeShards) {
   run_order_case({0, 10, 20, 30}, false);
 }
 
-TEST(ParallelOwnPlane, CrossingOrderLmacChunkShards) {
+TEST(ParallelOwnPlane, CrossingOrderLmacOneChunk) {
   run_order_case({0, 20}, true);
 }
 

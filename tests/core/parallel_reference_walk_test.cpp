@@ -19,7 +19,8 @@
 // ATC cells add its per-reading pass and the adjust events, the gated
 // cells the compacted due readings and the lead's gate passes, and the
 // widths cover every plan geometry (one chunk, root-child subtrees plus
-// the serial root segment, one task per tree, LMAC chunks).
+// the serial root segment, one task per tree); LMAC cells run the one
+// chunk at every width beside a pool-parallel fetch.
 //
 // After every epoch each engine network must equal the reference on:
 // per-node tx/rx, the global and per-tree ledgers, update count, samples

@@ -381,9 +381,9 @@ TEST(LmacReference, StuckJoinerLosesDeadSenderAfterElecting) {
   EXPECT_TRUE(run.mac.known_neighbors(r).empty());
 }
 
-// An explicit-link topology may link an alive node to one that is dead
-// from the start. The dead node never transmits, so the entry primed for it
-// times out like that of a node killed before its first section.
+// An explicit-link topology drops a link that names a node dead from the
+// start, so neither MAC primes an entry for it and the alive neighbours'
+// tables never list it.
 TEST(LmacReference, NeighbourDeadAtStartTimesOut) {
   std::vector<net::Node> nodes(4);
   nodes[2].alive = false;

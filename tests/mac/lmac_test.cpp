@@ -7,6 +7,8 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/placement.hpp"
 #include "sim/rng.hpp"
@@ -228,6 +230,31 @@ TEST(Lmac, KnownNeighborsTracksTopology) {
   Harness h(line(3));
   h.run_frames(2);
   EXPECT_EQ(h.mac.known_neighbors(1), (std::vector<NodeId>{0, 2}));
+}
+
+TEST(Lmac, ExplicitLinkToANodeDeadAtStartIsNeverHeard) {
+  // An explicit-link topology drops links that name a dead node, so the
+  // election never reaches it, no section reaches it, and no alive node's
+  // table lists it or later loses it. Two shapes: the dead node hangs off
+  // the election root's component, or forms one with an alive node that
+  // root cannot reach.
+  LmacConfig cfg;
+  cfg.timeout_frames = 2;
+  for (const auto& links :
+       {std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {1, 2}},
+        std::vector<std::pair<NodeId, NodeId>>{{1, 2}}}) {
+    std::vector<net::Node> nodes(3);
+    nodes[2].alive = false;
+    Harness h(net::Topology(std::move(nodes), links), cfg);
+    EXPECT_EQ(elect_slots(h.topo, 0, cfg.slots_per_frame)[2], kNoSlot);
+    h.run_frames(2);
+    EXPECT_EQ(h.mac.control_rx(2), 0);
+    const std::vector<NodeId> expect =
+        links.size() == 2 ? std::vector<NodeId>{0} : std::vector<NodeId>{};
+    EXPECT_EQ(h.mac.known_neighbors(1), expect);
+    h.run_frames(cfg.timeout_frames + 1);
+    EXPECT_TRUE(h.rec.lost.empty());
+  }
 }
 
 void expect_rejected_before_start(const std::function<void()>& enqueue) {

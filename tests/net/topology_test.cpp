@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace dirq::net {
@@ -52,6 +53,27 @@ TEST(Topology, ExplicitLinksConstructor) {
   EXPECT_EQ(t.link_count(), 3u);
   EXPECT_TRUE(t.is_connected());
   EXPECT_EQ(t.neighbors(0).size(), 2u);
+}
+
+TEST(Topology, ExplicitLinksNamingADeadNodeAreDropped) {
+  // neighbors() lists alive neighbours and link_count() counts links
+  // between alive nodes, so a link naming a node that is dead from the
+  // start is dropped, as kill_node drops a dying node's links. Two shapes:
+  // the dead node hangs off node 0's component, or forms one with an
+  // alive node that node 0 cannot reach.
+  for (const auto& links :
+       {std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {1, 2}},
+        std::vector<std::pair<NodeId, NodeId>>{{1, 2}}}) {
+    std::vector<Node> nodes = line_nodes(3, 100.0);
+    nodes[2].alive = false;
+    const Topology t(nodes, links);
+    const bool linked = links.size() == 2;
+    EXPECT_EQ(t.link_count(), linked ? 1u : 0u);
+    EXPECT_EQ(t.neighbors(1).size(), linked ? 1u : 0u);
+    EXPECT_TRUE(t.neighbors(2).empty());
+    EXPECT_EQ(t.max_degree(), linked ? 1u : 0u);
+    EXPECT_EQ(t.is_connected(), linked);
+  }
 }
 
 TEST(Topology, ExplicitLinksRejectBadEndpoints) {

@@ -1040,15 +1040,10 @@ int main(int argc, char** argv) {
   }
   // Only shown when threads were explicitly requested: the default
   // (--threads 1) keeps the table byte-stable against every recorded
-  // golden. The row reports the *effective* count — plus how the backend
-  // parallelises when that needs saying (LMAC: the slot-ordered delivery
-  // loop stays sequential by contract).
+  // golden. The row reports the *effective* count.
   if (cfg.threads != 1) {
-    std::string cell = std::to_string(core::Experiment::effective_threads(cfg));
-    if (const char* note = core::Experiment::thread_mode_note(cfg)) {
-      cell += std::string(" (") + note + ")";
-    }
-    t.add_row({"threads", cell});
+    t.add_row({"threads",
+               std::to_string(core::Experiment::effective_threads(cfg))});
   }
   // Multi-sink block: every row here is conditional on an explicitly
   // non-default sink/mix configuration, so default output stays byte-stable

@@ -18,10 +18,10 @@
 #     self-relative (threads-N vs threads-1 from one run), so these rows
 #     document the surface rather than gate it.
 #   * lmac_overhead_threads.json — the LMAC standing-cost grid at 1 worker
-#     and all cores (bench_lmac_overhead, dirq.sweep.v1): the
-#     chunk-sharded LMAC epoch engine keeps the ledger byte-identical
-#     across the threads axis, so paired rows differ only in
-#     wall_seconds — the partial-parallelism speedup record.
+#     and all cores (bench_lmac_overhead, dirq.sweep.v1): LMAC runs keep
+#     the epoch walk and slot drain on the caller and put only the
+#     reading fetch on the pool, so the ledger is byte-identical across
+#     the threads axis and paired rows differ only in wall_seconds.
 #   * msink_500n.json — the multi-sink tier's 500-node cells at 1 and 4
 #     sinks x 1 worker and all cores (bench_multi_sink, dirq.msink.v1):
 #     the 4-sink-vs-1-sink wall ratio and the self-relative
