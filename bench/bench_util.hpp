@@ -20,8 +20,8 @@
 namespace dirq::bench {
 
 /// Strict positive-integer parse shared by the standalone bench tools
-/// (same contract as dirqsim's parse_int: the whole token must be base-10,
-/// no wrap, no truncation; < min is an error). The default min of 1 fits
+/// (the contract of dirqsim's integer flags: the whole token must be
+/// base-10, no wrap, no truncation; < min is an error). The default min of 1 fits
 /// counts; flags where 0 is meaningful (--threads: all hardware threads)
 /// pass min = 0. Exits 2 on bad input.
 inline std::int64_t parse_count(const char* tool, const char* flag,

@@ -132,7 +132,7 @@ class Field {
 
 /// Bundle of one Field per sensor type, advanced in lock-step. This is the
 /// "environment" object the simulation driver owns. Implements
-/// ReadingSource so traces or real datasets can substitute for it.
+/// ReadingSource so real datasets can substitute for it.
 class Environment final : public ReadingSource {
  public:
   Environment(const net::Topology& topo, std::size_t sensor_type_count,

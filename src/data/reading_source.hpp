@@ -1,9 +1,8 @@
 // Abstraction over "where sensor readings come from": the synthetic
-// Environment (src/data/field_model.hpp), its counter-based fast twin
-// (src/data/fast_field.hpp), or a recorded trace being replayed
-// (src/data/trace.hpp). The protocol layers only ever see this interface,
-// so a user can swap the paper's synthetic dataset for real deployment
-// data without touching DirQ.
+// Environment (src/data/field_model.hpp) or its counter-based fast twin
+// (src/data/fast_field.hpp). The protocol layers only ever see this
+// interface, so a user can swap the paper's synthetic dataset for real
+// deployment data without touching DirQ.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +41,8 @@ class ReadingSource {
   /// concurrently (same epoch, no interleaved advance_to). Both synthetic
   /// backends qualify — each type is an independent field object, so even
   /// their mutable memo caches are disjoint per type — but the default is
-  /// false so an unknown source (trace replay, user subclass) is never
-  /// raced by the parallel epoch engine.
+  /// false so an unknown source (a user subclass, e.g. replayed deployment
+  /// data) is never raced by the parallel epoch engine.
   [[nodiscard]] virtual bool concurrent_type_batches() const noexcept {
     return false;
   }

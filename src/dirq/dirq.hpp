@@ -35,7 +35,6 @@
 #include "data/fast_field.hpp"
 #include "data/field_model.hpp"
 #include "data/reading_source.hpp"
-#include "data/trace.hpp"
 #include "mac/lmac.hpp"
 #include "metrics/audit.hpp"
 #include "metrics/histogram.hpp"

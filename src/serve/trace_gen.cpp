@@ -28,11 +28,12 @@ void TraceGenConfig::validate() const {
   if (pool_size == 0) {
     throw std::invalid_argument("TraceGenConfig: pool_size must be > 0");
   }
-  if (subset_fraction < 0.0 || subset_fraction > 1.0) {
+  // Negated comparisons, so NaN is rejected too.
+  if (!(subset_fraction >= 0.0 && subset_fraction <= 1.0)) {
     throw std::invalid_argument(
         "TraceGenConfig: subset_fraction must be in [0, 1]");
   }
-  if (multi_attr_fraction < 0.0 || multi_attr_fraction > 1.0) {
+  if (!(multi_attr_fraction >= 0.0 && multi_attr_fraction <= 1.0)) {
     throw std::invalid_argument(
         "TraceGenConfig: multi_attr_fraction must be in [0, 1]");
   }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "data/field_model.hpp"
-#include "data/trace.hpp"
 #include "net/placement.hpp"
 #include "sim/rng.hpp"
 
@@ -29,6 +28,24 @@ void expect_batch_matches_loop(const ReadingSource& src,
         << "node " << nodes[i] << " type " << type;
   }
 }
+
+/// Overrides only the per-node path, so readings() is the base-class
+/// default.
+class PerNodeOnly final : public ReadingSource {
+ public:
+  explicit PerNodeOnly(ReadingSource& inner) : inner_(inner) {}
+  void advance_to(std::int64_t epoch) override { inner_.advance_to(epoch); }
+  [[nodiscard]] double reading(NodeId node, SensorType type) const override {
+    return inner_.reading(node, type);
+  }
+  [[nodiscard]] std::size_t type_count() const override {
+    return inner_.type_count();
+  }
+  [[nodiscard]] std::int64_t epoch() const override { return inner_.epoch(); }
+
+ private:
+  ReadingSource& inner_;
+};
 
 class ReadingBatchAcrossSeeds : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -75,22 +92,18 @@ TEST(ReadingBatch, ScaledTopologyBatchMatches) {
   }
 }
 
-TEST(ReadingBatch, DefaultImplementationCoversTrace) {
-  // Trace does not override readings(); the base-class default must
+TEST(ReadingBatch, DefaultImplementationDelegatesPerNode) {
+  // PerNodeOnly does not override readings(); the base-class default must
   // delegate per node and agree with reading().
   sim::Rng rng(7);
   net::Topology topo = net::random_connected(net::RandomPlacementConfig{}, rng);
   Environment env(topo, 2, rng.substream("environment"));
-  Trace trace(topo.size(), 2);
-  for (std::int64_t e = 0; e < 5; ++e) {
-    env.advance_to(e);
-    trace.record_epoch(env);
-  }
-  trace.advance_to(3);
+  PerNodeOnly source(env);
+  source.advance_to(3);
   std::vector<NodeId> all(topo.size());
   std::iota(all.begin(), all.end(), NodeId{0});
-  expect_batch_matches_loop(trace, all, 0);
-  expect_batch_matches_loop(trace, all, 1);
+  expect_batch_matches_loop(source, all, 0);
+  expect_batch_matches_loop(source, all, 1);
 }
 
 TEST(ReadingBatch, EmptyBatchIsANoOp) {

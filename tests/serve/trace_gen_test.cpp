@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,6 +53,13 @@ TEST(TraceGenConfig, RejectsBadKnobs) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.subset_fraction = 1.5;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // NaN fails every ordered comparison, so only negated checks catch it.
+  cfg = {};
+  cfg.subset_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = {};
+  cfg.multi_attr_fraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = {};
   cfg.shape = ArrivalShape::Burst;
