@@ -40,24 +40,11 @@ void BM_SchedulerScheduleDispatch(benchmark::State& state) {
     for (int i = 0; i < 1000; ++i) {
       s.schedule_at(i, [] {});
     }
-    benchmark::DoNotOptimize(s.run());
+    benchmark::DoNotOptimize(s.run_until(999));
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SchedulerScheduleDispatch);
-
-void BM_SchedulerCancelHeavy(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Scheduler s;
-    std::vector<sim::EventHandle> handles;
-    handles.reserve(1000);
-    for (int i = 0; i < 1000; ++i) handles.push_back(s.schedule_at(i, [] {}));
-    for (std::size_t i = 0; i < handles.size(); i += 2) s.cancel(handles[i]);
-    benchmark::DoNotOptimize(s.run());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SchedulerCancelHeavy);
 
 void BM_Mt19937Normal(benchmark::State& state) {
   // The reference the pinned field's draws reproduce bit for bit: a fresh

@@ -53,9 +53,6 @@ class DirqNode {
 
   /// Appends one more tree slot (the network adds a slot per extra sink).
   void add_slot(std::unique_ptr<ThetaController> controller);
-  [[nodiscard]] std::size_t slot_count() const noexcept {
-    return slots_.size();
-  }
 
   /// Tree position maintenance (driven by DirqNetwork on build/churn).
   /// The TreeId-less forms address tree 0 — the paper's single tree.
@@ -86,7 +83,6 @@ class DirqNode {
     y_ = y;
     has_position_ = true;
   }
-  [[nodiscard]] bool has_position() const noexcept { return has_position_; }
 
   // --- sensing (paper §4.1, Fig. 1) ----------------------------------------
 

@@ -505,17 +505,12 @@ void DirqNetwork::deliver(NodeId to, NodeId from, const Message& msg) {
   if (to >= topo_.size()) {
     throw std::logic_error("DirqNetwork::deliver: recipient outside topology");
   }
-  // Mirror the rx into the message's tree ledger — except while replaying
-  // deferred root deliveries at the parallel merge, whose rx the shard
-  // ledger already booked.
-  if (!merging_parallel_) charge_tree_rx(msg);
+  charge_tree_rx(msg);
   if (to >= node_rx_.size()) node_rx_.resize(topo_.size(), 0);
   node_rx_[to] += 1;
   // CRC loss: the radio has paid its rx (ledger, tree mirror, per-node) —
-  // the protocol never sees the frame. Skipped while replaying deferred
-  // root deliveries at the parallel merge: those already survived their
-  // in-shard verdict (parallel_unicast).
-  if (loss_ != nullptr && !merging_parallel_) {
+  // the protocol never sees the frame.
+  if (loss_ != nullptr) {
     const bool dropped = loss_->next_drop(message_tree(msg), from, to);
     loss_->note(dropped);
     if (dropped) return;
@@ -617,9 +612,9 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
   // Readings: one batch per sensor type; types run concurrently when the
   // source's per-type state is disjoint (both synthetic backends), and on
   // a pool of more than one thread a single type's batch additionally
-  // splits into chunks when the source supports it (FastField's
-  // per-thread cell scratch) — either way the same values, since
-  // readings are pure at a fixed epoch.
+  // splits into chunks when the source supports it (FastField, whose
+  // readings only read its cell plane and node-disjoint caches) — either
+  // way the same values, since readings are pure at a fixed epoch.
   pe.active_types.clear();
   pe.fetch_tasks.clear();
   std::size_t total_batch = 0;
@@ -707,14 +702,15 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
       ctx.rx_delta[u] = 0;
     }
   }
-  // Subtrees: the deferred root deliveries, then (below) the root.
-  merging_parallel_ = true;
+  // Subtrees: the deferred root deliveries, then (below) the root. Each
+  // was charged (ledger and rx delta) and passed its loss verdict inside
+  // its task, and an epoch carries only updates, which no query audit
+  // records — so the replay only hands the message to the root.
   for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
     for (const auto& [from, msg] : pe.ctx[i].to_root) {
-      deliver(root_, from, msg);  // rx already charged by the task
+      nodes_[root_].handle(msg, from, epoch);
     }
   }
-  merging_parallel_ = false;
 
   // Inline tasks, on the caller with the real transport: the whole walk
   // of a one-chunk plan, or the subtree geometry's root segment.
@@ -901,6 +897,7 @@ void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
     nodes_[to].handle(msg, from, current_epoch_);
     return;
   }
+  ctx.rx_delta[to] += 1;
   if (to == root_) {
     ctx.to_root.emplace_back(from, msg);
     return;
@@ -910,7 +907,6 @@ void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
         "DirqNetwork: cross-shard delivery — node parent state diverged "
         "from the spanning tree");
   }
-  ctx.rx_delta[to] += 1;
   nodes_[to].handle(msg, from, current_epoch_);
 }
 
@@ -1118,7 +1114,6 @@ QueryOutcome DirqNetwork::collect_outcome() {
       out.believed_sources.end());
   out.cost = transport_->costs().query_cost() - audit_cost_start_;
   audit_active_ = false;
-  if (query_done_hook_) query_done_hook_(out);
   return out;
 }
 

@@ -287,24 +287,11 @@ class DirqNetwork final : public MessageSink {
   /// *distribution* matters as much as the total (bench/energy_hotspots).
   [[nodiscard]] CostUnits node_tx(NodeId id) const { return node_tx_.at(id); }
   [[nodiscard]] CostUnits node_rx(NodeId id) const { return node_rx_.at(id); }
-  [[nodiscard]] CostUnits node_energy(NodeId id) const {
-    return node_tx_.at(id) + node_rx_.at(id);
-  }
 
   /// Hook invoked once per Update Message transmission with the epoch —
   /// the driver records the Fig. 6 time series through this.
   using UpdateHook = std::function<void(std::int64_t epoch)>;
   void set_update_hook(UpdateHook hook) { update_hook_ = std::move(hook); }
-
-  /// Hook invoked with the audited outcome every time a query audit
-  /// closes (collect_outcome — which the synchronous inject() forms call
-  /// too). The serve front-end learns answer completion through this
-  /// instead of polling the audit state; batch drivers that consume the
-  /// inject() return value directly can leave it unset.
-  using QueryDoneHook = std::function<void(const QueryOutcome&)>;
-  void set_query_done_hook(QueryDoneHook hook) {
-    query_done_hook_ = std::move(hook);
-  }
 
   // --- MessageSink -----------------------------------------------------------------
 
@@ -364,12 +351,6 @@ class DirqNetwork final : public MessageSink {
   std::int64_t current_epoch_ = 0;
   std::int64_t updates_transmitted_ = 0;
   UpdateHook update_hook_;
-  QueryDoneHook query_done_hook_;
-
-  /// True while the merge replays deferred root deliveries: their rx was
-  /// already charged into the task ledger (and merged into the tree
-  /// mirror), so deliver() must not book it twice.
-  bool merging_parallel_ = false;
 
   // Per-query audit state.
   bool audit_active_ = false;

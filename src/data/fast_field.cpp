@@ -1,8 +1,6 @@
 #include "data/fast_field.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <numbers>
@@ -104,8 +102,6 @@ FastField::FastField(SensorType type, FieldParams params,
     bump.amplitude = params_.bump_amplitude * bump_rng.uniform(0.5, 1.0) *
                      (bump_rng.bernoulli(0.5) ? 1.0 : -1.0);
     bump.sigma = params_.bump_sigma * bump_rng.uniform(0.7, 1.3);
-    bump.cx = bump.cx0;
-    bump.cy = bump.cy0;
     bumps_.push_back(bump);
   }
 
@@ -114,12 +110,9 @@ FastField::FastField(SensorType type, FieldParams params,
   regional_stream_ = crng_.substream("regional").stream();
   node_stream_ = crng_.substream("node-noise").stream();
   node_cache_.assign(geo_.node_count(), NodeCache{});
-  cell_cache_.assign(geo_.cell_count(), CellCache{});
-  static std::atomic<std::uint64_t> next_instance_id{1};
-  instance_id_ = next_instance_id.fetch_add(1, std::memory_order_relaxed);
+  cell_anchors_.assign(geo_.cell_count(), CellAnchors{});
   init_node_cache(0);
   advance_derived();
-  refresh_bumps();
 }
 
 void FastField::refresh_diurnal() {
@@ -127,14 +120,6 @@ void FastField::refresh_diurnal() {
              std::sin(2.0 * std::numbers::pi * static_cast<double>(epoch_) /
                           params_.diurnal_period +
                       params_.phase);
-}
-
-void FastField::refresh_bumps() {
-  const double t = static_cast<double>(epoch_);
-  for (Bump& b : bumps_) {
-    b.cx = fold(b.cx0 + b.vx * t, geo_.min_x, geo_.area_w);
-    b.cy = fold(b.cy0 + b.vy * t, geo_.min_y, geo_.area_h);
-  }
 }
 
 void FastField::advance_derived() {
@@ -147,7 +132,23 @@ void FastField::advance_derived() {
   };
   split(kTerrainLog2Block, terrain_block_, terrain_frac_);
   split(node_noise_.log2_block, node_block_, node_frac_);
+  const std::int64_t previous = regional_block_;
   split(regional_noise_.log2_block, regional_block_, regional_frac_);
+  if (regional_block_ != previous) refresh_cell_anchors(previous);
+}
+
+void FastField::refresh_cell_anchors(std::int64_t previous) {
+  // A one-block step reuses each cell's high anchor as its new low one
+  // (the common case in the epoch loop); anchors are pure functions of
+  // (stream, cell, block), so this equals a full recomputation
+  // bit-for-bit.
+  const bool step = previous == regional_block_ - 1;
+  for (std::size_t cell = 0; cell < cell_anchors_.size(); ++cell) {
+    const std::uint64_t stream = sim::counter_hash(regional_stream_, cell);
+    CellAnchors& a = cell_anchors_[cell];
+    a.lo = step ? a.hi : anchor_sum(regional_noise_, stream, regional_block_);
+    a.hi = anchor_sum(regional_noise_, stream, regional_block_ + 1);
+  }
 }
 
 void FastField::advance_to(std::int64_t epoch) {
@@ -157,7 +158,6 @@ void FastField::advance_to(std::int64_t epoch) {
   if (epoch == epoch_) return;
   epoch_ = epoch;
   advance_derived();
-  refresh_bumps();
 }
 
 double FastField::anchor_sum(const NoiseProcess& p, std::uint64_t stream,
@@ -192,37 +192,11 @@ double FastField::bumps_at_epoch(double x, double y,
   return v;
 }
 
-double FastField::bumps_now(double x, double y) const {
-  double v = 0.0;
-  for (const Bump& b : bumps_) {
-    const double dx = x - b.cx;
-    const double dy = y - b.cy;
-    const double z = (dx * dx + dy * dy) / (2.0 * b.sigma * b.sigma);
-    if (z > 80.0) continue;
-    v += b.amplitude * std::exp(-z);
-  }
-  return v;
-}
-
-double FastField::regional_value_in(CellCache& c, std::size_t cell) const {
-  if (c.block != regional_block_) {
-    const std::uint64_t stream = sim::counter_hash(regional_stream_, cell);
-    // Sequential advance reuses the high anchor as the new low one (the
-    // common case in the epoch loop); anchors are pure, so this equals a
-    // full recomputation bit-for-bit.
-    c.lo = c.block == regional_block_ - 1
-               ? c.hi
-               : anchor_sum(regional_noise_, stream, regional_block_);
-    c.hi = anchor_sum(regional_noise_, stream, regional_block_ + 1);
-    c.block = regional_block_;
-  }
-  return c.lo + (c.hi - c.lo) * regional_frac_;
-}
-
 double FastField::deterministic_at(double x, double y) const {
   return base_diurnal_ +
          params_.gradient_x * (x - geo_.min_x) / geo_.area_w +
-         params_.gradient_y * (y - geo_.min_y) / geo_.area_h + bumps_now(x, y);
+         params_.gradient_y * (y - geo_.min_y) / geo_.area_h +
+         bumps_at_epoch(x, y, epoch_);
 }
 
 double FastField::field_at(double x, double y) const {
@@ -251,43 +225,7 @@ void FastField::init_node_cache(std::size_t from) const {
   }
 }
 
-std::vector<FastField::CellCache>& FastField::tls_cell_scratch() const {
-  // A small per-thread LRU keyed by the process-unique instance id: the
-  // epoch loop touches a handful of fields (one per sensor type), so
-  // each worker settles into a steady slot per field. An evicted or new
-  // slot starts cold (invalid blocks) and re-derives anchors on first
-  // touch — pure recomputation, identical bits.
-  struct Slot {
-    std::uint64_t id = 0;
-    std::uint64_t tick = 0;
-    std::vector<CellCache> cells;
-  };
-  thread_local std::array<Slot, 8> slots;
-  thread_local std::uint64_t clock = 0;
-  ++clock;
-  Slot* victim = &slots[0];
-  for (Slot& s : slots) {
-    if (s.id == instance_id_) {
-      s.tick = clock;
-      if (s.cells.size() != cell_cache_.size()) {
-        s.cells.assign(cell_cache_.size(), CellCache{});
-      }
-      return s.cells;
-    }
-    if (s.tick < victim->tick) victim = &s;
-  }
-  victim->id = instance_id_;
-  victim->tick = clock;
-  victim->cells.assign(cell_cache_.size(), CellCache{});
-  return victim->cells;
-}
-
 double FastField::reading(NodeId node) const {
-  return reading_in(cell_cache_, node);
-}
-
-double FastField::reading_in(std::vector<CellCache>& cells,
-                             NodeId node) const {
   if (node >= geo_.node_count()) {
     adopt_new_nodes();
     if (node >= geo_.node_count()) {
@@ -319,22 +257,13 @@ double FastField::reading_in(std::vector<CellCache>& cells,
   }
   return base_diurnal_ + c.gradient +
          c.bump_lo + (c.bump_hi - c.bump_lo) * terrain_frac_ +
-         regional_value_in(cells[c.cell], c.cell) +
+         regional_value(c.cell) +
          c.noise_lo + (c.noise_hi - c.noise_lo) * node_frac_;
 }
 
 void FastField::readings(std::span<const NodeId> nodes,
                          std::span<double> out) const {
-  // The batch path goes through the per-thread cell scratch so that
-  // disjoint chunks of one batch can run on several workers at once
-  // (concurrent_intra_type_chunks): node entries are disjoint across any
-  // node partition, and each thread derives regional anchors privately.
-  // Anchors are pure functions of (seed, cell, block), so the values stay
-  // bit-identical to the shared-cache per-node path.
-  std::vector<CellCache>& cells = tls_cell_scratch();
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    out[i] = reading_in(cells, nodes[i]);
-  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) out[i] = reading(nodes[i]);
 }
 
 FastEnvironment::FastEnvironment(const net::Topology& topo,

@@ -26,9 +26,11 @@
 //     same whether you stepped or jumped;
 //   * suppressed nodes cost nothing (nothing advances behind their back);
 //   * out-of-order node queries are deterministic (bit-identical re-reads).
-// Per-entity anchor pairs are memoised per block (W draws amortised over S
-// epochs on sequential advance), which is a cache, not state: recomputing
-// yields the same bits.
+// Anchor pairs are memoised per block (W draws amortised over S epochs on
+// sequential advance), which is a cache, not state: recomputing yields the
+// same bits. Per-node anchors fill lazily on first read; the regional
+// cells' anchors form one plane that advance_to refreshes, so readers only
+// read it.
 //
 // Fast is a *different* deterministic dataset from Pinned for the same
 // seed. Goldens stay pinned; fast is for scale (see README "Environment
@@ -63,7 +65,9 @@ class FastField {
             sim::Rng rng);
 
   /// Advances to `epoch` (monotonic, matching the ReadingSource contract).
-  /// O(bump_count) regardless of the jump width — no history is replayed.
+  /// Cost is independent of the jump width — no history is replayed: O(1),
+  /// plus one refill of the regional cell plane (W draws per cell, 2W
+  /// after a jump) when the regional block changes.
   void advance_to(std::int64_t epoch);
 
   /// Reading of the given node at the current epoch (same contract as
@@ -129,33 +133,23 @@ class FastField {
   };
   static_assert(sizeof(NodeCache) == 64);
 
-  /// Memoised regional anchors per grid cell.
-  struct CellCache {
-    std::int64_t block = std::numeric_limits<std::int64_t>::min();
+  /// One grid cell's regional anchors for regional_block_ and the next.
+  struct CellAnchors {
     double lo = 0.0, hi = 0.0;
   };
 
   void advance_derived();
+  /// Refills cell_anchors_ for regional_block_; `previous` is the block
+  /// the plane held before (its hi anchors are reused on a one-block step).
+  void refresh_cell_anchors(std::int64_t previous);
   [[nodiscard]] double anchor_sum(const NoiseProcess& p, std::uint64_t stream,
                                   std::int64_t anchor) const;
   [[nodiscard]] double regional_value(std::size_t cell) const {
-    return regional_value_in(cell_cache_[cell], cell);
+    const CellAnchors& a = cell_anchors_[cell];
+    return a.lo + (a.hi - a.lo) * regional_frac_;
   }
-  [[nodiscard]] double regional_value_in(CellCache& c, std::size_t cell) const;
-  [[nodiscard]] double reading_in(std::vector<CellCache>& cells,
-                                  NodeId node) const;
-  /// This thread's regional-anchor scratch for this field instance — what
-  /// makes same-type batch chunks safe to run concurrently (the per-node
-  /// cache is node-disjoint across chunks; the per-cell memo is not, so
-  /// the batch path re-derives cell anchors into thread-local storage
-  /// instead of sharing cell_cache_). Anchors are pure, so every copy
-  /// holds the same bits; the scratch persists across epochs per worker,
-  /// keeping the per-block amortisation.
-  [[nodiscard]] std::vector<CellCache>& tls_cell_scratch() const;
   [[nodiscard]] double bumps_at_epoch(double x, double y,
                                       std::int64_t epoch) const;
-  [[nodiscard]] double bumps_now(double x, double y) const;
-  void refresh_bumps();
   void refresh_diurnal();
   void adopt_new_nodes() const;
   void init_node_cache(std::size_t from) const;
@@ -175,7 +169,6 @@ class FastField {
   struct Bump {
     double cx0, cy0;  // start centre
     double vx, vy;    // drift velocity
-    double cx, cy;    // position at the current epoch
     double amplitude;
     double sigma;
   };
@@ -186,11 +179,9 @@ class FastField {
   std::uint64_t regional_stream_ = 0;  // + cell index
   std::uint64_t node_stream_ = 0;      // + node index
   mutable std::vector<NodeCache> node_cache_;
-  mutable std::vector<CellCache> cell_cache_;
-  /// Process-unique (never reused) key for the thread-local cell scratch:
-  /// an address could be recycled by a new field with a different seed,
-  /// so identity cannot key on `this`.
-  std::uint64_t instance_id_ = 0;
+  /// Regional anchors per grid cell for regional_block_, refreshed by
+  /// advance_derived whenever the block changes.
+  std::vector<CellAnchors> cell_anchors_;
 
   // Per-epoch derived state (advance_to): block indices, interpolation
   // fractions, and the base + diurnal sum, so the per-reading hot path is
@@ -198,7 +189,8 @@ class FastField {
   double base_diurnal_ = 0.0;
   std::int64_t terrain_block_ = 0;
   std::int64_t node_block_ = 0;
-  std::int64_t regional_block_ = 0;
+  // No block yet: the constructor's advance_derived fills the whole plane.
+  std::int64_t regional_block_ = std::numeric_limits<std::int64_t>::min();
   double terrain_frac_ = 0.0;
   double node_frac_ = 0.0;
   double regional_frac_ = 0.0;
@@ -221,10 +213,10 @@ class FastEnvironment final : public ReadingSource {
   [[nodiscard]] bool concurrent_type_batches() const noexcept override {
     return true;
   }
-  // Within one type, the batch path keeps per-cell anchors in per-thread
-  // scratch (FastField::tls_cell_scratch) and per-node state is disjoint
-  // across any node partition, so disjoint chunks of one batch may run
-  // concurrently too (see ReadingSource for the adoption precondition).
+  // Within one type, readings only read the cell plane (advance_to fills
+  // it) and per-node state is disjoint across any node partition, so
+  // disjoint chunks of one batch may run concurrently too (see
+  // ReadingSource for the adoption precondition).
   [[nodiscard]] bool concurrent_intra_type_chunks() const noexcept override {
     return true;
   }

@@ -51,12 +51,13 @@ class ReadingSource {
   /// sensor type may also run concurrently, letting the engine chunk one
   /// large type's batch across the pool instead of serializing behind the
   /// per-type fan-out. Requires concurrent_type_batches() and is a
-  /// stronger claim: per-node memo state must be node-disjoint and any
-  /// cell/region-shared memo must be thread-private (FastField keeps a
-  /// per-thread cell scratch). Callers must also have settled lazy node
+  /// stronger claim: per-node memo state must be node-disjoint and state
+  /// shared across nodes must only be read (FastField fills its cell
+  /// plane in advance_to). Callers must also have settled lazy node
   /// adoption first — one serial reading() of the highest node id a batch
-  /// will name is enough. Default false: sources with cross-node shared
-  /// state (the pinned Environment's per-cell memo) must never be split.
+  /// will name is enough. Default false, so an unknown source is never
+  /// split. The pinned Environment keeps the default: its readings only
+  /// read state that advance_to writes, but no workload runs it split.
   [[nodiscard]] virtual bool concurrent_intra_type_chunks() const noexcept {
     return false;
   }

@@ -53,10 +53,6 @@ std::vector<TreeId> TreeSet::rebuild_affected(const Topology& topo,
   return rebuilt;
 }
 
-void TreeSet::rebuild_all(const Topology& topo) {
-  for (SpanningTree& t : trees_) t.rebuild(topo);
-}
-
 std::vector<NodeId> spread_roots(const Topology& topo, std::size_t count) {
   if (count == 0) {
     throw std::invalid_argument("spread_roots: count must be >= 1");

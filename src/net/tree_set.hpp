@@ -45,9 +45,6 @@ class TreeSet {
   /// and the network's per-tree reconciliation both consume this.
   std::vector<TreeId> rebuild_affected(const Topology& topo, NodeId changed);
 
-  /// Unconditional rebuild of every tree (topology mutated wholesale).
-  void rebuild_all(const Topology& topo);
-
  private:
   std::vector<NodeId> roots_;
   std::vector<SpanningTree> trees_;

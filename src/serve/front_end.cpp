@@ -40,12 +40,7 @@ FrontEnd::FrontEnd(FrontEndConfig cfg, core::DirqNetwork& network,
       admission_(admission),
       cache_(cfg_.cache_enabled ? cfg_.cache_entries : 1, cfg_.stale_epochs),
       sink_latency_(network.tree_count()),
-      sink_injected_(network.tree_count(), 0) {
-  network_.set_query_done_hook([this](const core::QueryOutcome& outcome) {
-    last_outcome_ = outcome;
-    outcome_valid_ = true;
-  });
-}
+      sink_injected_(network.tree_count(), 0) {}
 
 void FrontEnd::offer(const Arrival& a) {
   ++totals_.arrived;
@@ -91,26 +86,20 @@ void FrontEnd::inject_and_account(const Arrival& a, std::int64_t epoch) {
   }
   const TreeId routed = admission_.route();
   if (on_injected_) on_injected_(routed, epoch);
-  outcome_valid_ = false;
+  core::QueryOutcome outcome;
   if (a.multi) {
     query::MultiQuery q = a.multi_q;
     q.id = next_id_++;
     q.epoch = epoch;
-    network_.inject(routed, q, epoch);
+    outcome = network_.inject(routed, q, epoch);
   } else {
     query::RangeQuery q = a.range;
     q.id = next_id_++;
     q.epoch = epoch;
-    network_.inject(routed, q, epoch);
-    if (outcome_valid_ && cfg_.cache_enabled) {
-      capture_entry(q, last_outcome_, epoch);
-    }
+    outcome = network_.inject(routed, q, epoch);
+    if (cfg_.cache_enabled) capture_entry(q, outcome, epoch);
   }
-  if (!outcome_valid_) {
-    throw std::logic_error(
-        "FrontEnd: query-done hook did not fire (hook overwritten?)");
-  }
-  admission_.note_cost(routed, last_outcome_.cost);
+  admission_.note_cost(routed, outcome.cost);
   ++totals_.injected;
   ++sink_injected_.at(routed);
   record_answer(a, epoch, routed);

@@ -19,9 +19,9 @@
 //
 // Latency of a query is (answer boundary − arrival epoch) in virtual
 // epochs: queueing delay plus the injection wait, which is what a client
-// of the serve plane actually observes. Completion is learned through
-// DirqNetwork's query-done hook (not by re-reading audit state), so the
-// front-end also works unchanged if injection ever becomes asynchronous.
+// of the serve plane actually observes. The serve plane rides the instant
+// transport, so each injection's audited outcome is DirqNetwork::inject's
+// return value.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +67,7 @@ class FrontEnd {
     std::int64_t peak_queue_depth = 0;
   };
 
-  /// The network and admission layer must outlive the front-end. Installs
-  /// itself as the network's query-done hook.
+  /// The network and admission layer must outlive the front-end.
   FrontEnd(FrontEndConfig cfg, core::DirqNetwork& network,
            core::QueryAdmission& admission);
 
@@ -108,8 +107,7 @@ class FrontEnd {
   [[nodiscard]] const FrontEndConfig& config() const noexcept { return cfg_; }
 
  private:
-  /// Injects the queued arrival and finishes its bookkeeping. Returns the
-  /// sink tree it was routed to.
+  /// Injects the queued arrival and finishes its bookkeeping.
   void inject_and_account(const Arrival& a, std::int64_t epoch);
   /// Captures the believed sources' own tuples and inserts a cache entry
   /// for the answered range query.
@@ -128,10 +126,6 @@ class FrontEnd {
   std::vector<std::int64_t> sink_injected_;
   QueryId next_id_ = 1;
   InjectedHook on_injected_;
-  /// Outcome delivered by the network's query-done hook for the inject in
-  /// flight (instant transport: synchronously, inside inject()).
-  core::QueryOutcome last_outcome_;
-  bool outcome_valid_ = false;
 };
 
 }  // namespace dirq::serve

@@ -5,62 +5,27 @@
 
 namespace dirq::sim {
 
-EventHandle Scheduler::schedule_at(SimTime when, Callback fn) {
+void Scheduler::schedule_at(SimTime when, Callback fn) {
   assert(when >= now_ && "cannot schedule into the past");
   if (when < now_) when = now_;
-  EventHandle h{next_id_++};
-  queue_.push(Entry{when, next_seq_++, h.id, std::move(fn)});
-  live_.insert(h.id);
-  return h;
-}
-
-bool Scheduler::cancel(EventHandle h) {
-  if (!h.valid()) return false;
-  // Erasing from the live set is the cancellation; the heap entry becomes
-  // stale and is skipped when it reaches the top.
-  return live_.erase(h.id) == 1;
-}
-
-bool Scheduler::step() { return pop_one(); }
-
-std::size_t Scheduler::run(std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && pop_one()) ++n;
-  return n;
+  queue_.push(Entry{when, next_seq_++, std::move(fn)});
 }
 
 std::size_t Scheduler::run_until(SimTime until) {
   std::size_t n = 0;
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (!live_.contains(top.id)) {  // stale (cancelled): discard cheaply
-      queue_.pop();
-      continue;
-    }
-    if (top.when > until) break;
-    if (!pop_one()) break;
-    ++n;
-  }
-  if (now_ < until) now_ = until;
-  return n;
-}
-
-bool Scheduler::pop_one() {
-  while (!queue_.empty()) {
+  while (!queue_.empty() && queue_.top().when <= until) {
     // const_cast is safe: the entry is removed from the queue immediately
     // after the move and never compared again.
     Entry top = std::move(const_cast<Entry&>(queue_.top()));
     queue_.pop();
-    auto it = live_.find(top.id);
-    if (it == live_.end()) continue;  // cancelled: lazily discard
-    live_.erase(it);
     assert(top.when >= now_);
     now_ = top.when;
     ++dispatched_;
+    ++n;
     top.fn();
-    return true;
   }
-  return false;
+  if (now_ < until) now_ = until;
+  return n;
 }
 
 }  // namespace dirq::sim

@@ -1,9 +1,9 @@
 // Intra-type batch chunking: the capability flag, and the contract it
 // advertises — fetching a type's reading batch in disjoint sub-span chunks
 // (serially in any order, or concurrently from a thread pool) must be
-// bitwise identical to one whole-batch readings() call, because the
-// per-cell anchor memo moves to thread-local scratch and anchors are pure
-// functions of (seed, stream, block).
+// bitwise identical to one whole-batch readings() call, because readings
+// only read the cell plane advance_to fills, per-node caches are
+// node-disjoint, and anchors are pure functions of (seed, stream, block).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,9 +52,9 @@ TEST(FastFieldChunk, CapabilityFlagsMatchBackends) {
   EXPECT_TRUE(fast.concurrent_intra_type_chunks());
   const Environment pinned(topo, kTypes, sim::Rng(7));
   EXPECT_TRUE(pinned.concurrent_type_batches());
-  // The pinned backend shares one mutable cache across a type's batch, so
-  // it must keep refusing intra-type splits (and so must the base-class
-  // default any future backend inherits).
+  // The pinned backend keeps the base-class default (any future backend
+  // inherits it too): no workload runs it with a type's batch split, so
+  // it does not claim the capability.
   EXPECT_FALSE(pinned.concurrent_intra_type_chunks());
 }
 
@@ -110,10 +110,10 @@ TEST(FastFieldChunk, ConcurrentChunksAreBitwiseIdenticalToWholeBatch) {
 }
 
 TEST(FastFieldChunk, ScratchSurvivesAcrossEnvironments) {
-  // Two live environments interleaved on one thread: the thread-local
-  // scratch is keyed by a never-reused instance id, so switching between
-  // fields (and destroying one, then creating another) must never serve
-  // stale anchors.
+  // Two live environments interleaved on one thread: each field reads its
+  // own anchors, so switching between fields (and destroying one, then
+  // creating another at the same seed) must never serve another field's
+  // anchors.
   const net::Topology topo = grid_topology(8);
   const std::vector<NodeId> nodes = shuffled_nodes(topo, 3);
   std::vector<double> expect_a(nodes.size());

@@ -184,6 +184,40 @@ TEST(ServeFrontEnd, ChurnInvalidatesTheCache) {
   EXPECT_EQ(fe.totals().answered, 3);
 }
 
+// Each front end reads the outcome inject() returns, so a second front
+// end over the same network takes nothing from the first: both inject
+// and count.
+TEST(ServeFrontEnd, TwoFrontEndsOverOneNetworkBothAnswer) {
+  sim::Rng rng(7);
+  net::RandomPlacementConfig placement;
+  placement.node_count = 20;
+  net::Topology topo = net::random_connected(placement, rng);
+  data::Environment env(topo, 4, rng.substream("environment"));
+  core::NetworkConfig ncfg;
+  ncfg.mode = core::NetworkConfig::ThetaMode::Fixed;
+  ncfg.fixed_pct = 5.0;
+  core::DirqNetwork network(topo, NodeId{0}, ncfg);
+  env.advance_to(0);
+  network.process_epoch(env, 0);
+  core::QueryAdmission admission(core::RoutingPolicy::Admission,
+                                 network.trees());
+  FrontEnd first(FrontEndConfig{}, network, admission);
+  FrontEnd second(FrontEndConfig{}, network, admission);
+
+  Arrival a;
+  a.epoch = 0;
+  a.range = query::RangeQuery{0, kSensorTemperature, 10.0, 35.0, 0};
+  first.offer(a);
+  EXPECT_NO_THROW(first.on_boundary(0));
+  second.offer(a);
+  EXPECT_NO_THROW(second.on_boundary(0));
+  for (const FrontEnd* fe : {&first, &second}) {
+    EXPECT_EQ(fe->totals().injected, 1);
+    EXPECT_EQ(fe->totals().answered, 1);
+    EXPECT_EQ(fe->sink_injected(0), 1);
+  }
+}
+
 // The front-end validates its own config before it builds the cache from
 // it, so a bad value is reported in FrontEndConfig's words rather than as
 // a ResultCache construction failure.

@@ -1,4 +1,5 @@
-// Scheduler semantics: ordering, FIFO tie-break, cancellation, run_until.
+// Scheduler semantics: ordering, FIFO tie-break, same-time scheduling,
+// run_until.
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +22,7 @@ TEST(Scheduler, DispatchesInTimestampOrder) {
   s.schedule_at(30, [&] { order.push_back(3); });
   s.schedule_at(10, [&] { order.push_back(1); });
   s.schedule_at(20, [&] { order.push_back(2); });
-  s.run();
+  EXPECT_EQ(s.run_until(30), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), 30);
 }
@@ -32,7 +33,8 @@ TEST(Scheduler, EqualTimestampsAreFifo) {
   for (int i = 0; i < 10; ++i) {
     s.schedule_at(5, [&order, i] { order.push_back(i); });
   }
-  s.run();
+  s.run_until(5);
+  ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
@@ -40,70 +42,20 @@ TEST(Scheduler, ScheduleInIsRelativeToNow) {
   Scheduler s;
   SimTime seen = -1;
   s.schedule_at(100, [&] {
-    s.schedule_in(50, [&] { seen = s.now(); });
+    s.schedule_at(s.now() + 50, [&] { seen = s.now(); });
   });
-  s.run();
+  s.run_until(1000);
   EXPECT_EQ(seen, 150);
 }
 
-TEST(Scheduler, StepDispatchesExactlyOne) {
+TEST(Scheduler, PendingCountsScheduledEvents) {
   Scheduler s;
-  int count = 0;
-  s.schedule_at(1, [&] { ++count; });
-  s.schedule_at(2, [&] { ++count; });
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 1);
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(count, 2);
-  EXPECT_FALSE(s.step());
-}
-
-TEST(Scheduler, CancelPreventsDispatch) {
-  Scheduler s;
-  bool fired = false;
-  EventHandle h = s.schedule_at(10, [&] { fired = true; });
-  EXPECT_TRUE(s.cancel(h));
-  s.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(s.dispatched(), 0u);
-}
-
-TEST(Scheduler, CancelTwiceReturnsFalse) {
-  Scheduler s;
-  EventHandle h = s.schedule_at(10, [] {});
-  EXPECT_TRUE(s.cancel(h));
-  EXPECT_FALSE(s.cancel(h));
-}
-
-TEST(Scheduler, CancelAfterFireReturnsFalse) {
-  Scheduler s;
-  EventHandle h = s.schedule_at(10, [] {});
-  s.run();
-  EXPECT_FALSE(s.cancel(h));
-}
-
-TEST(Scheduler, CancelInvalidHandleReturnsFalse) {
-  Scheduler s;
-  EXPECT_FALSE(s.cancel(EventHandle{}));
-  EXPECT_FALSE(s.cancel(EventHandle{9999}));
-}
-
-TEST(Scheduler, IsPendingTracksLifecycle) {
-  Scheduler s;
-  EventHandle h = s.schedule_at(10, [] {});
-  EXPECT_TRUE(s.is_pending(h));
-  s.run();
-  EXPECT_FALSE(s.is_pending(h));
-}
-
-TEST(Scheduler, PendingCountsLiveEventsOnly) {
-  Scheduler s;
-  EventHandle a = s.schedule_at(1, [] {});
+  s.schedule_at(1, [] {});
   s.schedule_at(2, [] {});
   EXPECT_EQ(s.pending(), 2u);
-  s.cancel(a);
+  s.run_until(1);
   EXPECT_EQ(s.pending(), 1u);
-  s.run();
+  s.run_until(2);
   EXPECT_EQ(s.pending(), 0u);
 }
 
@@ -133,17 +85,8 @@ TEST(Scheduler, EventsScheduledDuringDispatchAtSameTimeRun) {
     ++count;
     s.schedule_at(10, [&] { ++count; });
   });
-  s.run();
+  EXPECT_EQ(s.run_until(10), 2u);
   EXPECT_EQ(count, 2);
-}
-
-TEST(Scheduler, RunMaxEventsBounds) {
-  Scheduler s;
-  int count = 0;
-  for (int i = 0; i < 100; ++i) s.schedule_at(i, [&] { ++count; });
-  EXPECT_EQ(s.run(10), 10u);
-  EXPECT_EQ(count, 10);
-  EXPECT_EQ(s.pending(), 90u);
 }
 
 TEST(Scheduler, SelfReschedulingChainTerminatesWithRunUntil) {
@@ -151,28 +94,19 @@ TEST(Scheduler, SelfReschedulingChainTerminatesWithRunUntil) {
   int ticks = 0;
   std::function<void()> tick = [&] {
     ++ticks;
-    s.schedule_in(10, tick);
+    s.schedule_at(s.now() + 10, tick);
   };
   s.schedule_at(0, tick);
   s.run_until(95);
   EXPECT_EQ(ticks, 10);  // t = 0,10,...,90
+  EXPECT_EQ(s.pending(), 1u);  // t = 100 stays queued
 }
 
 TEST(Scheduler, DispatchedCounterAccumulates) {
   Scheduler s;
   for (int i = 0; i < 5; ++i) s.schedule_at(i, [] {});
-  s.run();
+  s.run_until(4);
   EXPECT_EQ(s.dispatched(), 5u);
-}
-
-TEST(Scheduler, CancelledEventDoesNotBlockLaterOnes) {
-  Scheduler s;
-  std::vector<int> order;
-  EventHandle h = s.schedule_at(1, [&] { order.push_back(1); });
-  s.schedule_at(2, [&] { order.push_back(2); });
-  s.cancel(h);
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{2}));
 }
 
 }  // namespace
