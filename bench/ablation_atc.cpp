@@ -7,7 +7,7 @@
 int main() {
   using namespace dirq;
   bench::print_header("Ablation A1 — ATC control law",
-                      "DESIGN.md Section 4 (design-choice ablation)");
+                      "paper Section 6 ATC, design-choice ablation");
 
   sweep::ExperimentPlan plan("ablation-atc-law", [] {
     core::ExperimentConfig cfg = sweep::paper_config();

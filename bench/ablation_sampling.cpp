@@ -19,7 +19,7 @@ int main() {
   }());
   std::vector<sweep::AxisValue> margins{
       {"off", [](core::ExperimentConfig&) {}}};
-  for (double margin : {0.25, 0.5, 1.0, 2.0}) {
+  for (double margin : {0.25, 0.5, 1.0}) {
     margins.push_back({metrics::fmt(margin), [margin](core::ExperimentConfig& cfg) {
                          cfg.network.sampling.enabled = true;
                          cfg.network.sampling.margin_frac = margin;

@@ -47,10 +47,12 @@ SpreadOutcome run_scenario(const std::vector<NodeId>& sources) {
     if (*it == 0) continue;
     const double reading =
         is_source[*it] ? 100.0 + static_cast<double>(*it) : 50.0;
-    net.node(*it).sample(kSensorTemperature, reading, 0);
+    // Fixed theta: the slot's controller takes no feed, so the range
+    // table alone sees the reading.
+    net.node(*it).observe_slot(0, kSensorTemperature, reading, 0);
   }
   const core::QueryOutcome out = net.inject(
-      query::RangeQuery{1, kSensorTemperature, 99.0, 300.0, 1}, 1);
+      0, query::RangeQuery{1, kSensorTemperature, 99.0, 300.0, 1}, 1);
   return {sources.size(), out.received.size(), out.cost};
 }
 
@@ -58,7 +60,7 @@ SpreadOutcome run_scenario(const std::vector<NodeId>& sources) {
 
 int main() {
   bench::print_header("Ablation A3 — source location and spread vs cost",
-                      "paper Section 5.2 discussion; DESIGN.md Section 4");
+                      "paper Section 5.2 discussion");
 
   net::Topology topo = net::knary_tree(3, 4);
   net::SpanningTree tree(topo, 0);

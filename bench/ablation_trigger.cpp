@@ -10,7 +10,7 @@
 int main() {
   using namespace dirq;
   bench::print_header("Ablation A2 — update trigger hysteresis",
-                      "DESIGN.md Section 4; paper Section 4.1 / Fig. 3");
+                      "paper Section 4.1 / Fig. 3");
 
   sweep::ExperimentPlan plan("ablation-trigger", [] {
     core::ExperimentConfig cfg = sweep::paper_config();

@@ -42,7 +42,7 @@ int main() {
       {&console});
   std::cout
       << "\nPaper headline: ATC average overshoot ~3.6%. Overshoot metric "
-         "definitions are\ndiscussed in EXPERIMENTS.md (the paper's exact "
+         "definitions are\nin src/metrics/audit.hpp (the paper's exact "
          "formula lives in its unavailable\nref [13]); the reproduced shape "
          "is the ordering delta=9% > 5% > ATC ~ 3% and the\npopulation-"
          "normalised column staying in single digits for small theta.\n\n";

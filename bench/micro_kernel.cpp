@@ -29,6 +29,7 @@
 #include "sim/thread_pool.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/runner.hpp"
+#include "support/brute_force_adjacency.hpp"
 
 namespace {
 
@@ -134,7 +135,7 @@ void BM_SpatialIndexQueryVsBruteForce(benchmark::State& state) {
   net::Topology topo = net::random_connected(net::scaled_placement(n), rng);
   for (auto _ : state) {
     if (brute) {
-      benchmark::DoNotOptimize(topo.brute_force_adjacency());
+      benchmark::DoNotOptimize(net::brute_force_adjacency(topo));
     } else {
       // Grid path: rebuilt adjacency via add/kill round-trip is awkward to
       // isolate, so measure the same work rebuild_links does — candidates
@@ -251,7 +252,7 @@ void BM_QueryInject(benchmark::State& state) {
   for (auto _ : state) {
     ++epoch;
     const query::RangeQuery q = gen.next(epoch);
-    benchmark::DoNotOptimize(net.inject(q, epoch));
+    benchmark::DoNotOptimize(net.inject(0, q, epoch));
   }
 }
 BENCHMARK(BM_QueryInject);

@@ -71,7 +71,7 @@ StrategyOutcome run_strategy(bool conjunctive) {
     if (conjunctive) {
       const query::Involvement truth =
           query::compute_involvement(mq, w.topo, w.net.tree(), w.env);
-      const core::QueryOutcome out = w.net.inject(mq, 200);
+      const core::QueryOutcome out = w.net.inject(0, mq, 200);
       const metrics::QueryAudit audit =
           metrics::audit_query(truth.involved, out.received);
       cost.push(static_cast<double>(out.cost));
@@ -84,7 +84,7 @@ StrategyOutcome run_strategy(bool conjunctive) {
       for (const query::AttributePredicate& p : mq.predicates) {
         query::RangeQuery rq{static_cast<QueryId>(1000000 + i * 10), p.type,
                              p.lo, p.hi, 200, std::nullopt};
-        const core::QueryOutcome po = w.net.inject(rq, 200);
+        const core::QueryOutcome po = w.net.inject(0, rq, 200);
         c += po.cost;
         s += static_cast<double>(
             query::compute_involvement(rq, w.topo, w.net.tree(), w.env)
@@ -114,10 +114,10 @@ RegionOutcome run_region(double frac) {
   sim::RunningStat with_cost, without_cost;
   for (int i = 0; i < kQueries; ++i) {
     query::RangeQuery q = w.gen.next_regional(200, frac);
-    with_cost.push(static_cast<double>(w.net.inject(q, 200).cost));
+    with_cost.push(static_cast<double>(w.net.inject(0, q, 200).cost));
     q.id += 2000000;
     q.region.reset();
-    without_cost.push(static_cast<double>(w.net.inject(q, 200).cost));
+    without_cost.push(static_cast<double>(w.net.inject(0, q, 200).cost));
   }
   return {with_cost.mean(), without_cost.mean()};
 }

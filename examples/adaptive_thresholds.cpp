@@ -66,24 +66,24 @@ int main() {
               ? predictor.predict_next_hour()
               : static_cast<double>(kEpochsPerHour) /
                     static_cast<double>(period_for_hour(0));
-      net.broadcast_ehr(ehr, epoch);
+      net.broadcast_ehr(0, ehr, epoch);
       updates_at_start = net.updates_transmitted();
     }
     net.process_epoch(env, epoch);
     if (epoch > 0 && epoch % period_for_hour(hour) == 0) {
-      (void)net.inject(workload.next(epoch), epoch);
+      (void)net.inject(0, workload.next(epoch), epoch);
       predictor.record_query(epoch);
     }
     if ((epoch + 1) % kEpochsPerHour == 0) {
       double mean = 0.0;
       std::size_t n = 0;
       for (NodeId u : net.tree().bfs_order()) {
-        if (u == net.root()) continue;
-        mean += net.node(u).controller().theta_pct(kSensorTemperature);
+        if (u == net.root(0)) continue;
+        mean += net.node(u).controller(0).theta_pct(kSensorTemperature);
         ++n;
       }
-      const auto& light_ctl = net.node(light_node).controller();
-      const auto& soil_ctl = net.node(soil_node).controller();
+      const auto& light_ctl = net.node(light_node).controller(0);
+      const auto& soil_ctl = net.node(soil_node).controller(0);
       table.add_row(
           {std::to_string(hour), std::to_string(period_for_hour(hour)),
            metrics::fmt(predictor.predict_next_hour(), 0),

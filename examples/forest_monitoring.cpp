@@ -54,7 +54,7 @@ int main() {
       const double ehr = predictor.completed_hours() > 0
                              ? predictor.predict_next_hour()
                              : 180.0;
-      network.broadcast_ehr(ehr, epoch);
+      network.broadcast_ehr(0, ehr, epoch);
       queries_this_hour = 0;
       updates_at_hour_start = network.updates_transmitted();
       cost_at_hour_start = network.costs().total();
@@ -64,7 +64,7 @@ int main() {
     if (epoch == next_query) {
       const query::RangeQuery q = workload.next(epoch);
       predictor.record_query(epoch);
-      (void)network.inject(q, epoch);
+      (void)network.inject(0, q, epoch);
       ++queries_this_hour;
       flood_equiv += flooding.analytical_cost();
       next_query = epoch + query_period(epoch) +
@@ -74,8 +74,9 @@ int main() {
       double theta_sum = 0.0;
       std::size_t n = 0;
       for (NodeId u : network.tree().bfs_order()) {
-        if (u == network.root()) continue;
-        theta_sum += network.node(u).controller().theta_pct(kSensorTemperature);
+        if (u == network.root(0)) continue;
+        theta_sum +=
+            network.node(u).controller(0).theta_pct(kSensorTemperature);
         ++n;
       }
       const CostUnits dirq_cost = network.costs().total() - cost_at_hour_start;

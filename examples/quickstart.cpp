@@ -31,7 +31,7 @@ int main() {
 
   // 4. Run 500 sensing epochs so range tables converge, with the hourly
   //    EHr broadcast priming the threshold controllers.
-  network.broadcast_ehr(/*expected queries per hour=*/180.0, 0);
+  network.broadcast_ehr(/*tree=*/0, /*expected queries per hour=*/180.0, 0);
   for (std::int64_t epoch = 0; epoch < 500; ++epoch) {
     env.advance_to(epoch);
     network.process_epoch(env, epoch);
@@ -50,7 +50,7 @@ int main() {
   // 6. Direct it with DirQ and audit against ground truth.
   const query::Involvement truth =
       query::compute_involvement(q, topo, network.tree(), env);
-  const core::QueryOutcome out = network.inject(q, 500);
+  const core::QueryOutcome out = network.inject(0, q, 500);
   const metrics::QueryAudit audit =
       metrics::audit_query(truth.involved, out.received);
   std::cout << "  ground truth: " << truth.sources.size() << " sources, "

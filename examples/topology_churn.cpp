@@ -31,7 +31,7 @@ void probe_query(core::DirqNetwork& net, const net::Topology& topo,
   query::RangeQuery q{id, kSensorTemperature, 0.0, 100.0, epoch};
   const query::Involvement truth =
       query::compute_involvement(q, topo, net.tree(), env);
-  net.inject_async(q, epoch);
+  net.inject_async(0, q, epoch);
   sched.run_until(sched.now() + 12 * mac.config().frame_ticks());
   const core::QueryOutcome out = net.collect_outcome();
   const metrics::QueryAudit audit =
@@ -117,7 +117,7 @@ int main() {
   net.handle_sensor_added(newcomer, kSensorHumidity, sched.now() / kTicksPerEpoch);
   run_epochs(5);
   query::RangeQuery hq{4, kSensorHumidity, 0.0, 200.0, 65};
-  net.inject_async(hq, 65);
+  net.inject_async(0, hq, 65);
   sched.run_until(sched.now() + 12 * mac_cfg.frame_ticks());
   const core::QueryOutcome out = net.collect_outcome();
   const bool reached = std::binary_search(out.received.begin(),

@@ -59,7 +59,8 @@ double ctd_max(std::int64_t k, std::int64_t d, double f);
 // The paper derives Eqs. (4)-(8) for a complete k-ary tree; its simulated
 // network (50 nodes, random placement) is not one. The same §5 arguments
 // applied to an arbitrary rooted tree give the forms below; the root uses
-// them at runtime to derive Umax/Hr for the actual network (DESIGN.md §1.7).
+// them at runtime to derive Umax/Hr for the actual network (the ATC
+// rationale in core/atc.hpp).
 
 /// Eq. (6) generalised: worst-case directed dissemination over a tree with
 /// `nodes` members of which `internal_nodes` have children — one multicast

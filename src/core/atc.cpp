@@ -7,6 +7,13 @@
 
 namespace dirq::core {
 
+FixedTheta::FixedTheta(double theta_pct) : pct_(theta_pct) {
+  if (!(std::isfinite(theta_pct) && theta_pct >= 0.0)) {
+    throw std::invalid_argument(
+        "FixedTheta: theta_pct must be finite and >= 0");
+  }
+}
+
 AtcController::AtcController(AtcConfig cfg) : cfg_(cfg) {
   const auto fail = [](const char* what) {
     throw std::invalid_argument(std::string("AtcConfig: ") + what);

@@ -9,8 +9,7 @@
 //     theta_abs(type) = theta_pct / 100 * nominal_span(type)
 //
 // ATC itself is reconstructed from the paper's constraints — the detailed
-// mechanism lives in the unavailable ref [13]; see DESIGN.md §1.7 for the
-// full rationale. In short:
+// mechanism lives in the unavailable ref [13]. The reconstruction:
 //
 //   * the root derives Umax/Hr = fMax(k, d) * EHr and broadcasts it with
 //     the hourly EHr estimate;
@@ -70,7 +69,10 @@ class ThetaController {
 /// Fixed threshold: theta_pct percent of each type's nominal span.
 class FixedTheta final : public ThetaController {
  public:
-  explicit FixedTheta(double theta_pct) : pct_(theta_pct) {}
+  /// Throws std::invalid_argument unless theta_pct is finite and >= 0: a
+  /// negative theta re-centres the tuple on every reading, a NaN one
+  /// never holds a reading, and an infinite one never re-centres.
+  explicit FixedTheta(double theta_pct);
   [[nodiscard]] double theta(SensorType type) const override {
     return pct_ / 100.0 * nominal_span(type);
   }
@@ -79,7 +81,8 @@ class FixedTheta final : public ThetaController {
   double pct_;
 };
 
-/// Control law for the theta adjustment step (ablation A1, DESIGN.md §4).
+/// Control law for the theta adjustment step (ablation A1,
+/// bench/ablation_atc.cpp).
 enum class AtcLaw {
   Multiplicative,  // theta *= (1 +- gain): scale-free, the default
   Additive,        // theta += +- step_pct of span: fixed-size steps

@@ -30,19 +30,6 @@ const RangeTable* DirqNode::table(TreeId tree, SensorType type) const {
   return &it->second;
 }
 
-void DirqNode::sample(SensorType type, double reading, std::int64_t epoch) {
-  if (!std::binary_search(sensors_.begin(), sensors_.end(), type)) {
-    return;  // not our sensor: ignore
-  }
-  // One physical sample, observed by each slot: each tree keeps its own
-  // theta and its own sent tuple, so one reading can trigger an update in
-  // one tree and none in another.
-  for (TreeId tree = 0; tree < slots_.size(); ++tree) {
-    slots_[tree].controller->on_reading(type, reading);
-    observe_slot(tree, type, reading, epoch);
-  }
-}
-
 void DirqNode::observe_slot(TreeId tree, SensorType type, double reading,
                             std::int64_t epoch) {
   if (!std::binary_search(sensors_.begin(), sensors_.end(), type)) return;
@@ -50,10 +37,6 @@ void DirqNode::observe_slot(TreeId tree, SensorType type, double reading,
   if (slot.tables[type].observe(reading, slot.controller->theta(type))) {
     maybe_send_update(tree, type, epoch);
   }
-}
-
-void DirqNode::end_epoch(std::int64_t epoch) {
-  for (TreeSlot& slot : slots_) slot.controller->on_epoch(epoch);
 }
 
 void DirqNode::maybe_send_update(TreeId tree, SensorType type,

@@ -13,8 +13,8 @@
 // of the owning net::TreeSet. Readings, the sensor list and the sampling
 // gate stay shared: a physical sample is taken once and observed by every
 // slot, but each tree propagates its own updates with its own thresholds.
-// The original single-tree accessors are tree-0 wrappers, so the paper's
-// single-sink deployment is byte-identical to the pre-refactor code.
+// Every per-tree entry point names its TreeId; the paper's single-sink
+// deployment is the one-slot case, tree 0.
 #pragma once
 
 #include <functional>
@@ -55,22 +55,13 @@ class DirqNode {
   void add_slot(std::unique_ptr<ThetaController> controller);
 
   /// Tree position maintenance (driven by DirqNetwork on build/churn).
-  /// The TreeId-less forms address tree 0 — the paper's single tree.
-  void set_parent(NodeId parent) { set_parent(0, parent); }
   void set_parent(TreeId tree, NodeId parent) {
     slots_.at(tree).parent = parent;
   }
-  [[nodiscard]] NodeId parent() const { return parent(0); }
   [[nodiscard]] NodeId parent(TreeId tree) const {
     return slots_.at(tree).parent;
   }
-  void set_children(std::vector<NodeId> children) {
-    set_children(0, std::move(children));
-  }
   void set_children(TreeId tree, std::vector<NodeId> children);
-  [[nodiscard]] const std::vector<NodeId>& children() const noexcept {
-    return slots_.front().children;
-  }
   [[nodiscard]] const std::vector<NodeId>& children(TreeId tree) const {
     return slots_.at(tree).children;
   }
@@ -86,26 +77,17 @@ class DirqNode {
 
   // --- sensing (paper §4.1, Fig. 1) ----------------------------------------
 
-  /// Feeds one epoch's reading for an attached sensor. The reading is
-  /// observed by every tree slot in ascending TreeId order (one physical
-  /// sample, N protocol views): each slot's controller sees it
-  /// (ThetaController::on_reading), then observe_slot. Readings for a
-  /// sensor the node does not carry are ignored.
-  void sample(SensorType type, double reading, std::int64_t epoch);
-
-  /// The range-table half of sample for one tree slot: the reading may
-  /// re-centre the slot's own tuple and emit an Update Message toward the
-  /// slot's parent if its aggregate moved beyond its theta. The slot's
-  /// controller is not fed (the epoch engine runs ATC's per-reading
-  /// update as a flat pass, AtcController::observe). Readings for a
-  /// sensor the node does not carry are ignored. Slots share no mutable
-  /// state (per-slot update counters included), so tasks owning disjoint
-  /// slots can call it on one node concurrently.
+  /// One tree slot's view of a reading: it may re-centre the slot's own
+  /// tuple and emit an Update Message toward the slot's parent if its
+  /// aggregate moved beyond its theta. The slot's controller is not fed
+  /// here: whoever drives the node feeds it (ThetaController::on_reading
+  /// per reading, on_epoch at the node's end of epoch), as the epoch
+  /// engine does with ATC's flat per-reading pass (AtcController::observe).
+  /// Readings for a sensor the node does not carry are ignored. Slots
+  /// share no mutable state (per-slot update counters included), so tasks
+  /// owning disjoint slots can call it on one node concurrently.
   void observe_slot(TreeId tree, SensorType type, double reading,
                     std::int64_t epoch);
-
-  /// End-of-epoch hook: drives every slot's threshold controller.
-  void end_epoch(std::int64_t epoch);
 
   // --- message handling ----------------------------------------------------
 
@@ -118,25 +100,19 @@ class DirqNode {
   /// A one-hop child vanished in the given tree (cross-layer notification
   /// routed through the network): drop its tuples from that slot's
   /// tables, propagate any resulting aggregate changes.
-  void on_child_lost(NodeId child, std::int64_t epoch) {
-    on_child_lost(0, child, epoch);
-  }
   void on_child_lost(TreeId tree, NodeId child, std::int64_t epoch);
 
   /// Node re-parented after a tree repair: the slot's tables (and subtree
   /// bounding box) must be re-announced to the new parent regardless of
   /// theta (it knows nothing of us).
-  void force_reannounce(std::int64_t epoch) { force_reannounce(0, epoch); }
   void force_reannounce(TreeId tree, std::int64_t epoch);
 
   /// Announces the slot's subtree bounding box to its parent if it
   /// changed since the last announcement.
-  void announce_location(std::int64_t epoch) { announce_location(0, epoch); }
   void announce_location(TreeId tree, std::int64_t epoch);
 
   /// This node's current subtree bounding box in a tree (own point +
   /// child boxes); empty when nothing in the subtree is located.
-  [[nodiscard]] net::BBox subtree_box() const { return subtree_box(0); }
   [[nodiscard]] net::BBox subtree_box(TreeId tree) const;
 
   /// Post-deployment sensor change on this node (§4.2 scalability).
@@ -151,9 +127,6 @@ class DirqNode {
 
   /// Range table for a type in a tree, or nullptr if the type is absent
   /// from this node's subtree there (tables exist lazily, Fig. 4).
-  [[nodiscard]] const RangeTable* table(SensorType type) const {
-    return table(0, type);
-  }
   [[nodiscard]] const RangeTable* table(TreeId tree, SensorType type) const;
 
   /// True if this node believes its own reading may satisfy the query
@@ -161,12 +134,6 @@ class DirqNode {
   /// and it lies inside the region when one is given). This is DirQ's
   /// local relevance test; it can err toward extra deliveries (overshoot)
   /// because the tuple is theta-wide.
-  [[nodiscard]] bool believes_relevant(const query::RangeQuery& q) const {
-    return believes_relevant(0, q);
-  }
-  [[nodiscard]] bool believes_relevant(const query::MultiQuery& q) const {
-    return believes_relevant(0, q);
-  }
   [[nodiscard]] bool believes_relevant(TreeId tree,
                                        const query::RangeQuery& q) const;
   [[nodiscard]] bool believes_relevant(TreeId tree,
@@ -174,24 +141,10 @@ class DirqNode {
 
   /// Children this node would forward the query to right now (per tree).
   [[nodiscard]] std::vector<NodeId> forwarding_set(
-      const query::RangeQuery& q) const {
-    return forwarding_set(0, q);
-  }
-  [[nodiscard]] std::vector<NodeId> forwarding_set(
-      const query::MultiQuery& q) const {
-    return forwarding_set(0, q);
-  }
-  [[nodiscard]] std::vector<NodeId> forwarding_set(
       TreeId tree, const query::RangeQuery& q) const;
   [[nodiscard]] std::vector<NodeId> forwarding_set(
       TreeId tree, const query::MultiQuery& q) const;
 
-  [[nodiscard]] ThetaController& controller() noexcept {
-    return *slots_.front().controller;
-  }
-  [[nodiscard]] const ThetaController& controller() const noexcept {
-    return *slots_.front().controller;
-  }
   [[nodiscard]] ThetaController& controller(TreeId tree) {
     return *slots_.at(tree).controller;
   }
@@ -209,9 +162,6 @@ class DirqNode {
   }
 
   /// EHr rounds seen (flood dedup state), exposed for tests.
-  [[nodiscard]] std::int64_t last_ehr_round() const noexcept {
-    return slots_.front().last_ehr_round;
-  }
   [[nodiscard]] std::int64_t last_ehr_round(TreeId tree) const {
     return slots_.at(tree).last_ehr_round;
   }

@@ -84,6 +84,15 @@ void ExperimentConfig::validate() const {
   }
 }
 
+std::vector<NodeId> ExperimentConfig::sink_roots(
+    const net::Topology& topo) const {
+  // One sink keeps node 0 — the paper's root — as tree 0, so the default
+  // deployment is byte-identical to the single-root constructor.
+  if (!sinks.empty()) return sinks;
+  if (sink_count <= 1) return {0};
+  return net::spread_roots(topo, sink_count);
+}
+
 ExperimentResults Experiment::run() {
   cfg_.validate();
   sim::Rng rng(cfg_.seed);
@@ -96,17 +105,7 @@ ExperimentResults Experiment::run() {
       cfg_.field_backend, topo, cfg_.placement.sensor_type_count,
       rng.substream("environment"));
   data::ReadingSource& env = *env_owner;
-  // Sink roots: the explicit list, or spread_roots for a bare count. Both
-  // paths keep node 0 — the paper's root — as tree 0 when sink_count is 1,
-  // so the default deployment is byte-identical to the single-root ctor.
-  std::vector<NodeId> roots;
-  if (!cfg_.sinks.empty()) {
-    roots = cfg_.sinks;
-  } else if (cfg_.sink_count <= 1) {
-    roots = {0};
-  } else {
-    roots = net::spread_roots(topo, cfg_.sink_count);
-  }
+  const std::vector<NodeId> roots = cfg_.sink_roots(topo);
   DirqNetwork network(topo, roots, cfg_.network);
   const std::size_t n_sinks = network.tree_count();
 
@@ -315,29 +314,28 @@ ExperimentResults Experiment::run() {
         p.tree = routed;
         p.population = sink_tree.size() > 0 ? sink_tree.size() - 1 : 0;
         p.flooding_cost = flooding.analytical_cost();
+        // Involvement, then injection — the same order for both query
+        // shapes.
+        const auto inject_query = [&](const auto& q) {
+          p.truth = query::compute_involvement(q, topo, sink_tree, env);
+          if (use_lmac) {
+            network.inject_async(routed, q, epoch);
+            pending = std::move(p);
+          } else {
+            finalize_query(p, network.inject(routed, q, epoch), epoch);
+          }
+        };
         const bool is_multi =
             multi_rng && multi_rng->bernoulli(cfg_.multi_attr_fraction);
         if (is_multi) {
-          query::MultiQuery q =
+          const query::MultiQuery q =
               workload.next_multi(epoch, cfg_.multi_attr_count);
           p.type = q.predicates.empty() ? 0 : q.predicates.front().type;
-          p.truth = query::compute_involvement(q, topo, sink_tree, env);
-          if (use_lmac) {
-            network.inject_async(routed, q, epoch);
-            pending = std::move(p);
-          } else {
-            finalize_query(p, network.inject(routed, q, epoch), epoch);
-          }
+          inject_query(q);
         } else {
-          query::RangeQuery q = workload.next(epoch);
+          const query::RangeQuery q = workload.next(epoch);
           p.type = q.type;
-          p.truth = query::compute_involvement(q, topo, sink_tree, env);
-          if (use_lmac) {
-            network.inject_async(routed, q, epoch);
-            pending = std::move(p);
-          } else {
-            finalize_query(p, network.inject(routed, q, epoch), epoch);
-          }
+          inject_query(q);
         }
       }
     }

@@ -110,6 +110,11 @@ struct ExperimentConfig {
     return sinks.empty() ? sink_count : sinks.size();
   }
 
+  /// The sink roots this config deploys over `topo`: the explicit list,
+  /// else node 0 alone (the paper's root) for one sink, else
+  /// net::spread_roots.
+  [[nodiscard]] std::vector<NodeId> sink_roots(const net::Topology& topo) const;
+
   /// Validates every field the driver divides or modulos by (and the
   /// probability/fraction knobs), including the sink plane: duplicate
   /// sink ids, ids outside the placement, and a zero sink count all throw
@@ -150,8 +155,8 @@ struct ExperimentResults {
   sim::RunningStat coverage_pct;    // fraction of should-set reached
   // Answer-level accuracy: nodes that believe they satisfy the query
   // (false positives come from the theta-widened own tuples) vs the
-  // ground-truth sources. This is the Fig. 7 metric; see EXPERIMENTS.md
-  // "overshoot definition".
+  // ground-truth sources. This is the Fig. 7 metric; metrics/audit.hpp
+  // defines overshoot.
   sim::RunningStat source_overshoot_pct;  // wrongly answering / true sources
   sim::RunningStat source_coverage_pct;   // true sources that answer
   // Energy.

@@ -53,8 +53,4 @@ void LmacTransport::on_neighbor_lost(NodeId self, NodeId neighbor) {
   if (on_lost_) on_lost_(self, neighbor);
 }
 
-void LmacTransport::on_neighbor_found(NodeId self, NodeId neighbor) {
-  if (on_found_) on_found_(self, neighbor);
-}
-
 }  // namespace dirq::core

@@ -46,12 +46,10 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
   // --- cross-layer notifications ---------------------------------------------
   using NeighborHandler = std::function<void(NodeId self, NodeId neighbor)>;
   void set_on_neighbor_lost(NeighborHandler h) { on_lost_ = std::move(h); }
-  void set_on_neighbor_found(NeighborHandler h) { on_found_ = std::move(h); }
 
   // --- mac::LinkObserver -------------------------------------------------------
   void on_message(NodeId self, const mac::Frame& frame) override;
   void on_neighbor_lost(NodeId self, NodeId neighbor) override;
-  void on_neighbor_found(NodeId self, NodeId neighbor) override;
 
  private:
   struct Addressed {  // multicast payload: explicit target set
@@ -63,7 +61,6 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
   MessageSink& sink_;
   CostLedger ledger_;
   NeighborHandler on_lost_;
-  NeighborHandler on_found_;
 };
 
 }  // namespace dirq::core

@@ -57,7 +57,7 @@ struct LocationAnnounce {
 struct EhrMessage {
   TreeId tree = 0;
   double expected_queries_per_hour = 0.0;  // EHr
-  double umax_per_hour = 0.0;              // fMax(k,d) * EHr (DESIGN.md §1.7)
+  double umax_per_hour = 0.0;              // fMax(k,d) * EHr (core/atc.hpp)
   std::uint32_t alive_nodes = 0;           // for fair per-node budget shares
   std::int64_t round = 0;                  // flood round (duplicate suppression)
 };

@@ -236,8 +236,8 @@ AtcController::TypeState* atc_state(DirqNode& node, TreeId k,
 /// last adjust epoch of tree k's controller on node u; a due adjust is
 /// an event keyed (position, after every type, tree), which sorts after
 /// the node's crossings and before the next node's — where the reference
-/// walk calls end_epoch — so an epoch with no adjust due touches no
-/// controller.
+/// walk ends the node's epoch (every controller's on_epoch) — so an epoch
+/// with no adjust due touches no controller.
 struct DirqNetwork::EpochEngine {
   explicit EpochEngine(unsigned threads) : pool(threads) {}
 
@@ -956,7 +956,7 @@ void DirqNetwork::consume_crossings(std::size_t task, std::int64_t epoch) {
         const std::uint32_t j = pe.filt_slot[t][i];
         const NodeId u = pe.plan_nodes[t][j];
         SamplingController& gate = samplers_[u];
-        gate.on_sample(type, vals[i], nodes_[u].controller().theta(type),
+        gate.on_sample(type, vals[i], nodes_[u].controller(0).theta(type),
                        epoch);
         pe.next_due[t][j] = gate.next_due(type);  // slot owned by the lead
       }
@@ -1039,7 +1039,7 @@ double DirqNetwork::mean_theta_pct(SensorType type) const {
   std::size_t n = 0;
   for (NodeId u : trees_.tree(0).bfs_order()) {
     if (u == root_ || !topo_.is_alive(u)) continue;
-    sum += nodes_[u].controller().theta_pct(type);
+    sum += nodes_[u].controller(0).theta_pct(type);
     ++n;
   }
   return n > 0 ? sum / static_cast<double>(n) : 0.0;

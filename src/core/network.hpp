@@ -12,9 +12,9 @@
 // their TreeId; a per-tree CostLedger mirrors the transport's global
 // ledger so each sink's energy bill is attributable (the mirrors sum to
 // the global ledger on every transport — asserted by core.multi_sink).
-// The single-root constructor builds a one-tree set, and every TreeId-less
-// entry point addresses tree 0, so the paper's single-sink deployment is
-// byte-identical to the pre-refactor code.
+// The single-root constructor builds a one-tree set, the paper's
+// single-sink deployment; every per-tree entry point names its TreeId,
+// and that deployment's sink is tree 0.
 //
 // The per-query audit records the exact set of nodes the query message was
 // delivered to — this is the "nodes that RECEIVE a query" series of
@@ -114,7 +114,6 @@ class DirqNetwork final : public MessageSink {
   [[nodiscard]] const net::SpanningTree& tree(TreeId t) const {
     return trees_.tree(t);
   }
-  [[nodiscard]] NodeId root() const noexcept { return root_; }
   [[nodiscard]] NodeId root(TreeId t) const { return trees_.root(t); }
   [[nodiscard]] DirqNode& node(NodeId id) { return nodes_.at(id); }
   [[nodiscard]] const DirqNode& node(NodeId id) const { return nodes_.at(id); }
@@ -164,11 +163,11 @@ class DirqNetwork final : public MessageSink {
   /// Contract, at every width: aliveness, sensors and own tuples change
   /// only inside process_epoch and the handle_* entry points, which
   /// invalidate the cached plan. A DirqNode driven directly
-  /// (node(id).sample(...)) between epochs leaves the plane stale, and a
-  /// node found dead in the plan throws std::logic_error. Builds without
-  /// NDEBUG check every plane entry against its range table and every
-  /// cached ATC state against its controller before the sweep uses them
-  /// (and that every crossing re-centres the tuple) and throw
+  /// (node(id).observe_slot(...)) between epochs leaves the plane stale,
+  /// and a node found dead in the plan throws std::logic_error. Builds
+  /// without NDEBUG check every plane entry against its range table and
+  /// every cached ATC state against its controller before the sweep uses
+  /// them (and that every crossing re-centres the tuple) and throw
   /// std::logic_error on a mismatch.
   void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
 
@@ -204,22 +203,13 @@ class DirqNetwork final : public MessageSink {
   /// message (0 when the tree has fewer than two members and nothing is
   /// flooded) — the single source the driver records, so the Fig. 6
   /// series can never drift from what the network disseminated.
-  double broadcast_ehr(double expected_queries_per_hour, std::int64_t epoch) {
-    return broadcast_ehr(0, expected_queries_per_hour, epoch);
-  }
   double broadcast_ehr(TreeId tree, double expected_queries_per_hour,
                        std::int64_t epoch);
 
   /// Injects a query at a sink's root and returns the audited outcome.
   /// With the instant transport the dissemination completes synchronously;
   /// with an event-driven transport use inject_async + collect_outcome
-  /// instead. The TreeId-less forms inject at tree 0 (the paper's sink).
-  QueryOutcome inject(const query::RangeQuery& q, std::int64_t epoch) {
-    return inject(0, q, epoch);
-  }
-  QueryOutcome inject(const query::MultiQuery& q, std::int64_t epoch) {
-    return inject(0, q, epoch);
-  }
+  /// instead.
   QueryOutcome inject(TreeId tree, const query::RangeQuery& q,
                       std::int64_t epoch);
   QueryOutcome inject(TreeId tree, const query::MultiQuery& q,
@@ -227,12 +217,6 @@ class DirqNetwork final : public MessageSink {
 
   /// Starts an asynchronous dissemination (event-driven transports). The
   /// audit keeps accumulating until collect_outcome is called.
-  void inject_async(const query::RangeQuery& q, std::int64_t epoch) {
-    inject_async(0, q, epoch);
-  }
-  void inject_async(const query::MultiQuery& q, std::int64_t epoch) {
-    inject_async(0, q, epoch);
-  }
   void inject_async(TreeId tree, const query::RangeQuery& q,
                     std::int64_t epoch);
   void inject_async(TreeId tree, const query::MultiQuery& q,

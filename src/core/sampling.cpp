@@ -2,8 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace dirq::core {
+
+SamplingController::SamplingController(SamplingConfig cfg) : cfg_(cfg) {
+  if (!cfg.enabled) return;
+  const auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("SamplingConfig: ") + what);
+  };
+  const auto unit = [](double x) { return x >= 0.0 && x <= 1.0; };
+  if (cfg.max_interval < 1) fail("max_interval must be >= 1");
+  if (!unit(cfg.margin_frac)) fail("margin_frac must be in [0, 1]");
+  if (!unit(cfg.trend_beta)) fail("trend_beta must be in [0, 1]");
+}
 
 bool SamplingController::should_sample(SensorType type,
                                        std::int64_t epoch) const {

@@ -39,7 +39,11 @@ struct SamplingConfig {
 /// Per-node sampling gate. One instance per DirqNode; tracks all types.
 class SamplingController {
  public:
-  explicit SamplingController(SamplingConfig cfg) : cfg_(cfg) {}
+  /// Throws std::invalid_argument on an enabled config the gate cannot
+  /// run: max_interval < 1 (an interval that never suppresses a sample)
+  /// or margin_frac or trend_beta outside [0, 1] (NaN included). A
+  /// disabled config is accepted as is: that gate never suppresses.
+  explicit SamplingController(SamplingConfig cfg);
 
   /// True if a physical sample is due at `epoch`. Always true when
   /// disabled, on the first epoch for a type, or once the current interval

@@ -15,8 +15,7 @@ FieldParams default_params(SensorType type) {
   // update traffic scales like 1/theta (the Fig. 6 regime), while nearby
   // nodes move together, keeping range tables value-coherent per subtree
   // (the low-overshoot Fig. 7 regime). Per-epoch stochastic noise is kept
-  // an order of magnitude below the 3-9 % theta sweep. See EXPERIMENTS.md
-  // "workload calibration".
+  // an order of magnitude below the 3-9 % theta sweep.
   switch (type) {
     case kSensorTemperature:
       p.base = 22.0;

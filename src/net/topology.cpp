@@ -141,7 +141,6 @@ void Topology::add_sensor(NodeId id, SensorType t) {
   auto it = std::lower_bound(n.sensors.begin(), n.sensors.end(), t);
   if (it != n.sensors.end() && *it == t) return;
   n.sensors.insert(it, t);
-  for (TopologyObserver* obs : observers_) obs->on_sensor_added(id, t);
 }
 
 void Topology::remove_sensor(NodeId id, SensorType t) {
@@ -149,7 +148,6 @@ void Topology::remove_sensor(NodeId id, SensorType t) {
   auto it = std::lower_bound(n.sensors.begin(), n.sensors.end(), t);
   if (it == n.sensors.end() || *it != t) return;
   n.sensors.erase(it);
-  for (TopologyObserver* obs : observers_) obs->on_sensor_removed(id, t);
 }
 
 std::vector<SensorType> Topology::sensor_types_present() const {
@@ -196,7 +194,7 @@ void Topology::rebuild_links() {
   index_.build(xs, ys, radio_range_);
   // Grid cells replace the all-pairs scan: candidate lists are a superset
   // of the true neighbourhood, and the exact distance filter below makes
-  // the resulting adjacency byte-identical to brute_force_adjacency()
+  // the resulting adjacency byte-identical to an all-pairs scan
   // (links are undirected, so each pair is linked once, from its lower id).
   std::vector<NodeId> cand;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -210,26 +208,6 @@ void Topology::rebuild_links() {
       }
     }
   }
-}
-
-std::vector<std::vector<NodeId>> Topology::brute_force_adjacency() const {
-  std::vector<std::vector<NodeId>> adj(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].alive) continue;
-    for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
-      if (!nodes_[j].alive) continue;
-      if (distance(static_cast<NodeId>(i), static_cast<NodeId>(j)) <=
-          radio_range_) {
-        adj[i].insert(
-            std::lower_bound(adj[i].begin(), adj[i].end(), static_cast<NodeId>(j)),
-            static_cast<NodeId>(j));
-        adj[j].insert(
-            std::lower_bound(adj[j].begin(), adj[j].end(), static_cast<NodeId>(i)),
-            static_cast<NodeId>(i));
-      }
-    }
-  }
-  return adj;
 }
 
 void Topology::link(NodeId a, NodeId b) {

@@ -5,8 +5,9 @@
 // sensor complements (Fig. 4), and a tree bounded by k = 8 (max children)
 // and d = 10 (max depth). Topology is mutable: DirQ's §4.2 dynamics are
 // node death, node addition and post-deployment sensor addition/removal,
-// all of which are first-class operations here with observer callbacks so
-// the MAC and DirQ layers can react.
+// all of which are first-class operations here. Node death and addition
+// notify observers so the MAC layer can react; sensor changes reach DirQ
+// through DirqNetwork::handle_sensor_added/removed.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,6 @@ class TopologyObserver {
   virtual ~TopologyObserver() = default;
   virtual void on_node_died(NodeId /*id*/) {}
   virtual void on_node_added(NodeId /*id*/) {}
-  virtual void on_sensor_added(NodeId /*id*/, SensorType /*t*/) {}
-  virtual void on_sensor_removed(NodeId /*id*/, SensorType /*t*/) {}
 };
 
 class Topology {
@@ -80,11 +79,6 @@ class Topology {
   /// Dead nodes are never traversed.
   [[nodiscard]] bool is_connected() const;
 
-  /// Reference O(n^2) unit-disk adjacency (the pre-spatial-index link
-  /// construction), kept for the grid-equivalence regression tests: the
-  /// grid-indexed rebuild must produce exactly these lists.
-  [[nodiscard]] std::vector<std::vector<NodeId>> brute_force_adjacency() const;
-
   /// Maximum degree over alive nodes.
   [[nodiscard]] std::size_t max_degree() const;
 
@@ -99,6 +93,8 @@ class Topology {
 
   /// Post-deployment sensor mutation (§4.2: "any changes in sensor types
   /// such as the addition or removal of sensors also propagates up").
+  /// Observers are not notified: a caller running DirQ also calls
+  /// DirqNetwork::handle_sensor_added/removed.
   void add_sensor(NodeId id, SensorType t);
   void remove_sensor(NodeId id, SensorType t);
 

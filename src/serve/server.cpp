@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "data/fast_field.hpp"
-#include "net/tree_set.hpp"
 #include "query/rate_predictor.hpp"
 #include "query/workload.hpp"
 #include "sim/rng.hpp"
@@ -57,15 +56,8 @@ ServeResults Server::run() {
                              cfg_.exp.placement.sensor_type_count,
                              rng.substream("environment"));
   data::ReadingSource& env = *env_owner;
-  std::vector<NodeId> roots;
-  if (!cfg_.exp.sinks.empty()) {
-    roots = cfg_.exp.sinks;
-  } else if (cfg_.exp.sink_count <= 1) {
-    roots = {0};
-  } else {
-    roots = net::spread_roots(topo, cfg_.exp.sink_count);
-  }
-  core::DirqNetwork network(topo, roots, cfg_.exp.network);
+  core::DirqNetwork network(topo, cfg_.exp.sink_roots(topo),
+                            cfg_.exp.network);
   const std::size_t n_sinks = network.tree_count();
   const unsigned threads = core::Experiment::effective_threads(cfg_.exp);
   if (threads > 1) network.set_threads(threads);

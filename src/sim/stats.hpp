@@ -1,38 +1,21 @@
 // Statistics primitives used across the reproduction:
-//   Counter      — named monotonically increasing tally (energy units,
-//                  message counts).
-//   RunningStat  — Welford online mean/variance; ATC uses one per node to
-//                  track the rate of variation of the measured parameter.
+//   RunningStat  — Welford online mean/variance; the experiment driver
+//                  summarises each per-query series with one.
+//   Ewma         — exponentially weighted moving average (ATC's rate of
+//                  variation, the query-rate predictor).
 //   TimeSeries   — fixed-width time bins; Fig. 6 is "update messages per
 //                  100-epoch bin" which is exactly this.
-//   Histogram    — fixed-width value bins for distribution summaries.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <string>
+#include <limits>
 #include <vector>
 
 #include "sim/types.hpp"
 
 namespace dirq::sim {
-
-/// Named monotonically increasing counter.
-class Counter {
- public:
-  Counter() = default;
-  explicit Counter(std::string name) : name_(std::move(name)) {}
-
-  void add(std::int64_t delta = 1) noexcept { value_ += delta; }
-  [[nodiscard]] std::int64_t value() const noexcept { return value_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void reset() noexcept { value_ = 0; }
-
- private:
-  std::string name_;
-  std::int64_t value_ = 0;
-};
 
 /// Welford's online algorithm for mean / variance / min / max.
 /// Numerically stable for the 20 000-sample-per-node streams used here.
@@ -53,15 +36,9 @@ class RunningStat {
   [[nodiscard]] double variance() const noexcept {
     return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
   }
-  /// Sample variance (unbiased); 0 for fewer than 2 samples.
-  [[nodiscard]] double sample_variance() const noexcept {
-    return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
   [[nodiscard]] double stddev() const noexcept { return std::sqrt(variance()); }
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-
-  void reset() noexcept { *this = RunningStat{}; }
 
  private:
   std::uint64_t n_ = 0;
@@ -88,8 +65,6 @@ class Ewma {
 
   [[nodiscard]] bool initialized() const noexcept { return initialized_; }
   [[nodiscard]] double value() const noexcept { return value_; }
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
-  void reset() noexcept { initialized_ = false; value_ = 0.0; }
 
  private:
   double alpha_;
@@ -135,39 +110,6 @@ class TimeSeries {
  private:
   std::int64_t bin_width_;
   std::vector<double> bins_;
-};
-
-/// Fixed-width value histogram over [lo, hi); out-of-range samples clamp
-/// into the edge bins so totals always reconcile.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-  void push(double x) noexcept {
-    const double span = hi_ - lo_;
-    auto idx = static_cast<std::int64_t>((x - lo_) / span * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-  [[nodiscard]] double bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-  /// Value below which the given fraction of samples fall (0..1), by
-  /// linear interpolation within the containing bin.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace dirq::sim

@@ -109,7 +109,7 @@ TEST(AccountingRegression, BroadcastEhrReturnsTheCostModelValue) {
   NetworkConfig cfg;
   DirqNetwork net(topo, 0, cfg);
   const double ehr = 180.0;
-  const double flooded = net.broadcast_ehr(ehr, 0);
+  const double flooded = net.broadcast_ehr(0, ehr, 0);
   EXPECT_GT(flooded, 0.0);
   EXPECT_DOUBLE_EQ(
       flooded,
@@ -123,7 +123,7 @@ TEST(AccountingRegression, BroadcastEhrOnLoneRootIsZero) {
   net::Topology topo = line(1);
   NetworkConfig cfg;
   DirqNetwork net(topo, 0, cfg);
-  EXPECT_EQ(net.broadcast_ehr(100.0, 0), 0.0);
+  EXPECT_EQ(net.broadcast_ehr(0, 100.0, 0), 0.0);
 }
 
 TEST(AccountingRegression, RecordedUmaxSeriesIsTheFloodedValue) {

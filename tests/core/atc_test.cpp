@@ -1,5 +1,5 @@
 // Threshold controllers: fixed percentages and the ATC reconstruction
-// (DESIGN.md §1.7): budget derivation from EHr, band steering, clamping,
+// (core/atc.hpp): budget derivation from EHr, band steering, clamping,
 // variability-scaled steps.
 #include "core/atc.hpp"
 
@@ -39,6 +39,19 @@ TEST(FixedTheta, HooksAreNoOps) {
   f.on_update_sent(kSensorTemperature, 10);
   f.on_epoch(10);
   EXPECT_DOUBLE_EQ(f.theta_pct(kSensorTemperature), 3.0);
+}
+
+TEST(FixedTheta, RejectsThresholdsTheTriggerCannotRun) {
+  // Each of these used to run to the end: a negative theta re-centres the
+  // own tuple on every reading, a NaN one never holds a reading, and an
+  // infinite one never re-centres the tuple.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {-5.0, -1e-9, nan, inf, -inf}) {
+    EXPECT_THROW(FixedTheta{bad}, std::invalid_argument) << bad;
+  }
+  // Theta 0 (send on any change, ablation A2's naive trigger) stays valid.
+  EXPECT_DOUBLE_EQ(FixedTheta{0.0}.theta(kSensorTemperature), 0.0);
 }
 
 EhrMessage ehr(double umax_per_hour, std::uint32_t nodes = 50) {

@@ -35,22 +35,22 @@ TEST(LocationRouting, SubtreeBoxesAggregateAtBootstrap) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
   // Node 1's subtree spans x in [1, 3].
-  const net::BBox box = net.node(1).subtree_box();
+  const net::BBox box = net.node(1).subtree_box(0);
   EXPECT_DOUBLE_EQ(box.min_x, 1.0);
   EXPECT_DOUBLE_EQ(box.max_x, 3.0);
   // The root's view of child 1 covers the whole chain below it.
-  const net::BBox root_box = net.node(0).subtree_box();
+  const net::BBox root_box = net.node(0).subtree_box(0);
   EXPECT_DOUBLE_EQ(root_box.max_x, 3.0);
 }
 
 TEST(LocationRouting, RegionPrunesDissemination) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
-  for (NodeId u = 1; u <= 3; ++u) net.node(u).sample(kT, 20.0, 0);
+  for (NodeId u = 1; u <= 3; ++u) net.node(u).observe_slot(0, kT, 20.0, 0);
   // Value window matches everyone; region covers only x <= 1.5.
   query::RangeQuery q{1, kT, 0.0, 100.0, 1};
   q.region = net::BBox{0.0, -1.0, 1.5, 1.0};
-  const QueryOutcome out = net.inject(q, 1);
+  const QueryOutcome out = net.inject(0, q, 1);
   EXPECT_EQ(out.received, (std::vector<NodeId>{1}));
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{1}));
 }
@@ -58,18 +58,19 @@ TEST(LocationRouting, RegionPrunesDissemination) {
 TEST(LocationRouting, RegionOutsideDeploymentReachesNobody) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
-  for (NodeId u = 1; u <= 3; ++u) net.node(u).sample(kT, 20.0, 0);
+  for (NodeId u = 1; u <= 3; ++u) net.node(u).observe_slot(0, kT, 20.0, 0);
   query::RangeQuery q{1, kT, 0.0, 100.0, 1};
   q.region = net::BBox{100.0, 100.0, 120.0, 120.0};
-  const QueryOutcome out = net.inject(q, 1);
+  const QueryOutcome out = net.inject(0, q, 1);
   EXPECT_TRUE(out.received.empty());
 }
 
 TEST(LocationRouting, QueryWithoutRegionIsUnconstrained) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
-  for (NodeId u = 1; u <= 3; ++u) net.node(u).sample(kT, 20.0, 0);
-  const QueryOutcome out = net.inject(query::RangeQuery{1, kT, 0.0, 100.0, 1}, 1);
+  for (NodeId u = 1; u <= 3; ++u) net.node(u).observe_slot(0, kT, 20.0, 0);
+  const QueryOutcome out =
+      net.inject(0, query::RangeQuery{1, kT, 0.0, 100.0, 1}, 1);
   EXPECT_EQ(out.received.size(), 3u);
 }
 
@@ -78,10 +79,10 @@ TEST(LocationRouting, ForwarderInsideRegionPathStillForwards) {
   // subtree boxes intersect the region even though they lie outside it).
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
-  for (NodeId u = 1; u <= 3; ++u) net.node(u).sample(kT, 20.0, 0);
+  for (NodeId u = 1; u <= 3; ++u) net.node(u).observe_slot(0, kT, 20.0, 0);
   query::RangeQuery q{1, kT, 0.0, 100.0, 1};
   q.region = net::BBox{2.5, -1.0, 3.5, 1.0};
-  const QueryOutcome out = net.inject(q, 1);
+  const QueryOutcome out = net.inject(0, q, 1);
   EXPECT_EQ(out.received, (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{3}));
 }
@@ -119,10 +120,10 @@ TEST(LocationRouting, RegionalQueriesCostLessThanUnconstrained) {
   CostUnits regional_cost = 0, full_cost = 0;
   for (int i = 0; i < 40; ++i) {
     query::RangeQuery q = gen.next_regional(50, 0.25);
-    regional_cost += net.inject(q, 50).cost;
+    regional_cost += net.inject(0, q, 50).cost;
     q.id += 1000000;  // fresh id, same window, no region
     q.region.reset();
-    full_cost += net.inject(q, 50).cost;
+    full_cost += net.inject(0, q, 50).cost;
   }
   EXPECT_LT(regional_cost, full_cost);
 }
@@ -132,24 +133,24 @@ TEST(LocationRouting, DeadSubtreeShrinksBoxes) {
   DirqNetwork net(topo, 0, fixed_cfg());
   topo.kill_node(3);
   net.handle_node_death(3, 1);
-  EXPECT_DOUBLE_EQ(net.node(1).subtree_box().max_x, 2.0);
+  EXPECT_DOUBLE_EQ(net.node(1).subtree_box(0).max_x, 2.0);
 }
 
 TEST(MultiAttribute, ConjunctionRequiresAllPredicates) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
   // Node 2 matches both windows; node 3 only the temperature one.
-  net.node(1).sample(kT, 10.0, 0);
-  net.node(1).sample(kH, 40.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(2).sample(kH, 60.0, 0);
-  net.node(3).sample(kT, 20.5, 0);
-  net.node(3).sample(kH, 80.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
+  net.node(1).observe_slot(0, kH, 40.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(2).observe_slot(0, kH, 60.0, 0);
+  net.node(3).observe_slot(0, kT, 20.5, 0);
+  net.node(3).observe_slot(0, kH, 80.0, 0);
   query::MultiQuery q;
   q.id = 1;
   q.epoch = 1;
   q.predicates = {{kT, 19.0, 21.0}, {kH, 55.0, 65.0}};
-  const QueryOutcome out = net.inject(q, 1);
+  const QueryOutcome out = net.inject(0, q, 1);
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{2}));
 }
 
@@ -162,39 +163,39 @@ TEST(MultiAttribute, PrunesBranchMissingOneType) {
   nodes[2].sensors = {kT, kH};
   net::Topology topo(nodes, {{0, 1}, {0, 2}});
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(1).sample(kT, 20.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(2).sample(kH, 60.0, 0);
+  net.node(1).observe_slot(0, kT, 20.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(2).observe_slot(0, kH, 60.0, 0);
   query::MultiQuery q;
   q.id = 1;
   q.epoch = 1;
   q.predicates = {{kT, 0.0, 100.0}, {kH, 0.0, 100.0}};
-  const QueryOutcome out = net.inject(q, 1);
+  const QueryOutcome out = net.inject(0, q, 1);
   EXPECT_EQ(out.received, (std::vector<NodeId>{2}));
 }
 
 TEST(MultiAttribute, EmptyPredicateListReachesNobody) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
-  for (NodeId u = 1; u <= 3; ++u) net.node(u).sample(kT, 20.0, 0);
+  for (NodeId u = 1; u <= 3; ++u) net.node(u).observe_slot(0, kT, 20.0, 0);
   query::MultiQuery q;
   q.id = 1;
-  const QueryOutcome out = net.inject(q, 1);
+  const QueryOutcome out = net.inject(0, q, 1);
   EXPECT_TRUE(out.received.empty());
 }
 
 TEST(MultiAttribute, SinglePredicateMatchesRangeQueryBehaviour) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   query::MultiQuery mq;
   mq.id = 1;
   mq.predicates = {{kT, 29.5, 30.5}};
-  const QueryOutcome multi = net.inject(mq, 1);
+  const QueryOutcome multi = net.inject(0, mq, 1);
   const QueryOutcome single =
-      net.inject(query::RangeQuery{2, kT, 29.5, 30.5, 1}, 1);
+      net.inject(0, query::RangeQuery{2, kT, 29.5, 30.5, 1}, 1);
   EXPECT_EQ(multi.received, single.received);
   EXPECT_EQ(multi.believed_sources, single.believed_sources);
   EXPECT_EQ(multi.cost, single.cost);
@@ -254,7 +255,7 @@ TEST(MultiAttribute, DisseminationCoversAllTrueSources) {
     const query::MultiQuery q = gen.next_multi(30, 2);
     const query::Involvement truth =
         query::compute_involvement(q, topo, net.tree(), env);
-    const QueryOutcome out = net.inject(q, 30);
+    const QueryOutcome out = net.inject(0, q, 30);
     const metrics::QueryAudit audit =
         metrics::audit_query(truth.involved, out.received);
     coverage.push(audit.coverage_pct());
@@ -266,14 +267,14 @@ TEST(MultiAttribute, RegionAndConjunctionCompose) {
   net::Topology topo = line4();
   DirqNetwork net(topo, 0, fixed_cfg());
   for (NodeId u = 1; u <= 3; ++u) {
-    net.node(u).sample(kT, 20.0, 0);
-    net.node(u).sample(kH, 60.0, 0);
+    net.node(u).observe_slot(0, kT, 20.0, 0);
+    net.node(u).observe_slot(0, kH, 60.0, 0);
   }
   query::MultiQuery q;
   q.id = 1;
   q.predicates = {{kT, 0.0, 100.0}, {kH, 0.0, 100.0}};
   q.region = net::BBox{0.0, -1.0, 2.5, 1.0};  // nodes 1, 2 only
-  const QueryOutcome out = net.inject(q, 1);
+  const QueryOutcome out = net.inject(0, q, 1);
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{1, 2}));
 }
 

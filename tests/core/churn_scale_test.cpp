@@ -97,7 +97,7 @@ struct ScaleChurnWorld {
                         current_epoch()};
     const query::Involvement truth =
         query::compute_involvement(q, topo, net.tree(), env);
-    net.inject_async(q, current_epoch());
+    net.inject_async(0, q, current_epoch());
     sched.run_until(sched.now() + 16 * mac_cfg.frame_ticks());
     const QueryOutcome out = net.collect_outcome();
     if (truth.involved.empty()) return 0.0;
@@ -127,7 +127,7 @@ TEST(ChurnAtScale, LmacTimeoutDrivesTreeRepairAt500Nodes) {
   const std::vector<NodeId>& order = w.net.tree().bfs_order();
   NodeId internal = kNoNode;
   for (NodeId u : order) {
-    if (u != w.net.root() && !w.net.tree().children(u).empty()) {
+    if (u != w.net.root(0) && !w.net.tree().children(u).empty()) {
       internal = u;
       break;
     }

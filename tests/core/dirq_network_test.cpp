@@ -41,13 +41,13 @@ query::RangeQuery make_query(QueryId id, SensorType type, double lo, double hi,
 TEST(DirqNetwork, BootstrapUpdateCascade) {
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   // Leaf-first: 3 + 2 + 1 = 6 update transmissions to converge.
   EXPECT_EQ(net.updates_transmitted(), 6);
   // Root's table aggregates the whole network.
-  const RangeTable* t = net.node(0).table(kT);
+  const RangeTable* t = net.node(0).table(0, kT);
   ASSERT_NE(t, nullptr);
   const RangeAggregate agg = t->aggregate();
   ASSERT_TRUE(agg.has_value());
@@ -58,11 +58,12 @@ TEST(DirqNetwork, BootstrapUpdateCascade) {
 TEST(DirqNetwork, StableReadingsSendNothing) {
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg());
-  for (NodeId u = 1; u <= 3; ++u) net.node(u).sample(kT, 20.0, 0);
+  for (NodeId u = 1; u <= 3; ++u) net.node(u).observe_slot(0, kT, 20.0, 0);
   const std::int64_t after_bootstrap = net.updates_transmitted();
   for (std::int64_t e = 1; e < 50; ++e) {
     for (NodeId u = 1; u <= 3; ++u) {
-      net.node(u).sample(kT, 20.0 + 0.1 * static_cast<double>(u % 2), e);
+      net.node(u).observe_slot(0, kT, 20.0 + 0.1 * static_cast<double>(u % 2),
+                               e);
     }
   }
   EXPECT_EQ(net.updates_transmitted(), after_bootstrap);
@@ -71,11 +72,11 @@ TEST(DirqNetwork, StableReadingsSendNothing) {
 TEST(DirqNetwork, QueryDirectedOnlyToMatchingBranch) {
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   // Window around node 3's reading only: all of 1, 2 forward; 3 believes.
-  const QueryOutcome out = net.inject(make_query(1, kT, 29.5, 30.5), 1);
+  const QueryOutcome out = net.inject(0, make_query(1, kT, 29.5, 30.5), 1);
   EXPECT_EQ(out.received, (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{3}));
 }
@@ -83,11 +84,11 @@ TEST(DirqNetwork, QueryDirectedOnlyToMatchingBranch) {
 TEST(DirqNetwork, QueryPrunedAtFirstNonOverlap) {
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   // Window around node 1 only: stops there (subtree of 2 is [18.9, 31.1]).
-  const QueryOutcome out = net.inject(make_query(2, kT, 9.9, 10.1), 1);
+  const QueryOutcome out = net.inject(0, make_query(2, kT, 9.9, 10.1), 1);
   EXPECT_EQ(out.received, (std::vector<NodeId>{1}));
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{1}));
 }
@@ -95,8 +96,8 @@ TEST(DirqNetwork, QueryPrunedAtFirstNonOverlap) {
 TEST(DirqNetwork, NonMatchingQueryReachesNobody) {
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg());
-  for (NodeId u = 1; u <= 3; ++u) net.node(u).sample(kT, 20.0, 0);
-  const QueryOutcome out = net.inject(make_query(3, kT, 100.0, 200.0), 1);
+  for (NodeId u = 1; u <= 3; ++u) net.node(u).observe_slot(0, kT, 20.0, 0);
+  const QueryOutcome out = net.inject(0, make_query(3, kT, 100.0, 200.0), 1);
   EXPECT_TRUE(out.received.empty());
   EXPECT_EQ(out.cost, 0);
 }
@@ -104,10 +105,10 @@ TEST(DirqNetwork, NonMatchingQueryReachesNobody) {
 TEST(DirqNetwork, QueryCostIsOneTxPerForwarderPlusRx) {
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
-  const QueryOutcome out = net.inject(make_query(4, kT, 0.0, 100.0), 1);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
+  const QueryOutcome out = net.inject(0, make_query(4, kT, 0.0, 100.0), 1);
   // Forwarders: 0, 1, 2 (one multicast each) + receptions 1, 2, 3.
   EXPECT_EQ(out.cost, 6);
 }
@@ -117,10 +118,10 @@ TEST(DirqNetwork, ThetaWideningCausesOvershoot) {
   // tuple: DirQ delivers anyway (the paper's overshoot mechanism).
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg(9.0));  // theta = 1.98
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
-  const QueryOutcome out = net.inject(make_query(5, kT, 31.0, 31.5), 1);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
+  const QueryOutcome out = net.inject(0, make_query(5, kT, 31.0, 31.5), 1);
   EXPECT_EQ(out.received, (std::vector<NodeId>{1, 2, 3}));
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{3}));  // false positive
 }
@@ -132,11 +133,11 @@ TEST(DirqNetwork, HeterogeneousTypesRouteIndependently) {
   nodes[2].sensors = {kH};
   net::Topology topo(nodes, {{0, 1}, {0, 2}});
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(1).sample(kT, 20.0, 0);
-  net.node(2).sample(kH, 60.0, 0);
-  const QueryOutcome t_out = net.inject(make_query(1, kT, 0.0, 100.0), 1);
+  net.node(1).observe_slot(0, kT, 20.0, 0);
+  net.node(2).observe_slot(0, kH, 60.0, 0);
+  const QueryOutcome t_out = net.inject(0, make_query(1, kT, 0.0, 100.0), 1);
   EXPECT_EQ(t_out.received, (std::vector<NodeId>{1}));
-  const QueryOutcome h_out = net.inject(make_query(2, kH, 0.0, 100.0), 1);
+  const QueryOutcome h_out = net.inject(0, make_query(2, kH, 0.0, 100.0), 1);
   EXPECT_EQ(h_out.received, (std::vector<NodeId>{2}));
 }
 
@@ -151,13 +152,13 @@ TEST(DirqNetwork, Fig4ForwarderWithoutOwnSensorKeepsTables) {
     return net::Topology(std::move(nodes), 1.1);
   }();
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(2).sample(kT, 25.0, 0);
-  net.node(1).sample(kH, 55.0, 0);
-  const RangeTable* t = net.node(1).table(kT);
+  net.node(2).observe_slot(0, kT, 25.0, 0);
+  net.node(1).observe_slot(0, kH, 55.0, 0);
+  const RangeTable* t = net.node(1).table(0, kT);
   ASSERT_NE(t, nullptr);
   EXPECT_FALSE(t->own().has_value());
   EXPECT_TRUE(t->child(2).has_value());
-  const QueryOutcome out = net.inject(make_query(1, kT, 24.0, 26.0), 1);
+  const QueryOutcome out = net.inject(0, make_query(1, kT, 24.0, 26.0), 1);
   EXPECT_EQ(out.received, (std::vector<NodeId>{1, 2}));
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{2}));
 }
@@ -165,9 +166,9 @@ TEST(DirqNetwork, Fig4ForwarderWithoutOwnSensorKeepsTables) {
 TEST(DirqNetwork, SampleForMissingSensorIsIgnored) {
   net::Topology topo = line(3);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(1).sample(kH, 50.0, 0);  // node 1 has no humidity sensor
+  net.node(1).observe_slot(0, kH, 50.0, 0);  // node 1 has no humidity sensor
   EXPECT_EQ(net.updates_transmitted(), 0);
-  EXPECT_EQ(net.node(1).table(kH), nullptr);
+  EXPECT_EQ(net.node(1).table(0, kH), nullptr);
 }
 
 TEST(DirqNetwork, EhrFloodReachesEveryNodeOnce) {
@@ -175,7 +176,7 @@ TEST(DirqNetwork, EhrFloodReachesEveryNodeOnce) {
   NetworkConfig cfg;
   cfg.mode = NetworkConfig::ThetaMode::Atc;
   DirqNetwork net(topo, 0, cfg);
-  net.broadcast_ehr(180.0, 0);
+  net.broadcast_ehr(0, 180.0, 0);
   // Control traffic = the location bootstrap (one unicast per non-root
   // node: 4 tx + 4 rx) + the EHr flood (every alive node broadcasts once:
   // 5 tx, 2 * links = 8 rx).
@@ -183,7 +184,7 @@ TEST(DirqNetwork, EhrFloodReachesEveryNodeOnce) {
   EXPECT_EQ(net.costs().control_rx, 4 + 8);
   // Every node's controller received a budget.
   for (NodeId u = 0; u < 5; ++u) {
-    auto* atc = dynamic_cast<AtcController*>(&net.node(u).controller());
+    auto* atc = dynamic_cast<AtcController*>(&net.node(u).controller(0));
     ASSERT_NE(atc, nullptr);
     EXPECT_GT(atc->budget_per_hour(), 0.0) << "node " << u;
   }
@@ -192,8 +193,8 @@ TEST(DirqNetwork, EhrFloodReachesEveryNodeOnce) {
 TEST(DirqNetwork, SecondEhrRoundFloodsAgain) {
   net::Topology topo = line(3);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.broadcast_ehr(100.0, 0);
-  net.broadcast_ehr(120.0, kEpochsPerHour);
+  net.broadcast_ehr(0, 100.0, 0);
+  net.broadcast_ehr(0, 120.0, kEpochsPerHour);
   // 2 location announcements at bootstrap + two 3-node EHr floods.
   EXPECT_EQ(net.costs().control_tx, 2 + 6);
 }
@@ -201,20 +202,20 @@ TEST(DirqNetwork, SecondEhrRoundFloodsAgain) {
 TEST(DirqNetwork, LeafDeathRetractsItsRange) {
   net::Topology topo = line(4);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   topo.kill_node(3);
   net.handle_node_death(3, 1);
   // Node 2 dropped its only child entry; aggregates shrank up the chain.
-  const RangeTable* t2 = net.node(2).table(kT);
+  const RangeTable* t2 = net.node(2).table(0, kT);
   ASSERT_NE(t2, nullptr);
   EXPECT_FALSE(t2->child(3).has_value());
-  const RangeAggregate root_agg = net.node(0).table(kT)->aggregate();
+  const RangeAggregate root_agg = net.node(0).table(0, kT)->aggregate();
   ASSERT_TRUE(root_agg.has_value());
   EXPECT_DOUBLE_EQ(root_agg->max, 20.0 + 1.1);  // node 3's 31.1 is gone
   // A query for the dead node's range reaches nobody relevant.
-  const QueryOutcome out = net.inject(make_query(9, kT, 29.5, 30.5), 2);
+  const QueryOutcome out = net.inject(0, make_query(9, kT, 29.5, 30.5), 2);
   EXPECT_TRUE(out.believed_sources.empty());
 }
 
@@ -226,15 +227,15 @@ TEST(DirqNetwork, DiamondReparentingKeepsSubtreeReachable) {
   nodes[3].sensors = {kT};
   net::Topology topo(nodes, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   ASSERT_EQ(net.tree().parent(3), 1u);
   topo.kill_node(1);
   net.handle_node_death(1, 1);
   EXPECT_EQ(net.tree().parent(3), 2u);
   // Node 2 now carries node 3's range; the query routes through it.
-  const QueryOutcome out = net.inject(make_query(1, kT, 29.5, 30.5), 2);
+  const QueryOutcome out = net.inject(0, make_query(1, kT, 29.5, 30.5), 2);
   EXPECT_EQ(out.received, (std::vector<NodeId>{2, 3}));
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{3}));
 }
@@ -242,8 +243,8 @@ TEST(DirqNetwork, DiamondReparentingKeepsSubtreeReachable) {
 TEST(DirqNetwork, NodeAdditionJoinsTreeAndAnnounces) {
   net::Topology topo = line(3);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   net::Node newcomer;
   newcomer.x = 3.0;
   newcomer.sensors = {kT};
@@ -251,31 +252,31 @@ TEST(DirqNetwork, NodeAdditionJoinsTreeAndAnnounces) {
   net.handle_node_addition(id, 1);
   EXPECT_TRUE(net.tree().in_tree(id));
   EXPECT_EQ(net.tree().parent(id), 2u);
-  net.node(id).sample(kT, 40.0, 1);
-  const QueryOutcome out = net.inject(make_query(1, kT, 39.0, 41.0), 2);
+  net.node(id).observe_slot(0, kT, 40.0, 1);
+  const QueryOutcome out = net.inject(0, make_query(1, kT, 39.0, 41.0), 2);
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{id}));
 }
 
 TEST(DirqNetwork, PostDeploymentSensorAddition) {
   net::Topology topo = line(3);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   net.handle_sensor_added(1, kH, 1);
-  net.node(1).sample(kH, 55.0, 1);
+  net.node(1).observe_slot(0, kH, 55.0, 1);
   // Humidity is now queryable even though deployment had none.
-  const QueryOutcome out = net.inject(make_query(1, kH, 50.0, 60.0), 2);
+  const QueryOutcome out = net.inject(0, make_query(1, kH, 50.0, 60.0), 2);
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{1}));
 }
 
 TEST(DirqNetwork, SensorRemovalRetractsType) {
   net::Topology topo = line(3, {kT, kH});
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.node(2).sample(kH, 60.0, 0);
-  net.node(1).sample(kH, 50.0, 0);
+  net.node(2).observe_slot(0, kH, 60.0, 0);
+  net.node(1).observe_slot(0, kH, 50.0, 0);
   net.handle_sensor_removed(2, kH, 1);
   // Node 2's own humidity tuple is gone; a humidity query matching only
   // its old value must not believe node 2 a source.
-  const QueryOutcome out = net.inject(make_query(1, kH, 58.0, 62.0), 2);
+  const QueryOutcome out = net.inject(0, make_query(1, kH, 58.0, 62.0), 2);
   EXPECT_TRUE(out.believed_sources.empty());
 }
 
@@ -284,9 +285,9 @@ TEST(DirqNetwork, UpdateHookSeesEveryTransmission) {
   DirqNetwork net(topo, 0, fixed_cfg());
   std::int64_t hook_count = 0;
   net.set_update_hook([&](std::int64_t) { ++hook_count; });
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   EXPECT_EQ(hook_count, net.updates_transmitted());
   EXPECT_EQ(hook_count, 6);
 }
@@ -294,8 +295,8 @@ TEST(DirqNetwork, UpdateHookSeesEveryTransmission) {
 TEST(DirqNetwork, NestedAuditThrows) {
   net::Topology topo = line(3);
   DirqNetwork net(topo, 0, fixed_cfg());
-  net.inject_async(make_query(1, kT, 0.0, 1.0), 1);
-  EXPECT_THROW(net.inject_async(make_query(2, kT, 0.0, 1.0), 1),
+  net.inject_async(0, make_query(1, kT, 0.0, 1.0), 1);
+  EXPECT_THROW(net.inject_async(0, make_query(2, kT, 0.0, 1.0), 1),
                std::logic_error);
   net.collect_outcome();
   EXPECT_THROW(net.collect_outcome(), std::logic_error);
@@ -310,7 +311,7 @@ TEST(DirqNetwork, ProcessEpochSamplesEverySensor) {
   net.process_epoch(env, 0);
   // After the bootstrap epoch the root has a table for every type present.
   for (SensorType t : topo.sensor_types_present()) {
-    EXPECT_NE(net.node(0).table(t), nullptr) << "type " << t;
+    EXPECT_NE(net.node(0).table(0, t), nullptr) << "type " << t;
   }
   EXPECT_GT(net.updates_transmitted(), 0);
 }
@@ -329,7 +330,7 @@ TEST(DirqNetwork, RootAggregateCoversAllCurrentReadings) {
   // hop suppresses aggregate moves of at most theta (Fig. 3), so a reading
   // can sit at most depth * theta outside the root's stored range.
   for (SensorType t : topo.sensor_types_present()) {
-    const RangeAggregate agg = net.node(0).table(t)->aggregate();
+    const RangeAggregate agg = net.node(0).table(0, t)->aggregate();
     ASSERT_TRUE(agg.has_value());
     const double theta = 0.05 * nominal_span(t);
     for (NodeId u : topo.nodes_with_sensor(t)) {
@@ -348,9 +349,9 @@ TEST(DirqNetwork, PerNodeEnergyAccounting) {
   // Location bootstrap: nodes 1-3 each announce once; 0-2 receive once.
   EXPECT_EQ(net.node_tx(3), 1);
   EXPECT_EQ(net.node_rx(2), 1);
-  net.node(3).sample(kT, 30.0, 0);
-  net.node(2).sample(kT, 20.0, 0);
-  net.node(1).sample(kT, 10.0, 0);
+  net.node(3).observe_slot(0, kT, 30.0, 0);
+  net.node(2).observe_slot(0, kT, 20.0, 0);
+  net.node(1).observe_slot(0, kT, 10.0, 0);
   // Bootstrap cascade: node 3 sent 1 location + 1 update; node 2 relayed
   // plus its own: 1 location + 2 updates; node 1: 1 + 3.
   EXPECT_EQ(net.node_tx(3), 2);
@@ -360,7 +361,7 @@ TEST(DirqNetwork, PerNodeEnergyAccounting) {
   // Receptions: node 0 got 1 location + 3 updates from node 1.
   EXPECT_EQ(net.node_rx(0), 4);
   // A query to the deep end charges each hop.
-  (void)net.inject(make_query(1, kT, 29.5, 30.5), 1);
+  (void)net.inject(0, make_query(1, kT, 29.5, 30.5), 1);
   EXPECT_EQ(net.node_tx(0), 1);  // root forwarded
   EXPECT_EQ(net.node_rx(3), 1);  // the leaf's only reception is the query
   const CostUnits total_tx =
@@ -411,7 +412,7 @@ TEST(DirqNetworkBatch, DuplicateSensorListsAreDedupedByTopology) {
     net.process_epoch(env, e);
   }
   for (NodeId u = 1; u < 4; ++u) {
-    const RangeTable* t = net.node(u).table(kT);
+    const RangeTable* t = net.node(u).table(0, kT);
     ASSERT_NE(t, nullptr) << "node " << u;
     ASSERT_TRUE(t->own().has_value()) << "node " << u;
     const double r = env.reading(u, kT);

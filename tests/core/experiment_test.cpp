@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "support/ledger_parity.hpp"
@@ -282,6 +283,40 @@ TEST(Experiment, RejectsAtcConfigsTheControllerCannotRun) {
     EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
   }
   EXPECT_NO_THROW(Experiment(atc_cfg()).run());
+}
+
+TEST(Experiment, RejectsFixedThetaAndGateConfigsTheNodesCannotRun) {
+  // At 50 nodes a fixed_pct of -5 used to run to the end with 19 %
+  // coverage, NaN gave 0 % coverage and inf 83 % overshoot, and an enabled
+  // gate with max_interval 0 never skipped a sample. The network builds
+  // each node's controller and gate, so every driver fails loud.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {-5.0, nan, inf}) {
+    ExperimentConfig cfg = short_cfg(/*epochs=*/200);
+    cfg.network.fixed_pct = bad;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument) << bad;
+  }
+  const auto gated_cfg = [] {
+    ExperimentConfig cfg = short_cfg(/*epochs=*/200);
+    cfg.network.sampling.enabled = true;
+    return cfg;
+  };
+  for (int bad : {0, -3}) {
+    ExperimentConfig cfg = gated_cfg();
+    cfg.network.sampling.max_interval = bad;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument) << bad;
+  }
+  {
+    ExperimentConfig cfg = gated_cfg();
+    cfg.network.sampling.margin_frac = nan;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
+  }
+  // Theta 0 and margin 0 stay valid.
+  ExperimentConfig edge = gated_cfg();
+  edge.network.fixed_pct = 0.0;
+  edge.network.sampling.margin_frac = 0.0;
+  EXPECT_NO_THROW(Experiment(edge).run());
 }
 
 TEST(Experiment, ConfigValidationRejectsBadRatesAndLmacGeometry) {

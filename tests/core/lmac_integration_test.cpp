@@ -74,12 +74,12 @@ struct LmacWorld {
 
 TEST(LmacIntegration, UpdatesPropagateAcrossFrames) {
   LmacWorld w(4);
-  w.net.node(3).sample(kT, 30.0, 0);
-  w.net.node(2).sample(kT, 20.0, 0);
-  w.net.node(1).sample(kT, 10.0, 0);
+  w.net.node(3).observe_slot(0, kT, 30.0, 0);
+  w.net.node(2).observe_slot(0, kT, 20.0, 0);
+  w.net.node(1).observe_slot(0, kT, 10.0, 0);
   // Messages are queued in data sections; each hop needs a frame to relay.
   w.run_frames(5);
-  const RangeTable* t = w.net.node(0).table(kT);
+  const RangeTable* t = w.net.node(0).table(0, kT);
   ASSERT_NE(t, nullptr);
   const RangeAggregate agg = t->aggregate();
   ASSERT_TRUE(agg.has_value());
@@ -89,11 +89,11 @@ TEST(LmacIntegration, UpdatesPropagateAcrossFrames) {
 
 TEST(LmacIntegration, QueryDisseminatesSlotSynchronously) {
   LmacWorld w(4);
-  w.net.node(3).sample(kT, 30.0, 0);
-  w.net.node(2).sample(kT, 20.0, 0);
-  w.net.node(1).sample(kT, 10.0, 0);
+  w.net.node(3).observe_slot(0, kT, 30.0, 0);
+  w.net.node(2).observe_slot(0, kT, 20.0, 0);
+  w.net.node(1).observe_slot(0, kT, 10.0, 0);
   w.run_frames(5);
-  w.net.inject_async(query::RangeQuery{1, kT, 29.5, 30.5, 1}, 1);
+  w.net.inject_async(0, query::RangeQuery{1, kT, 29.5, 30.5, 1}, 1);
   w.run_frames(5);  // one hop per frame down the chain
   const QueryOutcome out = w.net.collect_outcome();
   EXPECT_EQ(out.received, (std::vector<NodeId>{1, 2, 3}));
@@ -102,12 +102,12 @@ TEST(LmacIntegration, QueryDisseminatesSlotSynchronously) {
 
 TEST(LmacIntegration, MulticastChargesSingleTransmission) {
   LmacWorld w(4);
-  w.net.node(3).sample(kT, 30.0, 0);
-  w.net.node(2).sample(kT, 20.0, 0);
-  w.net.node(1).sample(kT, 10.0, 0);
+  w.net.node(3).observe_slot(0, kT, 30.0, 0);
+  w.net.node(2).observe_slot(0, kT, 20.0, 0);
+  w.net.node(1).observe_slot(0, kT, 10.0, 0);
   w.run_frames(5);
   const CostUnits qtx_before = w.transport.costs().query_tx;
-  w.net.inject_async(query::RangeQuery{1, kT, 0.0, 100.0, 1}, 1);
+  w.net.inject_async(0, query::RangeQuery{1, kT, 0.0, 100.0, 1}, 1);
   w.run_frames(5);
   (void)w.net.collect_outcome();
   // Forwarders 0, 1, 2: one query transmission each.
@@ -116,20 +116,20 @@ TEST(LmacIntegration, MulticastChargesSingleTransmission) {
 
 TEST(LmacIntegration, CrossLayerDeathDetectionRepairsTables) {
   LmacWorld w(4);
-  w.net.node(3).sample(kT, 30.0, 0);
-  w.net.node(2).sample(kT, 20.0, 0);
-  w.net.node(1).sample(kT, 10.0, 0);
+  w.net.node(3).observe_slot(0, kT, 30.0, 0);
+  w.net.node(2).observe_slot(0, kT, 20.0, 0);
+  w.net.node(1).observe_slot(0, kT, 10.0, 0);
   w.run_frames(5);
   // Node 3 dies silently; nobody tells DirQ directly.
   w.topo.kill_node(3);
   w.run_frames(8);  // timeout (3 frames) + repair traffic
   EXPECT_TRUE(w.repaired_.contains(3));
-  const RangeTable* t2 = w.net.node(2).table(kT);
+  const RangeTable* t2 = w.net.node(2).table(0, kT);
   if (t2 != nullptr) {
     EXPECT_FALSE(t2->child(3).has_value());
   }
   // Root aggregate no longer includes node 3's 31.1 ceiling.
-  const RangeTable* t0 = w.net.node(0).table(kT);
+  const RangeTable* t0 = w.net.node(0).table(0, kT);
   ASSERT_NE(t0, nullptr);
   ASSERT_TRUE(t0->aggregate().has_value());
   EXPECT_DOUBLE_EQ(t0->aggregate()->max, 20.0 + 1.1);
@@ -138,7 +138,7 @@ TEST(LmacIntegration, CrossLayerDeathDetectionRepairsTables) {
 TEST(LmacIntegration, EhrFloodOverMac) {
   LmacWorld w(4);
   w.run_frames(2);
-  w.net.broadcast_ehr(180.0, 0);
+  w.net.broadcast_ehr(0, 180.0, 0);
   w.run_frames(6);  // one hop per frame
   // All four nodes rebroadcast once.
   EXPECT_EQ(w.transport.costs().control_tx, 4);

@@ -55,7 +55,7 @@ struct LossyWorld {
       const query::RangeQuery q = gen.next(epoch);
       const query::Involvement truth =
           query::compute_involvement(q, topo, net.tree(), env);
-      const QueryOutcome out = net.inject(q, epoch);
+      const QueryOutcome out = net.inject(0, q, epoch);
       cov.push(metrics::audit_query(truth.involved, out.received).coverage_pct());
     }
     return cov.mean();
@@ -129,7 +129,7 @@ TEST(LossyProtocol, StaleRangesHealAfterChannelRecovers) {
     const query::RangeQuery q = gen.next(1200);
     const query::Involvement truth =
         query::compute_involvement(q, topo, net.tree(), env);
-    const QueryOutcome out = net.inject(q, 1200);
+    const QueryOutcome out = net.inject(0, q, 1200);
     cov.push(metrics::audit_query(truth.involved, out.received).coverage_pct());
   }
   EXPECT_GT(cov.mean(), 90.0);

@@ -319,7 +319,7 @@ TEST(ParallelOwnPlane, ScriptHitsEveryEdge) {
   for (std::int64_t e = 0; e <= cycle_start + 6; ++e) {
     env.advance_to(e);
     net.process_epoch(env, e);
-    const RangeTable* table = net.node(u).table(t);
+    const RangeTable* table = net.node(u).table(0, t);
     ASSERT_NE(table, nullptr);
     ASSERT_TRUE(table->own().has_value());
     const RangeEntry own = *table->own();

@@ -453,8 +453,8 @@ TEST(ReferenceWalkAtc, TypeRegainedWhileTheGateHoldsItsSlot) {
       net.handle_sensor_removed(kLeaf, kType, e);
     }
     if (e % 50 == 0) {
-      ref.broadcast_ehr(1e6, e);
-      net.broadcast_ehr(1e6, e);
+      ref.broadcast_ehr(0, 1e6, e);
+      net.broadcast_ehr(0, 1e6, e);
     }
     if (regained < 0 && e >= 40 && e % cfg.atc.adjust_period == 0 &&
         net.sampler(kLeaf).next_due(kType) > e) {
@@ -470,8 +470,8 @@ TEST(ReferenceWalkAtc, TypeRegainedWhileTheGateHoldsItsSlot) {
     ASSERT_EQ(walk.samples_skipped(), net.samples_skipped()) << e;
     for (NodeId u = 0; u < 3; ++u) {
       for (SensorType t = 0; t < 2; ++t) {
-        ASSERT_EQ(bits(ref.node(u).controller().theta(t)),
-                  bits(net.node(u).controller().theta(t)))
+        ASSERT_EQ(bits(ref.node(u).controller(0).theta(t)),
+                  bits(net.node(u).controller(0).theta(t)))
             << "epoch " << e << " node " << u << " type " << t;
       }
     }
@@ -479,7 +479,7 @@ TEST(ReferenceWalkAtc, TypeRegainedWhileTheGateHoldsItsSlot) {
   ASSERT_GT(regained, 0);
   // The leaf's other type was narrowed, so the regained type's theta
   // really depends on when its entry appeared.
-  EXPECT_LT(net.node(kLeaf).controller().theta_pct(0), cfg.atc.initial_pct);
+  EXPECT_LT(net.node(kLeaf).controller(0).theta_pct(0), cfg.atc.initial_pct);
 }
 
 }  // namespace

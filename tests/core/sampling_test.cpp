@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/experiment.hpp"
 
 namespace dirq::core {
@@ -96,6 +99,31 @@ TEST(Sampling, MaxIntervalBoundsDetectionDelay) {
     ++epoch;
   }
   EXPECT_LE(s.interval(kT), 4);
+}
+
+TEST(Sampling, RejectsGateConfigsItCannotRun) {
+  // An enabled gate with max_interval 0 or -3 used to run and never
+  // suppress a sample; the margin and the trend weight are fractions.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int bad : {0, -3}) {
+    EXPECT_THROW(SamplingController{enabled_cfg(0.5, bad)},
+                 std::invalid_argument)
+        << bad;
+  }
+  for (double bad : {-0.1, 1.5, nan, inf}) {
+    EXPECT_THROW(SamplingController{enabled_cfg(bad)}, std::invalid_argument)
+        << bad;
+    SamplingConfig cfg = enabled_cfg();
+    cfg.trend_beta = bad;
+    EXPECT_THROW(SamplingController{cfg}, std::invalid_argument) << bad;
+  }
+  // The edges stay valid, and a disabled gate never reads its config.
+  EXPECT_NO_THROW(SamplingController{enabled_cfg(0.0, 1)});
+  EXPECT_NO_THROW(SamplingController{enabled_cfg(1.0)});
+  SamplingConfig off = enabled_cfg(nan, 0);
+  off.enabled = false;
+  EXPECT_NO_THROW(SamplingController{off});
 }
 
 class SamplingExperimentTest : public ::testing::TestWithParam<double> {};

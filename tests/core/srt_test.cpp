@@ -123,7 +123,7 @@ TEST(SrtVsDirq, DirqPrunesWhereSrtCannot) {
   sim::RunningStat dirq_cost, srt_cost, dirq_recv, srt_recv;
   for (int i = 0; i < 50; ++i) {
     const query::RangeQuery q = gen.next(100);
-    const QueryOutcome d = net.inject(q, 100);
+    const QueryOutcome d = net.inject(0, q, 100);
     const SrtScheme::Outcome s = srt.disseminate(q);
     dirq_cost.push(static_cast<double>(d.cost));
     srt_cost.push(static_cast<double>(s.cost));

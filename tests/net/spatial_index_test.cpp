@@ -3,7 +3,8 @@
 // Topology::rebuild_links and add_node query the uniform-grid SpatialIndex
 // instead of scanning all pairs; because candidate sets are supersets and
 // the exact distance filter is shared, the resulting adjacency must be
-// *identical* — not just isomorphic — to Topology::brute_force_adjacency().
+// *identical* — not just isomorphic — to the all-pairs reference
+// brute_force_adjacency() (tests/support/brute_force_adjacency.hpp).
 // This suite pins that equivalence across random placements and the edge
 // cases that break naive grids: nodes exactly at radio_range, co-located
 // nodes, dead nodes, revivals redeployed outside the original bounds.
@@ -19,6 +20,7 @@
 #include "net/placement.hpp"
 #include "net/topology.hpp"
 #include "sim/rng.hpp"
+#include "support/brute_force_adjacency.hpp"
 
 namespace dirq::net {
 namespace {
@@ -34,7 +36,7 @@ std::vector<Node> random_nodes(std::size_t n, double side, sim::Rng& rng) {
 }
 
 void expect_adjacency_matches(const Topology& topo) {
-  const auto brute = topo.brute_force_adjacency();
+  const auto brute = brute_force_adjacency(topo);
   ASSERT_EQ(brute.size(), topo.size());
   std::size_t links = 0;
   for (NodeId u = 0; u < topo.size(); ++u) {

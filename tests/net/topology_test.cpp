@@ -161,15 +161,8 @@ TEST(Topology, SensorListsAreSortedUnique) {
 
 struct RecordingObserver final : TopologyObserver {
   std::vector<NodeId> died, added;
-  std::vector<std::pair<NodeId, SensorType>> sensor_added, sensor_removed;
   void on_node_died(NodeId id) override { died.push_back(id); }
   void on_node_added(NodeId id) override { added.push_back(id); }
-  void on_sensor_added(NodeId id, SensorType t) override {
-    sensor_added.emplace_back(id, t);
-  }
-  void on_sensor_removed(NodeId id, SensorType t) override {
-    sensor_removed.emplace_back(id, t);
-  }
 };
 
 TEST(Topology, ObserverReceivesEvents) {
@@ -181,13 +174,8 @@ TEST(Topology, ObserverReceivesEvents) {
   n.id = 2;
   n.x = 2.0;
   t.add_node(n);
-  t.add_sensor(0, kSensorLight);
-  t.remove_sensor(0, kSensorLight);
   EXPECT_EQ(obs.died, (std::vector<NodeId>{2}));
   EXPECT_EQ(obs.added, (std::vector<NodeId>{2}));
-  ASSERT_EQ(obs.sensor_added.size(), 1u);
-  EXPECT_EQ(obs.sensor_added[0].second, kSensorLight);
-  ASSERT_EQ(obs.sensor_removed.size(), 1u);
 }
 
 TEST(Topology, RemoveObserverStopsEvents) {

@@ -62,11 +62,11 @@ TEST_P(SeedSweep, P1_ReceivedSetIsRootConnected) {
                                query::WorkloadConfig{0.4, 0.02},
                                sim::Rng(GetParam()).substream("wl"));
   for (int i = 0; i < 20; ++i) {
-    const core::QueryOutcome out = w.net.inject(gen.next(30), 30);
+    const core::QueryOutcome out = w.net.inject(0, gen.next(30), 30);
     const std::set<NodeId> received(out.received.begin(), out.received.end());
     for (NodeId u : out.received) {
       const NodeId p = w.net.tree().parent(u);
-      EXPECT_TRUE(p == w.net.root() || received.contains(p))
+      EXPECT_TRUE(p == w.net.root(0) || received.contains(p))
           << "node " << u << " received without its parent " << p;
     }
   }
@@ -79,7 +79,7 @@ TEST_P(SeedSweep, P2_BelievedSubsetOfReceived) {
                                query::WorkloadConfig{0.4, 0.02},
                                sim::Rng(GetParam()).substream("wl"));
   for (int i = 0; i < 20; ++i) {
-    const core::QueryOutcome out = w.net.inject(gen.next(30), 30);
+    const core::QueryOutcome out = w.net.inject(0, gen.next(30), 30);
     EXPECT_TRUE(std::includes(out.received.begin(), out.received.end(),
                               out.believed_sources.begin(),
                               out.believed_sources.end()));
@@ -93,7 +93,7 @@ TEST_P(SeedSweep, P3_QueryCostDecomposition) {
                                query::WorkloadConfig{0.4, 0.02},
                                sim::Rng(GetParam()).substream("wl"));
   for (int i = 0; i < 20; ++i) {
-    const core::QueryOutcome out = w.net.inject(gen.next(30), 30);
+    const core::QueryOutcome out = w.net.inject(0, gen.next(30), 30);
     // Cost = (#nodes that transmitted, i.e. root + received nodes with at
     // least one forwarded child) + (#receptions = |received|). Receptions
     // follow directly; transmissions are bounded by the internal nodes of
@@ -128,8 +128,8 @@ TEST_P(SeedSweep, P6_Determinism) {
   EXPECT_EQ(a.net.updates_transmitted(), b.net.updates_transmitted());
   EXPECT_EQ(a.net.costs().update_cost(), b.net.costs().update_cost());
   for (SensorType t : a.topo.sensor_types_present()) {
-    const auto* ta = a.net.node(0).table(t);
-    const auto* tb = b.net.node(0).table(t);
+    const auto* ta = a.net.node(0).table(0, t);
+    const auto* tb = b.net.node(0).table(0, t);
     ASSERT_EQ(ta == nullptr, tb == nullptr);
     if (ta != nullptr) {
       EXPECT_DOUBLE_EQ(ta->aggregate()->min, tb->aggregate()->min);
@@ -196,7 +196,7 @@ TEST_P(SeedSweep, P8_TreeRepairKeepsNetworkQueryable) {
     // ...and an all-matching query must reach every capable node.
     query::RangeQuery q{static_cast<QueryId>(900 + k), kSensorTemperature,
                         -1e9, 1e9, 40};
-    const core::QueryOutcome out = w.net.inject(q, 40);
+    const core::QueryOutcome out = w.net.inject(0, q, 40);
     const query::Involvement truth =
         query::compute_involvement(q, w.topo, w.net.tree(), w.env);
     const metrics::QueryAudit audit =

@@ -96,7 +96,7 @@ TEST(ServeCacheCorrectness, CachedAnswersMatchLiveInjection) {
   }
 
   const query::RangeQuery wide{1, kSensorTemperature, 15.0, 30.0, 50};
-  const core::QueryOutcome wide_out = network.inject(wide, 50);
+  const core::QueryOutcome wide_out = network.inject(0, wide, 50);
   std::vector<CachedSource> sources;
   for (NodeId n : wide_out.believed_sources) {
     const core::RangeTable* t = network.node(n).table(0, wide.type);
@@ -120,7 +120,7 @@ TEST(ServeCacheCorrectness, CachedAnswersMatchLiveInjection) {
   for (const auto& [lo, hi] : std::vector<std::pair<double, double>>{
            {18.0, 27.0}, {15.0, 20.0}, {22.0, 22.5}}) {
     const query::RangeQuery sub{2, kSensorTemperature, lo, hi, 50};
-    const core::QueryOutcome live = network.inject(sub, 50);
+    const core::QueryOutcome live = network.inject(0, sub, 50);
     const CacheLookup hit =
         cache.lookup(sub.type, lo, hi, 50, network.updates_transmitted());
     ASSERT_EQ(hit.kind, CacheLookup::Kind::Fresh) << lo << ".." << hi;

@@ -11,15 +11,18 @@
 //     reverse — leaves first — skipping dead nodes;
 //   * pass 1 gathers, per sensor type, the nodes whose gate says the
 //     sample is due; one ReadingSource::readings call per type fills the
-//     values; pass 2 re-runs the identical walk, feeding each reading to
-//     DirqNode::sample (every tree slot) and ticking the gate, then
-//     DirqNode::end_epoch.
+//     values; pass 2 re-runs the identical walk, feeding each reading of
+//     a type the node carries to every tree slot in ascending TreeId
+//     order (the slot's controller, ThetaController::on_reading, then
+//     DirqNode::observe_slot) and ticking the gate; at the node's end,
+//     every slot's controller gets ThetaController::on_epoch.
 //
 // Deliveries go through the network's own transport, so ledgers,
 // per-node tx/rx, the loss channel and the update counter move exactly as
 // they do for any other sequential sender.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -65,7 +68,7 @@ class ReferenceWalk {
       DirqNode& node = net.node(u);
       for (SensorType t : topo.node(u).sensors) {
         if (!gate.enabled()) {
-          node.sample(t, batch_values_[t][cursor[t]++], epoch);
+          sample(net, node, t, batch_values_[t][cursor[t]++], epoch);
           gate.count_sample();
           continue;
         }
@@ -74,10 +77,12 @@ class ReferenceWalk {
           continue;
         }
         const double reading = batch_values_[t][cursor[t]++];
-        node.sample(t, reading, epoch);
-        gate.on_sample(t, reading, node.controller().theta(t), epoch);
+        sample(net, node, t, reading, epoch);
+        gate.on_sample(t, reading, node.controller(0).theta(t), epoch);
       }
-      node.end_epoch(epoch);
+      for (TreeId k = 0; k < net.tree_count(); ++k) {
+        node.controller(k).on_epoch(epoch);
+      }
     }
   }
 
@@ -93,6 +98,20 @@ class ReferenceWalk {
   }
 
  private:
+  /// One physical sample, observed by every tree slot: each tree keeps
+  /// its own theta and its own sent tuple, so one reading can trigger an
+  /// update in one tree and none in another. The topology's sensor list
+  /// can name a type the node no longer carries; that reading is ignored.
+  static void sample(const DirqNetwork& net, DirqNode& node, SensorType t,
+                     double reading, std::int64_t epoch) {
+    const std::vector<SensorType>& own = node.sensors();
+    if (!std::binary_search(own.begin(), own.end(), t)) return;
+    for (TreeId k = 0; k < net.tree_count(); ++k) {
+      node.controller(k).on_reading(t, reading);
+      node.observe_slot(k, t, reading, epoch);
+    }
+  }
+
   /// Tree 0's BFS order, then the other trees' members outside it.
   static std::vector<NodeId> walk_order(const DirqNetwork& net,
                                         const net::Topology& topo) {

@@ -47,6 +47,10 @@
 # index build could not place 500 nodes at all, and an accidental O(n^2)
 # or sequential-RNG reintroduction shows up as >2x long before it reaches
 # paper-figure runs).
+#
+# Every guard runs and prints its verdict (OK, FAIL or SKIP), so one
+# failing guard does not hide the others. The script exits 1 when any
+# guard failed, 2 when a row could not be extracted, and 0 otherwise.
 set -eu
 
 BUILD_DIR=${1:-build}
@@ -55,6 +59,7 @@ FAST_BASELINE=bench/baselines/scale_500n_fast.json
 MT_BASELINE=bench/baselines/scale_2000n_fast_mt.json
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
+failed=0
 
 # extract_run_seconds FILE NODES FIELD — first smooth row of a
 # dirq.scale.v1 document matching the node count and backend.
@@ -95,16 +100,16 @@ check() {
 }
 
 run_cells 500 pinned
-check "$PINNED_BASELINE" 500 pinned
+check "$PINNED_BASELINE" 500 pinned || failed=$((failed + 1))
 run_cells 500,2000 fast
-check "$FAST_BASELINE" 500 fast
-check "$FAST_BASELINE" 2000 fast
+check "$FAST_BASELINE" 500 fast || failed=$((failed + 1))
+check "$FAST_BASELINE" 2000 fast || failed=$((failed + 1))
 # Intra-run parallel cell: all hardware threads on the epoch loop. The
 # baseline was recorded sequentially, so any healthy multi-core runner
 # lands well under budget; a pool regression (serialisation, contention,
 # deadlock-adjacent slowdown) does not.
 run_cells 2000 fast 0
-check "$MT_BASELINE" 2000 fast
+check "$MT_BASELINE" 2000 fast || failed=$((failed + 1))
 
 # Lossy parallel guard cell: the 500-node fast cell at loss 0.15, 1 worker
 # vs all cores, from one bench run (self-relative, machine speed divides
@@ -132,7 +137,7 @@ if [ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]; then
       exit 1
     }
     printf "perf_smoke: OK lossy parallel (%.2fx speedup)\n", seq / par
-  }'
+  }' || failed=$((failed + 1))
 else
   echo "perf_smoke: SKIP lossy parallel guard (single-core host)"
 fi
@@ -161,7 +166,7 @@ awk -v one="$one" -v four="$four" 'BEGIN {
     exit 1
   }
   printf "perf_smoke: OK multi-sink (%.2fx of 1-sink)\n", four / one
-}'
+}' || failed=$((failed + 1))
 
 # Parallel multi-sink guard cell: the 4-sink admission cell at 1 worker vs
 # all cores, from one bench run. The "threads" key records the EFFECTIVE
@@ -187,7 +192,7 @@ if [ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]; then
       exit 1
     }
     printf "perf_smoke: OK parallel multi-sink (%.2fx speedup)\n", seq / par
-  }'
+  }' || failed=$((failed + 1))
 else
   echo "perf_smoke: SKIP parallel multi-sink guard (single-core host)"
 fi
@@ -216,4 +221,9 @@ awk -v off="$off" -v on="$on" 'BEGIN {
     exit 1
   }
   printf "perf_smoke: OK serve cache (%.2fx of cache-off)\n", on / off
-}'
+}' || failed=$((failed + 1))
+
+if [ "$failed" -gt 0 ]; then
+  echo "perf_smoke: $failed guard(s) failed" >&2
+  exit 1
+fi
