@@ -58,7 +58,6 @@ void DirqNode::maybe_send_update(TreeId tree, SensorType type,
   } else {
     u.has_range = false;  // retraction: type left this subtree
   }
-  ++slot.updates_sent;
   slot.controller->on_update_sent(type, epoch);
   if (send_) send_(id_, slot.parent, Message{u});
 }
@@ -247,7 +246,6 @@ void DirqNode::force_reannounce(TreeId tree, std::int64_t epoch) {
     u.min = agg->min;
     u.max = agg->max;
     u.has_range = true;
-    ++slot.updates_sent;
     slot.controller->on_update_sent(type, epoch);
     if (send_) send_(id_, slot.parent, Message{u});
   }

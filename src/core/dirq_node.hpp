@@ -84,8 +84,8 @@ class DirqNode {
   /// per reading, on_epoch at the node's end of epoch), as the epoch
   /// engine does with ATC's flat per-reading pass (AtcController::observe).
   /// Readings for a sensor the node does not carry are ignored. Slots
-  /// share no mutable state (per-slot update counters included), so tasks
-  /// owning disjoint slots can call it on one node concurrently.
+  /// share no mutable state, so tasks owning disjoint slots can call it on
+  /// one node concurrently.
   void observe_slot(TreeId tree, SensorType type, double reading,
                     std::int64_t epoch);
 
@@ -152,15 +152,6 @@ class DirqNode {
     return *slots_.at(tree).controller;
   }
 
-  /// Update Messages this node transmitted (origin + relay, all trees).
-  /// The counter lives per slot so concurrent tree shards never share a
-  /// cache line through it; this accessor sums the slots.
-  [[nodiscard]] std::int64_t updates_sent() const noexcept {
-    std::int64_t total = 0;
-    for (const TreeSlot& slot : slots_) total += slot.updates_sent;
-    return total;
-  }
-
   /// EHr rounds seen (flood dedup state), exposed for tests.
   [[nodiscard]] std::int64_t last_ehr_round(TreeId tree) const {
     return slots_.at(tree).last_ehr_round;
@@ -179,7 +170,6 @@ class DirqNode {
     bool box_sent = false;
     std::unique_ptr<ThetaController> controller;
     std::int64_t last_ehr_round = -1;
-    std::int64_t updates_sent = 0;
   };
 
   /// Emits an update/retraction for `type` in `tree` if the slot's table

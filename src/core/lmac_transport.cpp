@@ -10,26 +10,23 @@ LmacTransport::LmacTransport(mac::LmacNetwork& mac, MessageSink& sink)
 }
 
 void LmacTransport::unicast(NodeId from, NodeId to, const Message& msg) {
-  InstantTransport::charge_tx(ledger_, msg);
   mac_.send(from, to, msg);
 }
 
 void LmacTransport::multicast(NodeId from, std::span<const NodeId> targets,
                               const Message& msg) {
   if (targets.empty()) return;
-  InstantTransport::charge_tx(ledger_, msg);
   // One transmission; the target set rides in the payload (as in LMAC's
   // data section addressing). Delivered via link broadcast; non-addressed
-  // hearers discard without charging reception (they sleep through the
-  // data section). Callers pass targets in arbitrary (tree) order;
-  // on_message looks them up with binary_search, so sort here.
+  // hearers discard it undelivered (they sleep through the data section).
+  // Callers pass targets in arbitrary (tree) order; on_message looks them
+  // up with binary_search, so sort here.
   Addressed a{std::vector<NodeId>(targets.begin(), targets.end()), msg};
   std::sort(a.targets.begin(), a.targets.end());
   mac_.broadcast(from, std::move(a));
 }
 
 void LmacTransport::broadcast(NodeId from, const Message& msg) {
-  InstantTransport::charge_tx(ledger_, msg);
   mac_.broadcast(from, msg);
 }
 
@@ -39,12 +36,10 @@ void LmacTransport::on_message(NodeId self, const mac::Frame& frame) {
                             addressed->targets.end(), self)) {
       return;  // data section not addressed to us
     }
-    InstantTransport::charge_rx(ledger_, addressed->msg);
     sink_.deliver(self, frame.src, addressed->msg);
     return;
   }
   if (const auto* msg = std::any_cast<Message>(&frame.payload)) {
-    InstantTransport::charge_rx(ledger_, *msg);
     sink_.deliver(self, frame.src, *msg);
   }
 }

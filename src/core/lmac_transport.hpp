@@ -6,10 +6,12 @@
 // handler (typically DirqNetwork::handle_node_death via the integration
 // harness). This is the paper's §4.2 cross-layer path.
 //
-// Cost note: this transport reports *data-section* costs in its ledger
-// (the DirQ messages), split by kind through InstantTransport's shared
-// classifier; LMAC's own control traffic is accounted inside LmacNetwork
-// and is the MAC's standing cost, present for flooding and DirQ alike.
+// Cost note: the ledger behind costs() holds *data-section* costs (the
+// DirQ messages), which the network books as it sends and as this adapter
+// delivers; a multicast's non-addressed hearers discard the frame before
+// delivery, so they book nothing. LMAC's own control traffic is accounted
+// inside LmacNetwork and is the MAC's standing cost, present for flooding
+// and DirQ alike.
 //
 // Sends only enqueue into the sender's MAC queue; the scheduler's slot
 // loop delivers them later, in slot order. The epoch engine runs its walk
@@ -36,12 +38,6 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
   void multicast(NodeId from, std::span<const NodeId> targets,
                  const Message& msg) override;
   void broadcast(NodeId from, const Message& msg) override;
-  [[nodiscard]] const CostLedger& costs() const override { return ledger_; }
-  /// Writable ledger access so a driver swapping transports mid-run can
-  /// carry an earlier transport's accumulated costs over.
-  [[nodiscard]] CostLedger& mutable_costs() noexcept override {
-    return ledger_;
-  }
 
   // --- cross-layer notifications ---------------------------------------------
   using NeighborHandler = std::function<void(NodeId self, NodeId neighbor)>;
@@ -59,7 +55,6 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
 
   mac::LmacNetwork& mac_;
   MessageSink& sink_;
-  CostLedger ledger_;
   NeighborHandler on_lost_;
 };
 

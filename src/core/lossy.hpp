@@ -1,8 +1,8 @@
 // Failure injection: a counter-keyed lossy-channel model that drops
 // deliveries with a configurable probability, simulating CRC-failed
 // receptions on a noisy wireless channel. DirqNetwork::set_loss installs
-// it: every delivery rolls a verdict inside DirqNetwork::deliver (or
-// inside the epoch engine's pool tasks).
+// it: every delivery rolls a verdict inside DirqNetwork::deliver, on the
+// caller or inside one of the epoch engine's pool tasks.
 //
 // Semantics deliberately match radio reality: the *transmitter* always
 // pays its cost, and the receiver's radio also spends the reception energy
@@ -23,8 +23,8 @@
 // (tests/core/lossy_order_test.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sim/counter_rng.hpp"
@@ -32,16 +32,19 @@
 
 namespace dirq::core {
 
-/// The channel model: pure per-delivery verdicts, the per-key sequence
-/// counters that advance them, and the offered/dropped totals.
+/// The channel model: pure per-delivery verdicts and, per (tree, from,
+/// to) key, the sequence counter that advances them and the key's drop
+/// count. The offered/dropped totals are sums over those cells.
 ///
-/// Threading contract: `drops` is const and pure. `next_drop` advances a
-/// counter stored under counters_[tree][from] — distinct (tree, from)
+/// Threading contract: `drops` is const and pure. `next_drop` writes only
+/// the cell stored under counters_[tree][from] — distinct (tree, from)
 /// pairs touch disjoint state, which is exactly the write-disjointness
 /// both parallel shard geometries guarantee (tree shards own whole tree
 /// planes; subtree shards own whole sender nodes). Concurrent callers
 /// must pre-size the planes from a sequential context (configure /
 /// ensure_nodes); the lazy growth inside next_drop is for sequential use.
+/// `offered` and `dropped` read every cell, so they belong to a
+/// sequential context too.
 class LossChannel {
  public:
   LossChannel(double drop_probability, sim::CounterRng rng)
@@ -75,10 +78,8 @@ class LossChannel {
     return u < drop_;
   }
 
-  /// Stateful form: advances the (tree, from, to) sequence counter and
-  /// returns that delivery's verdict. Does NOT touch the offered/dropped
-  /// totals — parallel shards accumulate those locally and merge through
-  /// add_counts; sequential callers pair it with note().
+  /// Stateful form: advances the (tree, from, to) sequence counter,
+  /// counts the delivery in its cell and returns its verdict.
   [[nodiscard]] bool next_drop(TreeId tree, NodeId from, NodeId to) {
     if (static_cast<std::size_t>(tree) >= counters_.size()) {
       counters_.resize(static_cast<std::size_t>(tree) + 1);
@@ -88,39 +89,47 @@ class LossChannel {
       plane.resize(static_cast<std::size_t>(from) + 1);
     }
     auto& cell = plane[static_cast<std::size_t>(from)];
-    for (auto& [peer, next_seq] : cell) {
-      if (peer == to) return drops(tree, from, to, next_seq++);
-    }
-    cell.emplace_back(to, 1);
-    return drops(tree, from, to, 0);
+    auto link = std::find_if(cell.begin(), cell.end(),
+                             [to](const Link& l) { return l.to == to; });
+    if (link == cell.end()) link = cell.insert(cell.end(), Link{to});
+    const bool dropped = drops(tree, from, to, link->next_seq++);
+    link->dropped += dropped ? 1 : 0;
+    return dropped;
   }
 
-  /// Books one delivery into the totals (sequential path).
-  void note(bool dropped) noexcept {
-    ++offered_;
-    if (dropped) ++dropped_;
+  /// Deliveries that rolled a verdict, and those dropped, over all keys.
+  [[nodiscard]] std::int64_t offered() const noexcept {
+    return total(&Link::next_seq);
   }
-
-  /// Merges a shard's locally-accumulated totals (called in fixed shard
-  /// order at the parallel merge, so the totals stay deterministic).
-  void add_counts(std::int64_t offered, std::int64_t dropped) noexcept {
-    offered_ += offered;
-    dropped_ += dropped;
+  [[nodiscard]] std::int64_t dropped() const noexcept {
+    return total(&Link::dropped);
   }
-
-  [[nodiscard]] std::int64_t offered() const noexcept { return offered_; }
-  [[nodiscard]] std::int64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] double drop_probability() const noexcept { return drop_; }
 
  private:
+  /// One (tree, from, to) key: its next sequence number (= deliveries so
+  /// far) and how many of them were dropped.
+  struct Link {
+    NodeId to = kNoNode;
+    std::uint64_t next_seq = 0;
+    std::uint64_t dropped = 0;
+  };
+
+  [[nodiscard]] std::int64_t total(std::uint64_t Link::*field) const noexcept {
+    std::uint64_t sum = 0;
+    for (const auto& plane : counters_) {
+      for (const auto& cell : plane) {
+        for (const Link& l : cell) sum += l.*field;
+      }
+    }
+    return static_cast<std::int64_t>(sum);
+  }
+
   double drop_;
   sim::CounterRng rng_;  // the "loss" substream of the experiment seed
-  /// counters_[tree][from]: small (to, next-seq) association — a sender
+  /// counters_[tree][from]: small per-recipient association — a sender
   /// talks to a handful of tree neighbours, so linear scan beats a map.
-  std::vector<std::vector<std::vector<std::pair<NodeId, std::uint64_t>>>>
-      counters_;
-  std::int64_t offered_ = 0;
-  std::int64_t dropped_ = 0;
+  std::vector<std::vector<std::vector<Link>>> counters_;
 };
 
 }  // namespace dirq::core

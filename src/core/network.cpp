@@ -67,17 +67,17 @@ struct SweepEvent {
 static_assert(sizeof(SweepEvent) == 16);
 
 /// One epoch task's state: its crossing-sweep scratch and, for a task the
-/// pool runs, the shard-local accounting. Every
-/// message a pool task's nodes emit is charged here instead of the shared
-/// transport ledger, and per-node tx/rx attribution lands in shard-local
-/// dense delta arrays (with one task per tree the same node transmits in
-/// several tasks, so direct writes to the shared counters would race). In
-/// the subtree geometry root-bound deliveries are deferred so the root —
-/// the only node reachable from more than one task — is touched by
-/// exactly one thread. Merged into the real ledger/counters in task order
-/// after the join, which keeps the totals equal to the one-thread walk
-/// (they are sums of the same per-message charges). Inline tasks run with
-/// the real transport and use only the scratch.
+/// pool runs, what DirqNetwork::book books for it. Every transmission and
+/// reception of a pool task's nodes lands here instead of the shared
+/// ledgers and counters, per-node tx/rx in dense delta arrays (with one
+/// task per tree the same node transmits in several tasks, so direct
+/// writes to the shared counters would race). In the subtree geometry
+/// root-bound deliveries are deferred so the root — the only node
+/// reachable from more than one task — is touched by exactly one thread.
+/// Merged into the shared ledgers and counters in task order after the
+/// join, which keeps the totals equal to the one-thread walk (they are
+/// sums of the same per-message bookings). Inline tasks book directly and
+/// use only the scratch.
 ///
 /// alignas(64): each task's hot merge state gets its own cache line(s);
 /// without it neighbouring tasks' ledgers share lines and every charge
@@ -94,10 +94,6 @@ struct alignas(64) EpochShardCtx {
   // merged in task order).
   ShardVector<CostUnits> tx_delta;
   ShardVector<CostUnits> rx_delta;
-  // Lossy-channel totals for this task's pass (the verdicts themselves
-  // are order-independent; only these tallies need the ordered merge).
-  std::int64_t loss_offered = 0;
-  std::int64_t loss_dropped = 0;
   // The sweep: one (type, tree) pass's crossing readings, and the
   // epoch's events.
   ShardVector<std::uint32_t> cross_reads;
@@ -105,10 +101,10 @@ struct alignas(64) EpochShardCtx {
 };
 
 namespace {
-/// Routes the wire_node send path: while a pool task runs, its context
-/// lives here and unicasts charge the task's ledger. Distinct DirqNetwork
-/// instances own distinct pools, so a worker thread only ever serves one
-/// network at a time and the single slot cannot cross-talk.
+/// While a pool task runs, its context lives here, and book() and
+/// deliver() read it. Distinct DirqNetwork instances own distinct pools,
+/// so a worker thread only ever serves one network at a time and the
+/// single slot cannot cross-talk.
 thread_local EpochShardCtx* tls_shard = nullptr;
 
 struct TlsShardGuard {
@@ -117,15 +113,6 @@ struct TlsShardGuard {
   TlsShardGuard(const TlsShardGuard&) = delete;
   TlsShardGuard& operator=(const TlsShardGuard&) = delete;
 };
-
-void accumulate(CostLedger& into, const CostLedger& from) {
-  into.query_tx += from.query_tx;
-  into.query_rx += from.query_rx;
-  into.update_tx += from.update_tx;
-  into.update_rx += from.update_rx;
-  into.control_tx += from.control_tx;
-  into.control_rx += from.control_rx;
-}
 
 [[noreturn]] void throw_stale_aliveness() {
   throw std::logic_error(
@@ -395,7 +382,6 @@ DirqNetwork::DirqNetwork(net::Topology& topo, std::vector<NodeId> roots,
   tree_ledgers_.assign(n_trees, CostLedger{});
   instant_ = std::make_unique<InstantTransport>(topo_, *this);
   transport_ = instant_.get();
-  prev_parent_.assign(n_trees, std::vector<NodeId>(topo.size(), kNoNode));
   for (NodeId u = 0; u < topo.size(); ++u) {
     nodes_[u].set_position(topo.node(u).x, topo.node(u).y);
     for (TreeId t = 0; t < n_trees; ++t) {
@@ -404,7 +390,6 @@ DirqNetwork::DirqNetwork(net::Topology& topo, std::vector<NodeId> roots,
       nodes_[u].set_parent(t, tr.parent(u));
       const auto ch = tr.children(u);
       nodes_[u].set_children(t, std::vector<NodeId>(ch.begin(), ch.end()));
-      prev_parent_[t][u] = tr.parent(u);
     }
   }
   for (DirqNode& n : nodes_) wire_node(n);
@@ -417,7 +402,6 @@ DirqNetwork::DirqNetwork(net::Topology& topo, std::vector<NodeId> roots,
       nodes_[*it].announce_location(t, 0);
     }
   }
-  rebuild_union_walk();
 }
 
 DirqNetwork::~DirqNetwork() = default;
@@ -439,39 +423,42 @@ void DirqNetwork::set_loss(LossChannel* loss) {
   if (loss_ != nullptr) loss_->configure(trees_.count(), topo_.size());
 }
 
-void DirqNetwork::charge_tree_tx(const Message& msg) {
-  const TreeId t = message_tree(msg);
-  if (t < tree_ledgers_.size()) {
-    InstantTransport::charge_tx(tree_ledgers_[t], msg);
+void DirqNetwork::book(NodeId node, const Message& msg, bool rx) {
+  const TreeId tree = message_tree(msg);
+  if (tree >= tree_ledgers_.size()) {
+    throw std::logic_error(
+        "DirqNetwork: message for a tree the network does not have");
   }
-}
-
-void DirqNetwork::charge_tree_rx(const Message& msg) {
-  const TreeId t = message_tree(msg);
-  if (t < tree_ledgers_.size()) {
-    InstantTransport::charge_rx(tree_ledgers_[t], msg);
+  const bool update = !rx && std::holds_alternative<UpdateMessage>(msg);
+  if (EpochShardCtx* ctx = tls_shard) {
+    // The merge books a task's ledger into its tree's, so a task carries
+    // only that tree's traffic (a subtree task tree 0's).
+    if (tree != engine_->tasks[ctx->index].first) {
+      throw std::logic_error(
+          "DirqNetwork: cross-tree message during a sharded epoch");
+    }
+    ++ctx->ledger.counter(msg, rx);
+    ++(rx ? ctx->rx_delta : ctx->tx_delta).at(node);
+    if (update) ++ctx->update_msgs;
+    return;
+  }
+  ++transport_->mutable_costs().counter(msg, rx);
+  ++tree_ledgers_[tree].counter(msg, rx);
+  if (node >= node_tx_.size()) {
+    // A reception in the Topology::add_node -> handle_node_addition window.
+    node_tx_.resize(topo_.size(), 0);
+    node_rx_.resize(topo_.size(), 0);
+  }
+  ++(rx ? node_rx_ : node_tx_)[node];
+  if (update) {
+    ++updates_transmitted_;
+    if (update_hook_) update_hook_(current_epoch_);
   }
 }
 
 void DirqNetwork::wire_node(DirqNode& n) {
   n.set_send([this](NodeId from, NodeId to, const Message& msg) {
-    if (EpochShardCtx* ctx = tls_shard) {
-      // A pool task: charge the task, not the shared ledger; the update
-      // hook is replayed (same epoch, same count) at merge, and the task
-      // ledger is merged into the message's tree mirror. Per-node
-      // attribution goes through the task's delta array — with one task
-      // per tree `from` transmits in several tasks at once.
-      if (std::holds_alternative<UpdateMessage>(msg)) ++ctx->update_msgs;
-      ctx->tx_delta.at(from) += 1;
-      parallel_unicast(*ctx, from, to, msg);
-      return;
-    }
-    if (std::holds_alternative<UpdateMessage>(msg)) {
-      ++updates_transmitted_;
-      if (update_hook_) update_hook_(current_epoch_);
-    }
-    node_tx_.at(from) += 1;
-    charge_tree_tx(msg);
+    book(from, msg, false);
     transport_->unicast(from, to, msg);
   });
   n.set_multicast([this](NodeId from, const std::vector<NodeId>& targets,
@@ -481,42 +468,55 @@ void DirqNetwork::wire_node(DirqNode& n) {
       // protocol state diverged from the tree. Fail loud.
       throw std::logic_error("DirqNetwork: multicast during a parallel epoch");
     }
-    node_tx_.at(from) += 1;  // one transmission regardless of target count
-    charge_tree_tx(msg);
+    if (targets.empty()) return;  // sends nothing
+    book(from, msg, false);  // one transmission regardless of target count
     transport_->multicast(from, targets, msg);
   });
   n.set_broadcast([this](NodeId from, const Message& msg) {
     if (tls_shard != nullptr) {
       throw std::logic_error("DirqNetwork: broadcast during a parallel epoch");
     }
-    node_tx_.at(from) += 1;
-    charge_tree_tx(msg);
+    book(from, msg, false);
     transport_->broadcast(from, msg);
   });
 }
 
 void DirqNetwork::deliver(NodeId to, NodeId from, const Message& msg) {
-  // The transport has already charged ledger rx for this delivery, so the
-  // per-node attribution must follow even when the protocol instance for
-  // `to` does not exist yet (the Topology::add_node →
-  // handle_node_addition window: the radio exists as soon as the topology
-  // slot does — cost parity is an invariant, not a best effort). An id
-  // beyond the topology itself is a transport contract violation.
+  // The radio exists as soon as the topology slot does, so the reception
+  // is booked even when the protocol instance for `to` does not exist yet
+  // (the Topology::add_node -> handle_node_addition window): cost parity
+  // is an invariant, not a best effort. An id beyond the topology itself
+  // is a transport contract violation.
   if (to >= topo_.size()) {
     throw std::logic_error("DirqNetwork::deliver: recipient outside topology");
   }
-  charge_tree_rx(msg);
-  if (to >= node_rx_.size()) node_rx_.resize(topo_.size(), 0);
-  node_rx_[to] += 1;
-  // CRC loss: the radio has paid its rx (ledger, tree mirror, per-node) —
-  // the protocol never sees the frame.
-  if (loss_ != nullptr) {
-    const bool dropped = loss_->next_drop(message_tree(msg), from, to);
-    loss_->note(dropped);
-    if (dropped) return;
+  book(to, msg, true);
+  // CRC loss: the radio has paid its rx — the protocol never sees the
+  // frame. A pool task decides the verdict in place: it is a pure function
+  // of (tree, from, to, per-key seq) and the task owns the key (a tree
+  // task the whole tree plane, a subtree task the sender), so it equals
+  // the one-thread verdict, and root-bound drops are never deferred.
+  if (loss_ != nullptr && loss_->next_drop(message_tree(msg), from, to)) {
+    return;
   }
   if (to >= nodes_.size()) return;  // heard, but not yet integrated
-  if (audit_active_) {
+  if (EpochShardCtx* ctx = tls_shard;
+      ctx != nullptr &&
+      engine_->geometry == EpochEngine::Geometry::Subtrees) {
+    // Subtree tasks meet only at the root, whose deliveries replay after
+    // the merge. A tree task owns its tree's slot on every node, roots
+    // included, so it delivers inline.
+    if (to == root_) {
+      ctx->to_root.emplace_back(from, msg);
+      return;
+    }
+    if (engine_->seg_of[to] != engine_->tasks[ctx->index].seg) {
+      throw std::logic_error(
+          "DirqNetwork: cross-shard delivery — node parent state diverged "
+          "from the spanning tree");
+    }
+  }
+  if (audit_active_) {  // query traffic only; an epoch carries updates
     if (const auto* qm = std::get_if<QueryMessage>(&msg);
         qm != nullptr && qm->q.id == audit_query_) {
       audit_received_.push_back(to);
@@ -532,27 +532,6 @@ void DirqNetwork::deliver(NodeId to, NodeId from, const Message& msg) {
     }
   }
   nodes_[to].handle(msg, from, current_epoch_);
-}
-
-const std::vector<NodeId>& DirqNetwork::epoch_walk_order() const {
-  return trees_.count() == 1 ? trees_.tree(0).bfs_order() : union_order_;
-}
-
-void DirqNetwork::rebuild_union_walk() {
-  union_order_.clear();
-  if (trees_.count() == 1) return;  // tree 0's cached order is the walk
-  // Tree 0's BFS order first — identical prefix to the single-sink walk —
-  // then members of the other trees outside tree 0, in their own BFS
-  // order. Deterministic, and any order is correct for the cascade (each
-  // parent re-checks on every child update).
-  std::vector<char> seen(topo_.size(), 0);
-  for (TreeId t = 0; t < trees_.count(); ++t) {
-    for (NodeId u : trees_.tree(t).bfs_order()) {
-      if (seen[u]) continue;
-      seen[u] = 1;
-      union_order_.push_back(u);
-    }
-  }
 }
 
 void DirqNetwork::process_epoch(const data::ReadingSource& env,
@@ -664,8 +643,6 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
     ctx.ledger = CostLedger{};
     ctx.update_msgs = 0;
     ctx.to_root.clear();
-    ctx.loss_offered = 0;
-    ctx.loss_dropped = 0;
   }
   if (pe.pool_tasks > 0) {
     pe.pool.parallel_for(pe.pool_tasks, [this, &pe, epoch](std::size_t i) {
@@ -677,19 +654,14 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
   // Merge, in task order (deterministic): ledgers and counters are sums,
   // so totals equal the one-thread walk; the update hook fires once per
   // transmission with the same epoch, so recorded series are identical.
-  // Each task's ledger also merges into its tree's mirror — a tree task
-  // carries exactly its tree's traffic (asserted in parallel_unicast), a
-  // subtree task only tree 0's. Lossy-channel offered/dropped tallies
-  // merge in the same fixed order. Per-node tx/rx deltas merge (and
-  // reset) likewise.
+  // Each task's ledger also merges into its tree's — a task carries only
+  // that tree's traffic (asserted in book). Per-node tx/rx deltas merge
+  // (and reset) likewise.
   CostLedger& ledger = transport_->mutable_costs();
   for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
     EpochShardCtx& ctx = pe.ctx[i];
-    accumulate(ledger, ctx.ledger);
-    accumulate(tree_ledgers_[pe.tasks[i].first], ctx.ledger);
-    if (loss_ != nullptr) {
-      loss_->add_counts(ctx.loss_offered, ctx.loss_dropped);
-    }
+    ledger += ctx.ledger;
+    tree_ledgers_[pe.tasks[i].first] += ctx.ledger;
     updates_transmitted_ += ctx.update_msgs;
     if (update_hook_) {
       for (std::int64_t k = 0; k < ctx.update_msgs; ++k) update_hook_(epoch);
@@ -703,9 +675,9 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
     }
   }
   // Subtrees: the deferred root deliveries, then (below) the root. Each
-  // was charged (ledger and rx delta) and passed its loss verdict inside
-  // its task, and an epoch carries only updates, which no query audit
-  // records — so the replay only hands the message to the root.
+  // was booked and passed its loss verdict inside its task, and an epoch
+  // carries only updates, which no query audit records — so the replay
+  // only hands the message to the root.
   for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
     for (const auto& [from, msg] : pe.ctx[i].to_root) {
       nodes_[root_].handle(msg, from, epoch);
@@ -723,12 +695,20 @@ void DirqNetwork::rebuild_plan() {
   using Geometry = EpochEngine::Geometry;
   EpochEngine& pe = *engine_;
   const auto trees = static_cast<TreeId>(trees_.count());
-  // Reversed (alive-filtered) epoch walk: the one-thread visiting order.
-  // Leaves first makes the within-epoch update cascade settle in a single
-  // pass; any order is correct since parents re-check on every child
-  // update.
+  // The epoch walk: tree 0's BFS order, then the members of the other
+  // trees outside it in their own BFS order, visited reversed and alive
+  // only — the one-thread visiting order. Leaves first makes the
+  // within-epoch update cascade settle in a single pass; any order is
+  // correct since parents re-check on every child update.
+  std::vector<NodeId> order;
+  std::vector<char> seen(topo_.size(), 0);
+  for (TreeId k = 0; k < trees; ++k) {
+    for (NodeId u : trees_.tree(k).bfs_order()) {
+      if (seen[u] == 0) order.push_back(u);
+      seen[u] = 1;
+    }
+  }
   std::vector<NodeId> walk;
-  const std::vector<NodeId>& order = epoch_walk_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     if (topo_.is_alive(*it)) walk.push_back(*it);
   }
@@ -736,8 +716,8 @@ void DirqNetwork::rebuild_plan() {
   pe.segs.clear();
   pe.tasks.clear();
   pe.seg_of.clear();
-  // Pool tasks mirror the built-in instant transport's accounting
-  // (parallel_unicast), so only it is sharded.
+  // Only the built-in instant transport delivers synchronously on whatever
+  // thread sends, so only it is sharded.
   if (pe.pool.size() == 1 || transport_ != instant_.get()) {
     pe.geometry = Geometry::Inline;
     pe.segs.push_back(std::move(walk));
@@ -857,57 +837,6 @@ void DirqNetwork::rebuild_plan() {
   pe.plan_alive = topo_.alive_count();
   pe.plan_transport = transport_;
   pe.plan_dirty = false;
-}
-
-void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
-                                   const Message& msg) {
-  // Mirrors InstantTransport::unicast against the task ledger (same
-  // classification helpers, same lost/out-of-range semantics); in the
-  // subtree geometry root-bound deliveries are deferred to the merge.
-  const EpochEngine& pe = *engine_;
-  const EpochEngine::Task& task = pe.tasks[ctx.index];
-  InstantTransport::charge_tx(ctx.ledger, msg);
-  if (to >= topo_.size() || !topo_.is_alive(to)) return;  // lost
-  const auto nbrs = topo_.neighbors(from);
-  if (!std::binary_search(nbrs.begin(), nbrs.end(), to)) return;
-  InstantTransport::charge_rx(ctx.ledger, msg);
-  // CRC loss, decided inside the task: the verdict is a pure function of
-  // (tree, from, to, per-key seq) and this task owns the key — a tree
-  // task owns the whole tree plane, a subtree task owns the sender — so
-  // it equals the one-thread verdict. The radio paid (rx charged above +
-  // rx_delta here, as deliver() books it); the frame goes no further —
-  // root-bound drops are never deferred.
-  if (loss_ != nullptr) {
-    ++ctx.loss_offered;
-    if (loss_->next_drop(message_tree(msg), from, to)) {
-      ++ctx.loss_dropped;
-      ctx.rx_delta[to] += 1;
-      return;
-    }
-  }
-  if (pe.geometry == EpochEngine::Geometry::Trees) {
-    // Task k owns tree k: the receiver's slot k is only ever touched by
-    // this thread (DirqNode::handle dispatches on the message's tree tag),
-    // so delivery is inline — roots included.
-    if (message_tree(msg) != task.first) {
-      throw std::logic_error(
-          "DirqNetwork: cross-tree message during a tree-sharded epoch");
-    }
-    ctx.rx_delta[to] += 1;
-    nodes_[to].handle(msg, from, current_epoch_);
-    return;
-  }
-  ctx.rx_delta[to] += 1;
-  if (to == root_) {
-    ctx.to_root.emplace_back(from, msg);
-    return;
-  }
-  if (pe.seg_of[to] != task.seg) {
-    throw std::logic_error(
-        "DirqNetwork: cross-shard delivery — node parent state diverged "
-        "from the spanning tree");
-  }
-  nodes_[to].handle(msg, from, current_epoch_);
 }
 
 void DirqNetwork::consume_crossings(std::size_t task, std::int64_t epoch) {
@@ -1148,10 +1077,9 @@ void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
       nodes_.back().set_position(info.x, info.y);
       wire_node(nodes_.back());
       samplers_.emplace_back(cfg_.sampling);
-      for (std::vector<NodeId>& pp : prev_parent_) pp.push_back(kNoNode);
     }
-    // resize, not push_back: deliver() may already have grown node_rx_ to
-    // the topology size inside the add_node → retarget window.
+    // resize, not push_back: deliver() may already have grown the counters
+    // to the topology size inside the add_node → retarget window.
     node_tx_.resize(nodes_.size(), 0);
     node_rx_.resize(nodes_.size(), 0);
   }
@@ -1165,11 +1093,12 @@ void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
 
   for (TreeId t : rebuilt) {
     const net::SpanningTree& tr = trees_.tree(t);
-    // Pass 1: install the new structure everywhere.
-    std::vector<NodeId> new_parent(nodes_.size(), kNoNode);
+    // Pass 1: install the new structure everywhere, keeping the old
+    // parents.
+    std::vector<NodeId> old_parent(nodes_.size());
     for (NodeId u = 0; u < nodes_.size(); ++u) {
+      old_parent[u] = nodes_[u].parent(t);
       if (tr.in_tree(u)) {
-        new_parent[u] = tr.parent(u);
         const auto ch = tr.children(u);
         nodes_[u].set_children(t, std::vector<NodeId>(ch.begin(), ch.end()));
         nodes_[u].set_parent(t, tr.parent(u));
@@ -1183,18 +1112,17 @@ void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
     // dropped from its old parent's tables and (b) announce its subtree
     // ranges to its new parent.
     for (NodeId u = 0; u < nodes_.size(); ++u) {
-      if (new_parent[u] == prev_parent_[t][u]) continue;
-      const NodeId old_p = prev_parent_[t][u];
+      const NodeId old_p = old_parent[u];
+      const NodeId new_p = nodes_[u].parent(t);
+      if (new_p == old_p) continue;
       if (old_p != kNoNode && old_p < nodes_.size() && topo_.is_alive(old_p)) {
         nodes_[old_p].on_child_lost(t, u, epoch);
       }
-      if (new_parent[u] != kNoNode && topo_.is_alive(u)) {
+      if (new_p != kNoNode && topo_.is_alive(u)) {
         nodes_[u].force_reannounce(t, epoch);
       }
     }
-    prev_parent_[t] = std::move(new_parent);
   }
-  rebuild_union_walk();
 }
 
 void DirqNetwork::handle_node_death(NodeId dead, std::int64_t epoch) {

@@ -6,15 +6,20 @@
 // EHr estimate, and repairs the communication trees on node
 // death/addition (paper §4.2).
 //
+// Accounting: the network books every transmission as a node sends it
+// and every reception in deliver(), one record per event in each of the
+// global ledger (kept in the transport's costs()), the message's tree
+// ledger and the node's tx/rx counter, so the global ledger equals the sum
+// of the tree ledgers and the summed per-node counters on every transport.
+// Transports only route.
+//
 // Multi-sink query plane: the network owns a net::TreeSet — N BFS
 // spanning trees over the one shared topology, one per sink. Every node
 // runs one protocol slot per tree (core/dirq_node.hpp); messages carry
-// their TreeId; a per-tree CostLedger mirrors the transport's global
-// ledger so each sink's energy bill is attributable (the mirrors sum to
-// the global ledger on every transport — asserted by core.multi_sink).
-// The single-root constructor builds a one-tree set, the paper's
-// single-sink deployment; every per-tree entry point names its TreeId,
-// and that deployment's sink is tree 0.
+// their TreeId, and each sink's energy bill is its tree ledger. The
+// single-root constructor builds a one-tree set, the paper's single-sink
+// deployment; every per-tree entry point names its TreeId, and that
+// deployment's sink is tree 0.
 //
 // The per-query audit records the exact set of nodes the query message was
 // delivered to — this is the "nodes that RECEIVE a query" series of
@@ -57,8 +62,7 @@ struct NetworkConfig {
   SamplingConfig sampling;
 };
 
-struct EpochShardCtx;  // per-task epoch state (network.cpp)
-class LossChannel;     // counter-keyed CRC-loss model (core/lossy.hpp)
+class LossChannel;  // counter-keyed CRC-loss model (core/lossy.hpp)
 
 class DirqNetwork final : public MessageSink {
  public:
@@ -80,26 +84,29 @@ class DirqNetwork final : public MessageSink {
 
   /// Default transport: the built-in InstantTransport. Replaceable (the
   /// LMAC transport installs itself here); the transport must outlive the
-  /// network's use of it.
+  /// network's use of it. A swap does not move the ledger: the driver
+  /// carries costs over through the new transport's mutable_costs().
   void use_transport(Transport& t) { transport_ = &t; }
   [[nodiscard]] Transport& transport() noexcept { return *transport_; }
+  /// The global ledger, kept in the current transport's costs().
   [[nodiscard]] const CostLedger& costs() const { return transport_->costs(); }
 
   /// Installs (or clears, with nullptr) the lossy-channel model: every
   /// delivery — any transport — rolls a counter-keyed drop verdict after
-  /// the radio's rx has been charged (ledger, tree mirror and per-node
-  /// attribution), and dropped frames never reach the protocol. The
-  /// verdicts are evaluated inside deliver(), so the epoch engine's pool
-  /// tasks evaluate them in place. The channel must outlive the network's
-  /// use of it; its counter planes are pre-sized here and kept sized
-  /// across churn.
+  /// deliver() has booked its reception, and dropped frames never reach
+  /// the protocol. The epoch engine's pool tasks deliver through deliver()
+  /// too, so they evaluate the verdicts in place. The channel must outlive
+  /// the network's use of it; its counter planes are pre-sized here and
+  /// kept sized across churn.
   void set_loss(LossChannel* loss);
   [[nodiscard]] const LossChannel* loss() const noexcept { return loss_; }
 
   /// The sink's share of the global ledger: every tx is booked against the
   /// tree its message belongs to at send time, every rx at delivery (or
-  /// CRC-drop) time, so sum(tree_ledger(k)) == costs() holds on every
-  /// transport at all times.
+  /// CRC-drop) time, in the same step that books the global ledger, so
+  /// sum(tree_ledger(k)) == costs() holds on every transport at all times.
+  /// A message tagged with a tree the network does not have is booked
+  /// nowhere: sending or delivering it throws std::logic_error.
   [[nodiscard]] const CostLedger& tree_ledger(TreeId t) const {
     return tree_ledgers_.at(t);
   }
@@ -182,12 +189,14 @@ class DirqNetwork final : public MessageSink {
   /// write-disjoint; task 0 owns the shared sampling gate). Any other
   /// transport (LMAC included) runs the one-chunk plan on the caller at
   /// every width, and its pool runs only the reading fetch. Pool tasks
-  /// charge task-local ledgers merged in task order, evaluate loss
-  /// verdicts in place (they are pure functions of delivery identity,
-  /// core/lossy.hpp), and — like every epoch — run inside an open query
-  /// audit unchanged, since an epoch sends only update traffic and audits
-  /// record only query deliveries. Reading batches run concurrently,
-  /// split below whole types when the source allows.
+  /// send through the instant transport and receive through deliver()
+  /// like the caller; what they book lands in a per-task record merged in
+  /// task order. They evaluate loss verdicts in place (pure functions of
+  /// delivery identity, core/lossy.hpp), and — like every epoch — run
+  /// inside an open query audit unchanged, since an epoch sends only
+  /// update traffic and audits record only query deliveries. Reading
+  /// batches run concurrently, split below whole types when the source
+  /// allows.
   ///
   /// The pool's workers spin for sim::ThreadPool::kSpinWindow after each
   /// job, so between the two fork-joins of an epoch (fetch, consume) and
@@ -261,11 +270,6 @@ class DirqNetwork final : public MessageSink {
   /// cached (alive-only) BFS order.
   [[nodiscard]] double mean_theta_pct(SensorType type) const;
 
-  /// The per-node sampling gate (tests and diagnostics).
-  [[nodiscard]] const SamplingController& sampler(NodeId id) const {
-    return samplers_.at(id);
-  }
-
   /// Per-node radio energy (tx + rx units attributed to each node). The
   /// network's lifetime is governed by its hottest node, so the
   /// *distribution* matters as much as the total (bench/energy_hotspots).
@@ -285,22 +289,20 @@ class DirqNetwork final : public MessageSink {
   struct EpochEngine;
 
   void wire_node(DirqNode& n);
+  /// Books one transmission (rx false) or reception of `msg` by `node`:
+  /// the global ledger, the message's tree ledger, the node's tx/rx
+  /// counter and, for a transmitted update, the update count and hook.
+  /// Inside a pool task it books the task's EpochShardCtx instead. Throws
+  /// std::logic_error, booking nothing, on a tree the network lacks.
+  void book(NodeId node, const Message& msg, bool rx);
   void begin_audit(QueryId id, TreeId tree, std::int64_t epoch);
   /// Re-runs BFS on every tree `changed` could have touched and
   /// reconciles those trees' parent/children pointers, removing stale
   /// child tuples and re-announcing moved subtrees.
   void retarget_trees(NodeId changed, std::int64_t epoch);
-  /// The epoch walk, in BFS order (visited reversed): tree 0's cached
-  /// order for one sink, the cached union walk (tree 0 + members of other
-  /// trees outside it) otherwise.
-  [[nodiscard]] const std::vector<NodeId>& epoch_walk_order() const;
-  void rebuild_union_walk();
-  void charge_tree_tx(const Message& msg);
-  void charge_tree_rx(const Message& msg);
 
-  // The epoch engine (network.cpp): the one partition step, the one
-  // consume body, and the pool tasks' unicast mirroring
-  // InstantTransport's accounting.
+  // The epoch engine (network.cpp): the one partition step and the one
+  // consume body.
   void rebuild_plan();
   /// Runs plan task `task`: a flat sweep over the segment's due readings
   /// finds the ones that leave their own tuple (and feeds ATC's
@@ -308,8 +310,6 @@ class DirqNetwork final : public MessageSink {
   /// adjusts reach the nodes, in the reference walk's order. The lead
   /// does the sampling gate's bookkeeping.
   void consume_crossings(std::size_t task, std::int64_t epoch);
-  void parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
-                        const Message& msg);
 
   net::Topology& topo_;
   NetworkConfig cfg_;
@@ -318,11 +318,7 @@ class DirqNetwork final : public MessageSink {
   std::vector<DirqNode> nodes_;
   std::vector<SamplingController> samplers_;  // one per node
   std::vector<CostUnits> node_tx_, node_rx_;  // per-node radio energy
-  /// prev_parent_[tree][node]: snapshot for churn reconciliation.
-  std::vector<std::vector<NodeId>> prev_parent_;
-  /// Per-sink mirror of the transport ledger (see tree_ledger()).
-  std::vector<CostLedger> tree_ledgers_;
-  std::vector<NodeId> union_order_;  // multi-tree epoch walk (empty for 1)
+  std::vector<CostLedger> tree_ledgers_;      // per sink (see tree_ledger())
 
   std::unique_ptr<InstantTransport> instant_;
   Transport* transport_ = nullptr;

@@ -26,14 +26,6 @@ bool SamplingController::should_sample(SensorType type,
   return epoch >= it->second.next_due;
 }
 
-double SamplingController::predict(SensorType type, std::int64_t epoch) const {
-  auto it = types_.find(type);
-  if (it == types_.end() || !it->second.has_level) return 0.0;
-  const TypeState& st = it->second;
-  const double gap = static_cast<double>(epoch - st.last_epoch);
-  return st.level + st.trend * gap;
-}
-
 void SamplingController::on_sample(SensorType type, double value, double theta,
                                    std::int64_t epoch) {
   ++taken_;
@@ -68,11 +60,6 @@ void SamplingController::on_sample(SensorType type, double value, double theta,
 }
 
 void SamplingController::on_skip(SensorType /*type*/) { ++skipped_; }
-
-int SamplingController::interval(SensorType type) const {
-  auto it = types_.find(type);
-  return it == types_.end() ? 1 : it->second.interval;
-}
 
 std::int64_t SamplingController::next_due(SensorType type) const {
   auto it = types_.find(type);

@@ -70,19 +70,12 @@ class SamplingController {
   [[nodiscard]] std::int64_t samples_taken() const noexcept { return taken_; }
   [[nodiscard]] std::int64_t samples_skipped() const noexcept { return skipped_; }
 
-  /// Current interval for a type (1 when unknown).
-  [[nodiscard]] int interval(SensorType type) const;
-
   /// Epoch the next physical sample is due for a type (0 — always due —
   /// when the type has never been sampled). This is the whole gate:
   /// should_sample(t, e) == (e >= next_due(t)) for an enabled controller,
   /// which is what lets the epoch engine mirror the gate into a flat
   /// per-plan-slot array and evaluate it without touching the FlatMap.
   [[nodiscard]] std::int64_t next_due(SensorType type) const;
-
-  /// Predicted value at `epoch` (level + trend extrapolation); only
-  /// meaningful after two samples. Exposed for tests.
-  [[nodiscard]] double predict(SensorType type, std::int64_t epoch) const;
 
   [[nodiscard]] const SamplingConfig& config() const noexcept { return cfg_; }
 

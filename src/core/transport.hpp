@@ -2,13 +2,16 @@
 //
 // DirQ's node logic is transport-agnostic: it emits unicasts (to its tree
 // parent or children) and link-layer broadcasts (the hourly EHr estimate),
-// and consumes delivered messages. Two implementations exist:
+// and consumes delivered messages. A transport only routes: it decides who
+// hears a frame and hands each reception to its MessageSink. The network
+// (DirqNetwork) books every transmission at send and every reception in
+// deliver(), under the unit-cost model of paper §5 (1 tx + 1 rx per
+// unicast, 1 tx + one rx per addressed alive neighbour per multicast,
+// 1 tx + deg rx per broadcast). Two implementations exist:
 //
-//   InstantTransport — synchronous delivery on the topology graph with
-//     unit-cost accounting (1 tx + 1 rx per unicast, 1 tx + deg rx per
-//     broadcast, paper §5). This is the fast path used by the 20 000-epoch
-//     figure sweeps; it preserves the paper's cost model exactly while
-//     skipping MAC latency.
+//   InstantTransport — synchronous delivery on the topology graph. This is
+//     the fast path used by the 20 000-epoch figure sweeps; it preserves
+//     the paper's cost model exactly while skipping MAC latency.
 //
 //   LmacTransport (lmac_transport.hpp) — rides the src/mac LMAC instance
 //     over the event scheduler: slot-synchronous delivery, real timeout-
@@ -16,8 +19,8 @@
 //     topology-churn example.
 //
 // The epoch engine shards its walk only on the network's built-in
-// InstantTransport, whose accounting its pool tasks mirror; any other
-// transport runs the walk on the caller (DirqNetwork::set_threads).
+// InstantTransport, which its pool tasks send through like the caller;
+// any other transport runs the walk on the caller (DirqNetwork::set_threads).
 #pragma once
 
 #include <span>
@@ -47,35 +50,62 @@ struct CostLedger {
   [[nodiscard]] CostUnits total() const noexcept {
     return query_cost() + update_cost() + control_cost();
   }
+
+  /// The counter one transmission (rx false) or reception of `msg` lands
+  /// in: Query and MultiQuery are query traffic, Update is update traffic,
+  /// everything else (EHr floods, location announcements) is control.
+  [[nodiscard]] CostUnits& counter(const Message& msg, bool rx) noexcept {
+    if (std::holds_alternative<QueryMessage>(msg) ||
+        std::holds_alternative<MultiQueryMessage>(msg)) {
+      return rx ? query_rx : query_tx;
+    }
+    if (std::holds_alternative<UpdateMessage>(msg)) {
+      return rx ? update_rx : update_tx;
+    }
+    return rx ? control_rx : control_tx;
+  }
+
+  CostLedger& operator+=(const CostLedger& o) noexcept {
+    query_tx += o.query_tx;
+    query_rx += o.query_rx;
+    update_tx += o.update_tx;
+    update_rx += o.update_rx;
+    control_tx += o.control_tx;
+    control_rx += o.control_rx;
+    return *this;
+  }
 };
 
 class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Sends to a one-hop neighbour. Sending to a dead/out-of-range node
-  /// costs the transmission and delivers nothing.
+  /// Sends to a one-hop neighbour. A dead or out-of-range recipient hears
+  /// nothing.
   virtual void unicast(NodeId from, NodeId to, const Message& msg) = 0;
 
   /// One transmission addressed to a subset of neighbours; each addressed
-  /// alive neighbour receives (1 tx + |delivered| rx). This matches the
-  /// paper's Eq. (6) accounting, where a forwarding node pays a single
-  /// transmission no matter how many children it targets.
+  /// alive neighbour receives. This matches the paper's Eq. (6)
+  /// accounting, where a forwarding node pays a single transmission no
+  /// matter how many children it targets. An empty target set sends
+  /// nothing.
   virtual void multicast(NodeId from, std::span<const NodeId> targets,
                          const Message& msg) = 0;
 
   /// Link-layer broadcast to all alive one-hop neighbours.
   virtual void broadcast(NodeId from, const Message& msg) = 0;
 
-  [[nodiscard]] virtual const CostLedger& costs() const = 0;
+  /// The ledger the network books this transport's traffic in; the
+  /// transport itself never writes it. Drivers swapping transports mid-run
+  /// carry accumulated costs over through mutable_costs().
+  [[nodiscard]] const CostLedger& costs() const noexcept { return ledger_; }
+  [[nodiscard]] CostLedger& mutable_costs() noexcept { return ledger_; }
 
-  /// Writable ledger access. The parallel epoch engine merges its
-  /// shard-local ledgers into this, and drivers swapping transports
-  /// mid-run use it to carry accumulated costs over.
-  [[nodiscard]] virtual CostLedger& mutable_costs() noexcept = 0;
+ private:
+  CostLedger ledger_;
 };
 
-/// Synchronous unit-cost transport over the topology graph.
+/// Synchronous delivery over the topology graph.
 class InstantTransport final : public Transport {
  public:
   InstantTransport(const net::Topology& topo, MessageSink& sink)
@@ -86,23 +116,9 @@ class InstantTransport final : public Transport {
                  const Message& msg) override;
   void broadcast(NodeId from, const Message& msg) override;
 
-  [[nodiscard]] const CostLedger& costs() const override { return ledger_; }
-  [[nodiscard]] CostLedger& mutable_costs() noexcept override {
-    return ledger_;
-  }
-
-  /// Message-kind classification of one charge (query / update / control),
-  /// shared with LmacTransport, the per-tree mirrors and the parallel
-  /// epoch engine's shard-local ledgers so the kind split can never drift.
-  static void charge_tx(CostLedger& ledger, const Message& msg,
-                        CostUnits n = 1);
-  static void charge_rx(CostLedger& ledger, const Message& msg,
-                        CostUnits n = 1);
-
  private:
   const net::Topology& topo_;
   MessageSink& sink_;
-  CostLedger ledger_;
 };
 
 }  // namespace dirq::core

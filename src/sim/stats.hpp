@@ -87,7 +87,6 @@ class TimeSeries {
     bins_[bin] += count;
   }
 
-  [[nodiscard]] std::int64_t bin_width() const noexcept { return bin_width_; }
   [[nodiscard]] std::size_t bin_count() const noexcept { return bins_.size(); }
   [[nodiscard]] double bin(std::size_t i) const { return i < bins_.size() ? bins_[i] : 0.0; }
   [[nodiscard]] const std::vector<double>& bins() const noexcept { return bins_; }

@@ -1,6 +1,9 @@
 // Regression tests for the epoch-loop accounting edge cases:
-//   - deliver() must attribute rx energy even inside the add_node ->
-//     handle_node_addition window (the ledger already charged it);
+//   - deliver() must book rx energy even inside the add_node ->
+//     handle_node_addition window, and a frame routed by a direct
+//     transport call must keep the ledgers and counters in parity;
+//   - a frame tagged with a tree the network lacks is a contract
+//     violation that books nothing;
 //   - the LMAC post-run drain's keep-alive traffic must not inflate
 //     mac_control_total (a 41-epoch run must stay comparable to 40);
 //   - the recorded Umax/Hr series and the flooded EhrMessage value must
@@ -16,6 +19,7 @@
 #include "net/placement.hpp"
 #include "net/spanning_tree.hpp"
 #include "sim/rng.hpp"
+#include "support/ledger_parity.hpp"
 
 namespace dirq::core {
 namespace {
@@ -31,38 +35,34 @@ net::Topology line(std::size_t n) {
   return net::Topology(std::move(nodes), 1.1);
 }
 
-void expect_node_rx_matches_ledger(const DirqNetwork& net,
-                                   const net::Topology& topo) {
-  CostUnits rx_sum = 0;
-  for (NodeId u = 0; u < topo.size(); ++u) rx_sum += net.node_rx(u);
-  const CostLedger& c = net.costs();
-  EXPECT_EQ(rx_sum, c.query_rx + c.update_rx + c.control_rx);
-}
-
 TEST(AccountingRegression, DeliveryInAddNodeWindowIsAttributed) {
   net::Topology topo = line(4);
   NetworkConfig cfg;
   cfg.mode = NetworkConfig::ThetaMode::Fixed;
   cfg.fixed_pct = 5.0;
   DirqNetwork net(topo, 0, cfg);
-  expect_node_rx_matches_ledger(net, topo);
+  expect_ledger_reconciles(net, topo);
 
   // The newcomer's topology slot (and radio) exists as soon as add_node
   // returns; its protocol instance only after handle_node_addition. A
-  // frame arriving in between is charged to the ledger by the transport —
-  // the per-node distribution must not lose it.
+  // frame arriving in between is booked by deliver() — the per-node
+  // distribution must not lose it. The frame comes from a direct
+  // transport call, which only routes: no node sent it, so no ledger may
+  // carry its transmission either.
   net::Node newcomer;
   newcomer.x = 4.0;
   newcomer.sensors = {kT};
   const NodeId added = topo.add_node(newcomer);
+  const CostUnits tx_before = net.costs().control_tx;
   net.transport().unicast(3, added, Message{EhrMessage{}});
   EXPECT_EQ(net.node_rx(added), 1);
-  expect_node_rx_matches_ledger(net, topo);
+  EXPECT_EQ(net.costs().control_tx, tx_before);
+  expect_ledger_reconciles(net, topo);
 
   // Integration replays nothing and loses nothing.
   net.handle_node_addition(added, 1);
   EXPECT_GE(net.node_rx(added), 1);
-  expect_node_rx_matches_ledger(net, topo);
+  expect_ledger_reconciles(net, topo);
 }
 
 TEST(AccountingRegression, DeliveryOutsideTopologyIsAContractViolation) {
@@ -70,6 +70,28 @@ TEST(AccountingRegression, DeliveryOutsideTopologyIsAContractViolation) {
   NetworkConfig cfg;
   DirqNetwork net(topo, 0, cfg);
   EXPECT_THROW(net.deliver(99, 0, Message{EhrMessage{}}), std::logic_error);
+}
+
+TEST(AccountingRegression, ForeignTreeFrameThrowsAndBooksNothing) {
+  // A one-tree network has no tree 3: booking that frame's reception
+  // anywhere would break the sum of the tree ledgers.
+  net::Topology topo = line(3);
+  DirqNetwork net(topo, 0, NetworkConfig{});
+  const CostLedger before = net.costs();
+  const CostLedger tree_before = net.tree_ledger(0);
+  std::vector<CostUnits> rx_before;
+  for (NodeId u = 0; u < topo.size(); ++u) rx_before.push_back(net.node_rx(u));
+  UpdateMessage u;
+  u.from = 0;
+  u.tree = 3;
+  EXPECT_THROW(net.deliver(1, 0, Message{u}), std::logic_error);
+  EXPECT_EQ(net.costs().total(), before.total());
+  EXPECT_EQ(net.costs().update_rx, before.update_rx);
+  EXPECT_EQ(net.tree_ledger(0).total(), tree_before.total());
+  for (NodeId v = 0; v < topo.size(); ++v) {
+    EXPECT_EQ(net.node_rx(v), rx_before[v]) << "node " << v;
+  }
+  expect_ledger_reconciles(net, topo);
 }
 
 ExperimentConfig lmac_cfg(std::int64_t epochs) {

@@ -205,7 +205,12 @@ TEST(Experiment, UmaxRecordedHourly) {
 TEST(Experiment, UpdateSeriesBinsCoverRun) {
   ExperimentConfig cfg = short_cfg();
   ExperimentResults res = Experiment(cfg).run();
-  EXPECT_EQ(res.updates_per_bin.bin_width(), 100);
+  // Bins are 100 epochs wide: epoch 99 lands in bin 0, epoch 100 in bin 1.
+  sim::TimeSeries probe = res.updates_per_bin;
+  probe.record(99, 1000.0);
+  probe.record(100, 1000.0);
+  EXPECT_EQ(probe.bin(0), res.updates_per_bin.bin(0) + 1000.0);
+  EXPECT_EQ(probe.bin(1), res.updates_per_bin.bin(1) + 1000.0);
   EXPECT_LE(res.updates_per_bin.bin_count(), 21u);
   EXPECT_EQ(static_cast<std::int64_t>(res.updates_per_bin.total()),
             res.updates_transmitted);

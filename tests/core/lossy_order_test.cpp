@@ -49,9 +49,10 @@ std::vector<Frame> make_frames() {
 }
 
 /// Feeds `order` (indices into `frames`) through a fresh channel, the
-/// way DirqNetwork::deliver does (next_drop, then note), and returns the
-/// verdict of every frame, indexed by frame id. A frame's verdict is
-/// observed as the dropped-counter delta across its delivery.
+/// way DirqNetwork::deliver does (next_drop), and returns the verdict of
+/// every frame, indexed by frame id. A frame's verdict is observed as the
+/// dropped-total delta across its delivery, which must agree with the
+/// verdict next_drop returned.
 std::vector<bool> verdicts_in_order(const std::vector<Frame>& frames,
                                     const std::vector<std::size_t>& order) {
   LossChannel channel(0.3, sim::CounterRng(1234).substream("loss"));
@@ -59,8 +60,9 @@ std::vector<bool> verdicts_in_order(const std::vector<Frame>& frames,
   for (std::size_t id : order) {
     const Frame& f = frames[id];
     const std::int64_t before = channel.dropped();
-    channel.note(channel.next_drop(f.tree, f.from, f.to));
+    const bool dropped = channel.next_drop(f.tree, f.from, f.to);
     verdict[id] = channel.dropped() != before;
+    EXPECT_EQ(verdict[id], dropped) << "frame " << id;
   }
   EXPECT_EQ(channel.offered(), static_cast<std::int64_t>(order.size()));
   return verdict;

@@ -27,7 +27,9 @@
 // taken and skipped, loss-channel tallies, and every (node, tree, type)
 // own tuple, subtree aggregate and theta, bitwise — theta is what ATC
 // moves, so a diverging adjust shows the epoch it happens, not once it
-// has moved a tuple. Every QueryOutcome must match.
+// has moved a tuple. Every QueryOutcome must match. Every network, the
+// reference included, must also keep three-way ledger parity after every
+// epoch (tests/support/ledger_parity.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +55,7 @@
 #include "sim/counter_rng.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "support/ledger_parity.hpp"
 #include "support/reference_walk.hpp"
 
 namespace dirq::core {
@@ -376,6 +379,11 @@ TEST_P(ReferenceWalkCell, EngineMatchesReferenceEveryEpoch) {
       }
     }
     for (auto& w : worlds) w->finish_epoch(e);
+    for (const auto& w : worlds) {
+      SCOPED_TRACE(at + " threads " + std::to_string(w->net->threads()) +
+                   (w->reference ? " reference" : ""));
+      expect_ledger_reconciles(*w->net, w->topo);
+    }
     for (std::size_t i = 1; i < worlds.size(); ++i) {
       expect_same_state(ref, *worlds[i],
                         at + " threads " +
@@ -457,7 +465,7 @@ TEST(ReferenceWalkAtc, TypeRegainedWhileTheGateHoldsItsSlot) {
       net.broadcast_ehr(0, 1e6, e);
     }
     if (regained < 0 && e >= 40 && e % cfg.atc.adjust_period == 0 &&
-        net.sampler(kLeaf).next_due(kType) > e) {
+        walk.gate(kLeaf).next_due(kType) > e) {
       ref.handle_sensor_added(kLeaf, kType, e);
       net.handle_sensor_added(kLeaf, kType, e);
       regained = e;
@@ -466,6 +474,11 @@ TEST(ReferenceWalkAtc, TypeRegainedWhileTheGateHoldsItsSlot) {
     walk.epoch(ref, ref_topo, env, e);
     net.process_epoch(env, e);
     ASSERT_EQ(ref.updates_transmitted(), net.updates_transmitted()) << e;
+    {
+      SCOPED_TRACE("epoch " + std::to_string(e));
+      expect_ledger_reconciles(ref, ref_topo);
+      expect_ledger_reconciles(net, topo);
+    }
     ASSERT_EQ(walk.samples_taken(), net.samples_taken()) << e;
     ASSERT_EQ(walk.samples_skipped(), net.samples_skipped()) << e;
     for (NodeId u = 0; u < 3; ++u) {

@@ -39,66 +39,67 @@ TEST(Sampling, FirstTwoEpochsAlwaysSampled) {
   EXPECT_TRUE(s.should_sample(kT, 1));  // trend needs a second point
 }
 
-TEST(Sampling, LinearSignalDoublesInterval) {
-  SamplingController s(enabled_cfg());
-  double v = 20.0;
-  std::int64_t epoch = 0;
-  for (int i = 0; i < 200; ++i) {
+/// Drives the gate for `epochs` epochs on `value(epoch)`, sampling when
+/// it is due and skipping otherwise, and returns the current sampling
+/// interval: the distance from the last sample to the next due epoch.
+template <typename Value>
+std::int64_t run_gate(SamplingController& s, std::int64_t epochs,
+                      Value value) {
+  std::int64_t last = -1;
+  for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
     if (s.should_sample(kT, epoch)) {
-      s.on_sample(kT, v, /*theta=*/1.0, epoch);
+      s.on_sample(kT, value(epoch), /*theta=*/1.0, epoch);
+      last = epoch;
     } else {
       s.on_skip(kT);
     }
-    v += 0.01;  // perfectly linear drift
-    ++epoch;
   }
-  EXPECT_EQ(s.interval(kT), 16);  // capped at max_interval
+  return s.next_due(kT) - last;
+}
+
+TEST(Sampling, LinearSignalDoublesInterval) {
+  SamplingController s(enabled_cfg());
+  // Perfectly linear drift.
+  const auto ramp = [](std::int64_t e) { return 20.0 + 0.01 * e; };
+  EXPECT_EQ(run_gate(s, 200, ramp), 16);  // capped at max_interval
   EXPECT_GT(s.samples_skipped(), s.samples_taken());
 }
 
 TEST(Sampling, SurpriseResetsIntervalToOne) {
   SamplingController s(enabled_cfg());
-  std::int64_t epoch = 0;
-  double v = 20.0;
-  for (int i = 0; i < 100; ++i) {
-    if (s.should_sample(kT, epoch)) s.on_sample(kT, v, 1.0, epoch);
-    v += 0.01;
-    ++epoch;
-  }
-  ASSERT_GT(s.interval(kT), 1);
+  const auto ramp = [](std::int64_t e) { return 20.0 + 0.01 * e; };
+  ASSERT_GT(run_gate(s, 100, ramp), 1);
   // Step change far beyond the margin at the next due sample.
-  while (!s.should_sample(kT, epoch)) ++epoch;
-  s.on_sample(kT, v + 50.0, 1.0, epoch);
-  EXPECT_EQ(s.interval(kT), 1);
+  const std::int64_t epoch = s.next_due(kT);
+  s.on_sample(kT, ramp(epoch) + 50.0, 1.0, epoch);
+  EXPECT_EQ(s.next_due(kT), epoch + 1);
 }
 
 TEST(Sampling, PredictionExtrapolatesTrend) {
-  SamplingController s(enabled_cfg());
-  s.on_sample(kT, 10.0, 1.0, 0);
-  s.on_sample(kT, 11.0, 1.0, 1);  // slope 1/epoch
-  EXPECT_NEAR(s.predict(kT, 3), 13.0, 1e-9);
+  // After samples 10 and 11 at epochs 0 and 1 (slope 1/epoch) the Holt
+  // prediction for epoch 3 is 13: a sample there on the line is accurate
+  // and doubles the interval (1 -> 2), one a margin off resets it to 1.
+  for (const double off : {0.0, 0.6}) {
+    SamplingController s(enabled_cfg());
+    s.on_sample(kT, 10.0, 1.0, 0);
+    s.on_sample(kT, 11.0, 1.0, 1);
+    s.on_sample(kT, 13.0 + off, 1.0, 3);
+    EXPECT_EQ(s.next_due(kT), off == 0.0 ? 5 : 4) << off;
+  }
 }
 
 TEST(Sampling, TypesAreIndependent) {
   SamplingController s(enabled_cfg());
-  std::int64_t epoch = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (s.should_sample(kT, epoch)) s.on_sample(kT, 20.0, 1.0, epoch);
-    ++epoch;
-  }
-  EXPECT_GT(s.interval(kT), 1);
-  EXPECT_EQ(s.interval(kSensorHumidity), 1);  // untouched type
-  EXPECT_TRUE(s.should_sample(kSensorHumidity, epoch));
+  const auto flat = [](std::int64_t) { return 20.0; };
+  EXPECT_GT(run_gate(s, 100, flat), 1);
+  EXPECT_EQ(s.next_due(kSensorHumidity), 0);  // untouched type: always due
+  EXPECT_TRUE(s.should_sample(kSensorHumidity, 100));
 }
 
 TEST(Sampling, MaxIntervalBoundsDetectionDelay) {
   SamplingController s(enabled_cfg(0.5, 4));
-  std::int64_t epoch = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (s.should_sample(kT, epoch)) s.on_sample(kT, 20.0, 1.0, epoch);
-    ++epoch;
-  }
-  EXPECT_LE(s.interval(kT), 4);
+  const auto flat = [](std::int64_t) { return 20.0; };
+  EXPECT_LE(run_gate(s, 100, flat), 4);
 }
 
 TEST(Sampling, RejectsGateConfigsItCannotRun) {

@@ -86,6 +86,12 @@ class ReferenceWalk {
     }
   }
 
+  /// The walk's own sampling gate of node `u` (its state equals the
+  /// network's gate for `u` while the engine matches the walk).
+  [[nodiscard]] const SamplingController& gate(NodeId u) const {
+    return gates_.at(u);
+  }
+
   [[nodiscard]] std::int64_t samples_taken() const {
     std::int64_t total = 0;
     for (const SamplingController& g : gates_) total += g.samples_taken();
