@@ -238,24 +238,43 @@ void BM_FieldEpochAdvance(benchmark::State& state) {
 BENCHMARK(BM_FieldEpochAdvance);
 
 void BM_QueryInject(benchmark::State& state) {
+  // One inject (dissemination plus audit) of a pre-drawn query. Arg 0: the
+  // paper's 50-node world, pinned field, one sink, a fresh query each
+  // time. Arg 1: serve4's shape, 1 000 scaled nodes, fast field, theta
+  // 5 %, 4 spread sinks taking the injects in turn, after 20 epochs, over
+  // a pool of 64 queries.
+  const bool large = state.range(0) == 1;
   sim::Rng rng(42);
-  net::Topology topo = net::random_connected(net::RandomPlacementConfig{}, rng);
-  data::Environment env(topo, 4, rng.substream("env"));
+  net::Topology topo = net::random_connected(
+      large ? net::scaled_placement(1000) : net::RandomPlacementConfig{}, rng);
+  const auto env = data::make_environment(
+      large ? data::EnvironmentBackend::Fast : data::EnvironmentBackend::Pinned,
+      topo, 4, rng.substream("env"));
   core::NetworkConfig ncfg;
-  core::DirqNetwork net(topo, 0, ncfg);
-  env.advance_to(0);
-  net.process_epoch(env, 0);
-  query::WorkloadGenerator gen(topo, net.tree(), env,
+  core::DirqNetwork net(topo,
+                        large ? net::spread_roots(topo, 4)
+                              : std::vector<NodeId>{0},
+                        ncfg);
+  const std::int64_t warm = large ? 20 : 0;
+  for (std::int64_t e = 0; e <= warm; ++e) {
+    env->advance_to(e);
+    net.process_epoch(*env, e);
+  }
+  query::WorkloadGenerator gen(topo, net.tree(), *env,
                                query::WorkloadConfig{0.4, 0.02},
                                rng.substream("wl"));
-  std::int64_t epoch = 0;
+  std::vector<query::RangeQuery> pool;
+  for (int i = 0; i < (large ? 64 : 1); ++i) pool.push_back(gen.next(warm));
+  std::int64_t epoch = warm;
+  std::size_t i = 0;
   for (auto _ : state) {
-    ++epoch;
-    const query::RangeQuery q = gen.next(epoch);
-    benchmark::DoNotOptimize(net.inject(0, q, epoch));
+    if (!large) pool[0] = gen.next(++epoch);
+    const auto tree = static_cast<TreeId>(i % net.tree_count());
+    benchmark::DoNotOptimize(net.inject(tree, pool[i % pool.size()], epoch));
+    ++i;
   }
 }
-BENCHMARK(BM_QueryInject);
+BENCHMARK(BM_QueryInject)->Arg(0)->Arg(1);
 
 void BM_FullEpochLoop(benchmark::State& state) {
   // One sensing epoch of the whole 50-node network (sampling + update
@@ -416,8 +435,12 @@ void BM_CacheLookup(benchmark::State& state) {
   // entries over 3 types built from a 32-window pool (u^2 popularity
   // skew), 200 stored sources each, queried with pool windows and their
   // middle halves (the containment path). Every entry predates the
-  // current update counter and none has expired, so each hit is Stale:
-  // the scan runs the whole FIFO looking for a Fresh entry first.
+  // current update counter, so no hit is Fresh. Arg 0: no entry expires,
+  // so each hit is Stale and the scan runs the whole FIFO looking for a
+  // Fresh entry first. Arg 1: serve4's stale bound, 64 epochs, over
+  // entries created across 2 000 epochs, so only the newest few of each
+  // type can answer and most probes miss on expired entries.
+  const bool expiring = state.range(0) == 1;
   constexpr std::size_t kEntries = 400;
   constexpr std::size_t kSources = 200;
   constexpr std::size_t kPool = 32;
@@ -436,7 +459,9 @@ void BM_CacheLookup(benchmark::State& state) {
     const double u = rng.uniform(0.0, 1.0);
     return pool[std::min(static_cast<std::size_t>(u * u * kPool), kPool - 1)];
   };
-  serve::ResultCache cache(1024, 1 << 30);
+  constexpr std::int64_t kSpan = 2000;  // epochs the entries span
+  const std::int64_t step = expiring ? kSpan / kEntries : 1;
+  serve::ResultCache cache(1024, expiring ? 64 : 1 << 30);
   for (std::size_t e = 0; e < kEntries; ++e) {
     const Window w = pick();
     std::vector<serve::CachedSource> sources;
@@ -444,7 +469,7 @@ void BM_CacheLookup(benchmark::State& state) {
       const double c = rng.uniform(w.lo, w.hi);
       sources.push_back({static_cast<NodeId>(s), c - 1.1, c + 1.1});
     }
-    cache.insert(w.type, w.lo, w.hi, 0, static_cast<std::int64_t>(e),
+    cache.insert(w.type, w.lo, w.hi, 0, static_cast<std::int64_t>(e) * step,
                  static_cast<std::int64_t>(e), std::move(sources));
   }
   std::vector<Window> queries;
@@ -458,17 +483,18 @@ void BM_CacheLookup(benchmark::State& state) {
     queries.push_back(w);
   }
   const auto updates_now = static_cast<std::int64_t>(kEntries);
+  const std::int64_t now = static_cast<std::int64_t>(kEntries) * step;
   std::size_t q = 0;
   for (auto _ : state) {
     const Window& w = queries[q++ & 1023];
     const serve::CacheLookup hit =
-        cache.lookup(w.type, w.lo, w.hi, updates_now, updates_now);
+        cache.lookup(w.type, w.lo, w.hi, now, updates_now);
     benchmark::DoNotOptimize(hit.kind);
     benchmark::DoNotOptimize(hit.tree);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheLookup);
+BENCHMARK(BM_CacheLookup)->Arg(0)->Arg(1);
 
 /// Busy-waits for `d` (a stand-in for a fixed amount of CPU work).
 void spin_for(std::chrono::nanoseconds d) {

@@ -1,6 +1,7 @@
 #include "core/dirq_node.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dirq::core {
 
@@ -69,9 +70,9 @@ void DirqNode::handle(const Message& msg, NodeId from, std::int64_t epoch) {
   if (const auto* u = std::get_if<UpdateMessage>(&msg)) {
     handle_update(*u, from, epoch);
   } else if (const auto* q = std::get_if<QueryMessage>(&msg)) {
-    handle_query(*q, epoch);
+    forward_query(msg, q->tree, q->q);
   } else if (const auto* mq = std::get_if<MultiQueryMessage>(&msg)) {
-    handle_multi_query(*mq, epoch);
+    forward_query(msg, mq->tree, mq->q);
   } else if (const auto* e = std::get_if<EhrMessage>(&msg)) {
     handle_ehr(*e, from, epoch);
   } else if (const auto* l = std::get_if<LocationAnnounce>(&msg)) {
@@ -96,19 +97,30 @@ void DirqNode::handle_update(const UpdateMessage& u, NodeId from,
   maybe_send_update(u.tree, u.type, epoch);
 }
 
-void DirqNode::handle_query(const QueryMessage& qm, std::int64_t /*epoch*/) {
+template <typename Query>
+void DirqNode::forward_query(const Message& msg, TreeId tree, const Query& q) {
   // Delivery itself is recorded by the network (audit). Here the node
   // directs the query onward: one transmission addressed to every child
   // whose announced range overlaps the query window (§4.1, Eq. 6 cost
-  // accounting). Answering (data extraction) is out of the paper's scope.
-  const std::vector<NodeId> targets = forwarding_set(qm.tree, qm.q);
-  if (!targets.empty() && multicast_) multicast_(id_, targets, Message{qm});
-}
-
-void DirqNode::handle_multi_query(const MultiQueryMessage& qm,
-                                  std::int64_t /*epoch*/) {
-  const std::vector<NodeId> targets = forwarding_set(qm.tree, qm.q);
-  if (!targets.empty() && multicast_) multicast_(id_, targets, Message{qm});
+  // accounting), forwarding the received message itself. Answering (data
+  // extraction) is out of the paper's scope.
+  if (forwarding_) {
+    // On a tree a query only reaches a forwarding node's descendants;
+    // reaching the node again means a cycle, so tree state diverged.
+    throw std::logic_error(
+        "DirqNode: a query reached a node still forwarding one (forwarding "
+        "cycle: tree state diverged)");
+  }
+  forwarding_set(tree, q, forward_to_);
+  if (forward_to_.empty() || !multicast_) return;
+  forwarding_ = true;
+  try {
+    multicast_(id_, forward_to_, msg);
+  } catch (...) {
+    forwarding_ = false;
+    throw;
+  }
+  forwarding_ = false;
 }
 
 net::BBox DirqNode::subtree_box(TreeId tree) const {
@@ -158,30 +170,29 @@ bool DirqNode::child_may_be_in_region(
   return region->intersects(it->second);
 }
 
-std::vector<NodeId> DirqNode::forwarding_set(TreeId tree,
-                                             const query::RangeQuery& q) const {
+void DirqNode::forwarding_set(TreeId tree, const query::RangeQuery& q,
+                              std::vector<NodeId>& out) const {
   const TreeSlot& slot = slots_.at(tree);
-  std::vector<NodeId> out;
+  out.clear();
   auto it = slot.tables.find(q.type);
-  if (it == slot.tables.end()) return out;
+  if (it == slot.tables.end()) return;
   for (const auto& [child, range] : it->second.children()) {
     if (q.overlaps(range.min, range.max) &&
         child_may_be_in_region(slot, child, q.region)) {
       out.push_back(child);
     }
   }
-  return out;
 }
 
-std::vector<NodeId> DirqNode::forwarding_set(TreeId tree,
-                                             const query::MultiQuery& q) const {
+void DirqNode::forwarding_set(TreeId tree, const query::MultiQuery& q,
+                              std::vector<NodeId>& out) const {
   // Conjunctive pruning: a child survives only if EVERY predicate's
   // subtree range overlaps (and the region test passes). A child that
   // never announced some predicate's type provably has no node carrying
   // all types in its subtree — prune it.
   const TreeSlot& slot = slots_.at(tree);
-  std::vector<NodeId> out;
-  if (q.predicates.empty()) return out;
+  out.clear();
+  if (q.predicates.empty()) return;
   for (NodeId child : slot.children) {
     bool all = child_may_be_in_region(slot, child, q.region);
     for (const query::AttributePredicate& p : q.predicates) {
@@ -193,7 +204,6 @@ std::vector<NodeId> DirqNode::forwarding_set(TreeId tree,
     }
     if (all) out.push_back(child);
   }
-  return out;
 }
 
 bool DirqNode::believes_relevant(TreeId tree,

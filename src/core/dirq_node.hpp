@@ -139,12 +139,6 @@ class DirqNode {
   [[nodiscard]] bool believes_relevant(TreeId tree,
                                        const query::MultiQuery& q) const;
 
-  /// Children this node would forward the query to right now (per tree).
-  [[nodiscard]] std::vector<NodeId> forwarding_set(
-      TreeId tree, const query::RangeQuery& q) const;
-  [[nodiscard]] std::vector<NodeId> forwarding_set(
-      TreeId tree, const query::MultiQuery& q) const;
-
   [[nodiscard]] ThetaController& controller(TreeId tree) {
     return *slots_.at(tree).controller;
   }
@@ -176,8 +170,17 @@ class DirqNode {
   /// demands one.
   void maybe_send_update(TreeId tree, SensorType type, std::int64_t epoch);
   void handle_update(const UpdateMessage& u, NodeId from, std::int64_t epoch);
-  void handle_query(const QueryMessage& qm, std::int64_t epoch);
-  void handle_multi_query(const MultiQueryMessage& qm, std::int64_t epoch);
+  /// Multicasts the received query message `msg` (for `q` in `tree`) to
+  /// the slot's forwarding set, kept in forward_to_ so forwarding never
+  /// allocates. A query that reaches the node while it still forwards one
+  /// (a forwarding cycle) throws std::logic_error.
+  template <typename Query>
+  void forward_query(const Message& msg, TreeId tree, const Query& q);
+  /// Writes the children this node forwards `q` to in `tree` into `out`.
+  void forwarding_set(TreeId tree, const query::RangeQuery& q,
+                      std::vector<NodeId>& out) const;
+  void forwarding_set(TreeId tree, const query::MultiQuery& q,
+                      std::vector<NodeId>& out) const;
   void handle_ehr(const EhrMessage& e, NodeId from, std::int64_t epoch);
   void handle_location(const LocationAnnounce& l, NodeId from,
                        std::int64_t epoch);
@@ -197,6 +200,8 @@ class DirqNode {
   std::vector<TreeSlot> slots_;      // one per spanning tree, TreeId-dense
   double x_ = 0.0, y_ = 0.0;
   bool has_position_ = false;
+  bool forwarding_ = false;           // inside forward_query's multicast
+  std::vector<NodeId> forward_to_;    // forward_query's target buffer
   SendFn send_;
   MulticastFn multicast_;
   BroadcastFn broadcast_;

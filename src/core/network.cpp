@@ -11,39 +11,10 @@
 #include "analysis/cost_model.hpp"
 #include "core/gate_scan.hpp"
 #include "core/lossy.hpp"
+#include "sim/cache_line.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace dirq::core {
-
-namespace {
-/// Allocates whole, 64-byte-aligned cache lines, so a buffer never shares
-/// a line with another allocation (see EpochShardCtx).
-template <typename T>
-struct CacheLineAllocator {
-  using value_type = T;
-  static constexpr std::size_t kLine = 64;
-
-  CacheLineAllocator() = default;
-  template <typename U>
-  CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) noexcept {}
-
-  static std::size_t bytes(std::size_t n) {
-    return (n * sizeof(T) + kLine - 1) / kLine * kLine;  // whole lines
-  }
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(bytes(n), std::align_val_t{kLine}));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    ::operator delete(p, bytes(n), std::align_val_t{kLine});
-  }
-  friend bool operator==(const CacheLineAllocator&,
-                         const CacheLineAllocator&) noexcept {
-    return true;
-  }
-};
-template <typename T>
-using ShardVector = std::vector<T, CacheLineAllocator<T>>;
-}  // namespace
 
 /// One event of a task's epoch: a threshold crossing found by the flat
 /// sweep or, with type kAdjust, a due ATC adjust. Sorted by (pos, type,
@@ -71,7 +42,9 @@ static_assert(sizeof(SweepEvent) == 16);
 /// reception of a pool task's nodes lands here instead of the shared
 /// ledgers and counters, per-node tx/rx in dense delta arrays (with one
 /// task per tree the same node transmits in several tasks, so direct
-/// writes to the shared counters would race). In the subtree geometry
+/// writes to the shared counters would race), with a list of the nodes
+/// whose deltas left zero, so the merge costs what the task booked, not
+/// the network's size. In the subtree geometry
 /// root-bound deliveries are deferred so the root — the only node
 /// reachable from more than one task — is touched by exactly one thread.
 /// Merged into the shared ledgers and counters in task order after the
@@ -82,22 +55,25 @@ static_assert(sizeof(SweepEvent) == 16);
 /// alignas(64): each task's hot merge state gets its own cache line(s);
 /// without it neighbouring tasks' ledgers share lines and every charge
 /// bounces the line between cores (see BM_ParallelEpochShardScaling). The
-/// heap buffers of its vectors come from CacheLineAllocator for the same
-/// reason: two tasks' small scratch arrays must never share a line, or
-/// both threads running at once costs more than one.
+/// heap buffers of its vectors come from sim::CacheLineAllocator for the
+/// same reason: two tasks' small scratch arrays must never share a line,
+/// or both threads running at once costs more than one.
 struct alignas(64) EpochShardCtx {
   std::size_t index = 0;  // the task this context belongs to
   CostLedger ledger;
   std::int64_t update_msgs = 0;  // wire-level UpdateMessage transmissions
-  ShardVector<std::pair<NodeId, Message>> to_root;  // {from, msg}, in order
-  // Per-node tx/rx deltas for this task's pass (cleared each epoch,
-  // merged in task order).
-  ShardVector<CostUnits> tx_delta;
-  ShardVector<CostUnits> rx_delta;
+  // Root-bound deliveries, {from, msg}, in order.
+  sim::CacheLineVector<std::pair<NodeId, Message>> to_root;
+  // Per-node tx/rx deltas for this task's pass, and the nodes whose
+  // deltas left zero this epoch: the merge walks only those (in task
+  // order) and zeroes them again.
+  sim::CacheLineVector<CostUnits> tx_delta;
+  sim::CacheLineVector<CostUnits> rx_delta;
+  sim::CacheLineVector<NodeId> touched;
   // The sweep: one (type, tree) pass's crossing readings, and the
   // epoch's events.
-  ShardVector<std::uint32_t> cross_reads;
-  ShardVector<SweepEvent> crossings;
+  sim::CacheLineVector<std::uint32_t> cross_reads;
+  sim::CacheLineVector<SweepEvent> crossings;
 };
 
 namespace {
@@ -113,6 +89,24 @@ struct TlsShardGuard {
   TlsShardGuard(const TlsShardGuard&) = delete;
   TlsShardGuard& operator=(const TlsShardGuard&) = delete;
 };
+
+/// Sets bit `id` of an audit bitmap, growing it with the topology.
+void mark(std::vector<std::uint64_t>& bits, NodeId id) {
+  if (id / 64 >= bits.size()) bits.resize(id / 64 + 1, 0);
+  bits[id / 64] |= std::uint64_t{1} << (id % 64);
+}
+
+/// The ids an audit bitmap holds, ascending.
+std::vector<NodeId> marked(const std::vector<std::uint64_t>& bits) {
+  std::vector<NodeId> out;
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t b = bits[w]; b != 0; b &= b - 1) {
+      out.push_back(static_cast<NodeId>(64 * w) +
+                    static_cast<NodeId>(std::countr_zero(b)));
+    }
+  }
+  return out;
+}
 
 [[noreturn]] void throw_stale_aliveness() {
   throw std::logic_error(
@@ -438,7 +432,10 @@ void DirqNetwork::book(NodeId node, const Message& msg, bool rx) {
           "DirqNetwork: cross-tree message during a sharded epoch");
     }
     ++ctx->ledger.counter(msg, rx);
-    ++(rx ? ctx->rx_delta : ctx->tx_delta).at(node);
+    if ((ctx->tx_delta.at(node) | ctx->rx_delta.at(node)) == 0) {
+      ctx->touched.push_back(node);
+    }
+    ++(rx ? ctx->rx_delta : ctx->tx_delta)[node];
     if (update) ++ctx->update_msgs;
     return;
   }
@@ -519,15 +516,15 @@ void DirqNetwork::deliver(NodeId to, NodeId from, const Message& msg) {
   if (audit_active_) {  // query traffic only; an epoch carries updates
     if (const auto* qm = std::get_if<QueryMessage>(&msg);
         qm != nullptr && qm->q.id == audit_query_) {
-      audit_received_.push_back(to);
+      mark(audit_received_, to);
       if (nodes_[to].believes_relevant(qm->tree, qm->q)) {
-        audit_believed_.push_back(to);
+        mark(audit_believed_, to);
       }
     } else if (const auto* mq = std::get_if<MultiQueryMessage>(&msg);
                mq != nullptr && mq->q.id == audit_query_) {
-      audit_received_.push_back(to);
+      mark(audit_received_, to);
       if (nodes_[to].believes_relevant(mq->tree, mq->q)) {
-        audit_believed_.push_back(to);
+        mark(audit_believed_, to);
       }
     }
   }
@@ -656,7 +653,7 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
   // transmission with the same epoch, so recorded series are identical.
   // Each task's ledger also merges into its tree's — a task carries only
   // that tree's traffic (asserted in book). Per-node tx/rx deltas merge
-  // (and reset) likewise.
+  // (and reset) likewise, over the nodes each task touched.
   CostLedger& ledger = transport_->mutable_costs();
   for (std::size_t i = 0; i < pe.pool_tasks; ++i) {
     EpochShardCtx& ctx = pe.ctx[i];
@@ -666,13 +663,17 @@ void DirqNetwork::process_epoch(const data::ReadingSource& env,
     if (update_hook_) {
       for (std::int64_t k = 0; k < ctx.update_msgs; ++k) update_hook_(epoch);
     }
-    const std::size_t n = std::min(ctx.tx_delta.size(), node_tx_.size());
-    for (std::size_t u = 0; u < n; ++u) {
+    for (NodeId u : ctx.touched) {
+      if (u >= node_tx_.size()) {  // as book() grows them on the caller
+        node_tx_.resize(topo_.size(), 0);
+        node_rx_.resize(topo_.size(), 0);
+      }
       node_tx_[u] += ctx.tx_delta[u];
       node_rx_[u] += ctx.rx_delta[u];
       ctx.tx_delta[u] = 0;
       ctx.rx_delta[u] = 0;
     }
+    ctx.touched.clear();
   }
   // Subtrees: the deferred root deliveries, then (below) the root. Each
   // was booked and passed its loss verdict inside its task, and an epoch
@@ -828,6 +829,7 @@ void DirqNetwork::rebuild_plan() {
     pe.ctx[i].index = i;
     pe.ctx[i].tx_delta.assign(nodes, 0);
     pe.ctx[i].rx_delta.assign(nodes, 0);
+    pe.ctx[i].touched.clear();
   }
   pe.due_mask.assign(type_count, {});
   pe.filt_nodes.assign(type_count, {});
@@ -1003,8 +1005,8 @@ void DirqNetwork::begin_audit(QueryId id, TreeId tree, std::int64_t epoch) {
   audit_active_ = true;
   audit_query_ = id;
   audit_tree_ = tree;
-  audit_received_.clear();
-  audit_believed_.clear();
+  std::fill(audit_received_.begin(), audit_received_.end(), 0);
+  std::fill(audit_believed_.begin(), audit_believed_.end(), 0);
   audit_cost_start_ = transport_->costs().query_cost();
 }
 
@@ -1032,15 +1034,8 @@ QueryOutcome DirqNetwork::collect_outcome() {
   QueryOutcome out;
   out.id = audit_query_;
   out.tree = audit_tree_;
-  out.received = audit_received_;
-  std::sort(out.received.begin(), out.received.end());
-  out.received.erase(std::unique(out.received.begin(), out.received.end()),
-                     out.received.end());
-  out.believed_sources = audit_believed_;
-  std::sort(out.believed_sources.begin(), out.believed_sources.end());
-  out.believed_sources.erase(
-      std::unique(out.believed_sources.begin(), out.believed_sources.end()),
-      out.believed_sources.end());
+  out.received = marked(audit_received_);
+  out.believed_sources = marked(audit_believed_);
   out.cost = transport_->costs().query_cost() - audit_cost_start_;
   audit_active_ = false;
   return out;

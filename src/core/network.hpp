@@ -27,6 +27,7 @@
 // involvement from query::compute_involvement.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -332,13 +333,15 @@ class DirqNetwork final : public MessageSink {
   std::int64_t updates_transmitted_ = 0;
   UpdateHook update_hook_;
 
-  // Per-query audit state.
+  // Per-query audit state. The received and believed sets are bitmaps
+  // over node ids, so collect_outcome lists them sorted and unique in one
+  // pass rather than sorting the delivery order.
   bool audit_active_ = false;
   QueryId audit_query_ = 0;
   TreeId audit_tree_ = 0;
   CostUnits audit_cost_start_ = 0;
-  std::vector<NodeId> audit_received_;
-  std::vector<NodeId> audit_believed_;
+  std::vector<std::uint64_t> audit_received_;
+  std::vector<std::uint64_t> audit_believed_;
 
   std::int64_t ehr_round_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "core/transport.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dirq::core {
 
@@ -13,25 +14,32 @@ void InstantTransport::unicast(NodeId from, NodeId to, const Message& msg) {
 
 void InstantTransport::multicast(NodeId from, std::span<const NodeId> targets,
                                  const Message& msg) {
-  // Copy both lists: delivery handlers may mutate the topology or reuse
-  // the caller's buffer.
-  const auto span = topo_.neighbors(from);
-  const std::vector<NodeId> nbrs(span.begin(), span.end());
-  const std::vector<NodeId> copy(targets.begin(), targets.end());
-  for (NodeId to : copy) {
+  // Both lists are read in place: the delivery contract (transport.hpp)
+  // keeps them valid, and deliver_in_place checks it.
+  const auto nbrs = topo_.neighbors(from);
+  for (NodeId to : targets) {
     if (to >= topo_.size() || !topo_.is_alive(to)) continue;
     if (!std::binary_search(nbrs.begin(), nbrs.end(), to)) continue;
-    sink_.deliver(to, from, msg);
+    deliver_in_place(to, from, msg);
   }
 }
 
 void InstantTransport::broadcast(NodeId from, const Message& msg) {
-  // Copy the neighbour list: delivery handlers may mutate the topology.
-  const auto span = topo_.neighbors(from);
-  const std::vector<NodeId> nbrs(span.begin(), span.end());
-  for (NodeId v : nbrs) {
+  for (NodeId v : topo_.neighbors(from)) {
     if (!topo_.is_alive(v)) continue;
-    sink_.deliver(v, from, msg);
+    deliver_in_place(v, from, msg);
+  }
+}
+
+void InstantTransport::deliver_in_place(NodeId to, NodeId from,
+                                        const Message& msg) {
+  const std::size_t size = topo_.size();
+  const std::size_t alive = topo_.alive_count();
+  sink_.deliver(to, from, msg);
+  if (topo_.size() != size || topo_.alive_count() != alive) {
+    throw std::logic_error(
+        "InstantTransport: a delivery added or killed a node while a "
+        "multicast or broadcast was reading the topology");
   }
 }
 

@@ -106,6 +106,15 @@ class Transport {
 };
 
 /// Synchronous delivery over the topology graph.
+///
+/// Delivery contract: a multicast or broadcast reads the caller's target
+/// list and the sender's neighbour span in place while it delivers, so a
+/// sink must not add or kill a node inside deliver(), and the caller's
+/// target buffer must stay untouched until the call returns (DirqNode
+/// throws std::logic_error rather than forward a query that reaches a node
+/// still forwarding one, which only a forwarding cycle can do). A delivery
+/// that changes the topology's node or alive count makes the multicast or
+/// broadcast throw std::logic_error instead of reading a stale span.
 class InstantTransport final : public Transport {
  public:
   InstantTransport(const net::Topology& topo, MessageSink& sink)
@@ -117,6 +126,10 @@ class InstantTransport final : public Transport {
   void broadcast(NodeId from, const Message& msg) override;
 
  private:
+  /// Hands one reception of a multicast or broadcast to the sink and
+  /// checks the delivery contract.
+  void deliver_in_place(NodeId to, NodeId from, const Message& msg);
+
   const net::Topology& topo_;
   MessageSink& sink_;
 };

@@ -1,7 +1,6 @@
 #include "data/fast_field.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -20,6 +19,15 @@ double fold(double p, double lo, double w) {
   return lo + (q <= w ? q : 2.0 * w - q);
 }
 
+/// Set bits of `x`, counted in registers: the baseline x86-64 target has no
+/// POPCNT instruction, and std::popcount compiles to a libgcc call there.
+constexpr int popcount64(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+}
+
 /// Innovation draw for the windowed sums: one counter_hash, with the
 /// popcount gaussian and the smoothing uniform taken from the SAME word
 /// (unlike CounterRng::normal_at, which spends a second finaliser round
@@ -31,7 +39,7 @@ double fold(double p, double lo, double w) {
 double innovation_at(std::uint64_t stream, std::uint64_t counter) noexcept {
   const std::uint64_t z = sim::counter_hash(stream, counter);
   constexpr double kInvSd = 0.24556365272101743;  // 1/sqrt(16 + 1/12 + 1/2)
-  return (static_cast<double>(std::popcount(z)) - 32.5 +
+  return (static_cast<double>(popcount64(z)) - 32.5 +
           static_cast<double>(z >> 11) * 0x1.0p-53) *
          kInvSd;
 }
@@ -82,6 +90,10 @@ void FastField::NoiseProcess::init(double rho, double sigma) {
   }
   const double c = var_x > 0.0 ? cov / var_x : 0.0;
   scale = target_sd / std::sqrt(var_x * (2.0 + c) / 3.0);
+
+  // a^j by repeated multiplication, the order every windowed sum uses.
+  weight[0] = 1.0;
+  for (int j = 1; j < window; ++j) weight[j] = weight[j - 1] * decay;
 }
 
 FastField::FastField(SensorType type, FieldParams params,
@@ -110,6 +122,10 @@ FastField::FastField(SensorType type, FieldParams params,
   regional_stream_ = crng_.substream("regional").stream();
   node_stream_ = crng_.substream("node-noise").stream();
   node_cache_.assign(geo_.node_count(), NodeCache{});
+  ring_stride_ = (static_cast<std::size_t>(node_noise_.window) + 7) / 8 * 8;
+  rings_.assign(geo_.node_count() * ring_stride_, 0.0);
+  front_lo_.resize(bumps_.size());
+  front_hi_.resize(bumps_.size());
   cell_anchors_.assign(geo_.cell_count(), CellAnchors{});
   init_node_cache(0);
   advance_derived();
@@ -130,8 +146,26 @@ void FastField::advance_derived() {
     frac = static_cast<double>(epoch_ - (block << log2_block)) /
            static_cast<double>(std::int64_t{1} << log2_block);
   };
+  const std::int64_t terrain_before = terrain_block_;
   split(kTerrainLog2Block, terrain_block_, terrain_frac_);
+  if (terrain_block_ != terrain_before) {
+    // Both terrain anchors' front centres, folded once per block.
+    for (std::size_t b = 0; b < bumps_.size(); ++b) {
+      front_lo_[b] = centre_at(bumps_[b], terrain_block_ << kTerrainLog2Block);
+      front_hi_[b] =
+          centre_at(bumps_[b], (terrain_block_ + 1) << kTerrainLog2Block);
+    }
+  }
+  const std::int64_t node_before = node_block_;
   split(node_noise_.log2_block, node_block_, node_frac_);
+  if (node_block_ != node_before) {
+    // Ring slot of eps(node_block_ + 1 - j), the high anchor's window.
+    const std::int64_t w = node_noise_.window;
+    for (std::int64_t j = 0; j < w; ++j) {
+      ring_slot_[static_cast<std::size_t>(j)] =
+          static_cast<std::uint8_t>(((node_block_ + 1 - j) % w + w) % w);
+    }
+  }
   const std::int64_t previous = regional_block_;
   split(regional_noise_.log2_block, regional_block_, regional_frac_);
   if (regional_block_ != previous) refresh_cell_anchors(previous);
@@ -166,23 +200,28 @@ double FastField::anchor_sum(const NoiseProcess& p, std::uint64_t stream,
   // function of (stream, anchor) with a fixed summation order, so every
   // path that produces this anchor — fresh refill, random access, or the
   // sequential hi->lo reuse below — yields bit-identical values.
-  double x = 0.0, w = 1.0;
+  double x = 0.0;
   for (int j = 0; j < p.window; ++j) {
-    x += w * innovation_at(stream, static_cast<std::uint64_t>(anchor - j));
-    w *= p.decay;
+    x += p.weight[j] *
+         innovation_at(stream, static_cast<std::uint64_t>(anchor - j));
   }
   return p.scale * x;
 }
 
-double FastField::bumps_at_epoch(double x, double y,
-                                 std::int64_t epoch) const {
+FastField::FrontCentre FastField::centre_at(const Bump& b,
+                                            std::int64_t epoch) const {
   const double t = static_cast<double>(epoch);
+  return {fold(b.cx0 + b.vx * t, geo_.min_x, geo_.area_w),
+          fold(b.cy0 + b.vy * t, geo_.min_y, geo_.area_h)};
+}
+
+double FastField::bumps_at(double x, double y,
+                           std::span<const FrontCentre> centres) const {
   double v = 0.0;
-  for (const Bump& b : bumps_) {
-    const double cx = fold(b.cx0 + b.vx * t, geo_.min_x, geo_.area_w);
-    const double cy = fold(b.cy0 + b.vy * t, geo_.min_y, geo_.area_h);
-    const double dx = x - cx;
-    const double dy = y - cy;
+  for (std::size_t i = 0; i < bumps_.size(); ++i) {
+    const Bump& b = bumps_[i];
+    const double dx = x - centres[i].x;
+    const double dy = y - centres[i].y;
     const double z = (dx * dx + dy * dy) / (2.0 * b.sigma * b.sigma);
     // Same far-field cutoff rationale as Field::field_value: exp(-z) for
     // z > 80 is below any contribution a front can make to a reading.
@@ -193,10 +232,12 @@ double FastField::bumps_at_epoch(double x, double y,
 }
 
 double FastField::deterministic_at(double x, double y) const {
+  std::vector<FrontCentre> now;
+  for (const Bump& b : bumps_) now.push_back(centre_at(b, epoch_));
   return base_diurnal_ +
          params_.gradient_x * (x - geo_.min_x) / geo_.area_w +
          params_.gradient_y * (y - geo_.min_y) / geo_.area_h +
-         bumps_at_epoch(x, y, epoch_);
+         bumps_at(x, y, now);
 }
 
 double FastField::field_at(double x, double y) const {
@@ -211,6 +252,7 @@ void FastField::adopt_new_nodes() const {
   // difference for a backend that is never golden-compared to Pinned.
   const std::size_t old = geo_.adopt_new_nodes(*topo_);
   node_cache_.resize(geo_.node_count(), NodeCache{});
+  rings_.resize(geo_.node_count() * ring_stride_, 0.0);
   init_node_cache(old);
 }
 
@@ -242,23 +284,46 @@ double FastField::reading(NodeId node) const {
     // anchors are pure functions of the epoch, so the reuse is exact.
     c.bump_lo = c.terrain_block == terrain_block_ - 1
                     ? c.bump_hi
-                    : bumps_at_epoch(x, y, terrain_block_ << kTerrainLog2Block);
-    c.bump_hi =
-        bumps_at_epoch(x, y, (terrain_block_ + 1) << kTerrainLog2Block);
+                    : bumps_at(x, y, front_lo_);
+    c.bump_hi = bumps_at(x, y, front_hi_);
     c.terrain_block = terrain_block_;
   }
-  if (c.noise_block != node_block_) {
-    const std::uint64_t stream = sim::counter_hash(node_stream_, node);
-    c.noise_lo = c.noise_block == node_block_ - 1
-                     ? c.noise_hi
-                     : anchor_sum(node_noise_, stream, node_block_);
-    c.noise_hi = anchor_sum(node_noise_, stream, node_block_ + 1);
-    c.noise_block = node_block_;
-  }
+  if (c.noise_block != node_block_) refresh_node_noise(c, node);
   return base_diurnal_ + c.gradient +
          c.bump_lo + (c.bump_hi - c.bump_lo) * terrain_frac_ +
          regional_value(c.cell) +
          c.noise_lo + (c.noise_hi - c.noise_lo) * node_frac_;
+}
+
+void FastField::refresh_node_noise(NodeCache& c, NodeId node) const {
+  // The high anchor X(b + 1) sums eps(b + 1 - j) for j < W; the node's
+  // ring keeps them at slot (counter mod W). A one-block step reuses the
+  // high anchor as the low one and the ring's W - 1 newest innovations, so
+  // it draws one; anything else (first read, jump, gated gap, late
+  // adoption) refills the window from the low anchor's draws. Both sums
+  // run in anchor_sum's order over the same values, so every anchor keeps
+  // its bits whichever path produced it.
+  const NoiseProcess& p = node_noise_;
+  const std::uint64_t stream = sim::counter_hash(node_stream_, node);
+  double* ring = rings_.data() + node * ring_stride_;
+  if (c.noise_block == node_block_ - 1) {
+    c.noise_lo = c.noise_hi;
+  } else {
+    double x = 0.0;
+    for (int j = 0; j < p.window; ++j) {
+      const double e =
+          innovation_at(stream, static_cast<std::uint64_t>(node_block_ - j));
+      x += p.weight[j] * e;
+      if (j + 1 < p.window) ring[ring_slot_[j + 1]] = e;
+    }
+    c.noise_lo = p.scale * x;
+  }
+  ring[ring_slot_[0]] =
+      innovation_at(stream, static_cast<std::uint64_t>(node_block_ + 1));
+  double x = 0.0;
+  for (int j = 0; j < p.window; ++j) x += p.weight[j] * ring[ring_slot_[j]];
+  c.noise_hi = p.scale * x;
+  c.noise_block = node_block_;
 }
 
 void FastField::readings(std::span<const NodeId> nodes,

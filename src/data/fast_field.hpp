@@ -26,17 +26,29 @@
 //     same whether you stepped or jumped;
 //   * suppressed nodes cost nothing (nothing advances behind their back);
 //   * out-of-order node queries are deterministic (bit-identical re-reads).
-// Anchor pairs are memoised per block (W draws amortised over S epochs on
-// sequential advance), which is a cache, not state: recomputing yields the
-// same bits. Per-node anchors fill lazily on first read; the regional
-// cells' anchors form one plane that advance_to refreshes, so readers only
-// read it.
+// Anchor pairs are memoised per block, which is a cache, not state:
+// recomputing yields the same bits. Per-node anchors fill lazily on first
+// read; the regional cells' anchors form one plane that advance_to
+// refreshes, so readers only read it.
+//
+// Refresh cost. A node's noise anchors move once per block. On a one-block
+// step the old high anchor becomes the low one and the new high anchor
+// X(b+1) needs one new innovation: the node's ring keeps its W most recent
+// ones (eps(c) at slot c mod W, the block's slots computed once in
+// advance_to), and the sum runs in anchor_sum's order, so the anchor keeps
+// its bits. A first read, a jump, a gap the sampling gate left, or a
+// late-adopted node refills the window (W + 1 draws for both anchors).
+// Each node's ring sits in whole cache lines of its own, because pool
+// tasks split one type's batch across threads. Terrain anchors move every
+// 2^kTerrainLog2Block epochs; the fronts' centres for both are folded once
+// per terrain block, so a node's refresh costs one exp per front.
 //
 // Fast is a *different* deterministic dataset from Pinned for the same
 // seed. Goldens stay pinned; fast is for scale (see README "Environment
 // backends").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -47,6 +59,7 @@
 #include "data/field_model.hpp"
 #include "data/reading_source.hpp"
 #include "net/topology.hpp"
+#include "sim/cache_line.hpp"
 #include "sim/counter_rng.hpp"
 #include "sim/rng.hpp"
 #include "sim/types.hpp"
@@ -115,6 +128,7 @@ class FastField {
     int window = 4;       // innovations per windowed sum (W)
     double decay = 0.5;   // a = rho^S
     double scale = 1.0;   // unit-variance sum -> stationary AR(1) sd
+    std::array<double, kMaxWindow> weight{};  // a^j, j < window
     void init(double rho, double sigma);
   };
 
@@ -138,6 +152,20 @@ class FastField {
     double lo = 0.0, hi = 0.0;
   };
 
+  // Fronts: identical initial geometry to Field's (same substream), but
+  // positions are evaluated closed-form (triangle-wave reflection of
+  // start + velocity * t), so jumps cost nothing.
+  struct Bump {
+    double cx0, cy0;  // start centre
+    double vx, vy;    // drift velocity
+    double amplitude;
+    double sigma;
+  };
+  /// A drifting front's centre at one epoch.
+  struct FrontCentre {
+    double x = 0.0, y = 0.0;
+  };
+
   void advance_derived();
   /// Refills cell_anchors_ for regional_block_; `previous` is the block
   /// the plane held before (its hi anchors are reused on a one-block step).
@@ -148,8 +176,12 @@ class FastField {
     const CellAnchors& a = cell_anchors_[cell];
     return a.lo + (a.hi - a.lo) * regional_frac_;
   }
-  [[nodiscard]] double bumps_at_epoch(double x, double y,
-                                      std::int64_t epoch) const;
+  [[nodiscard]] FrontCentre centre_at(const Bump& b, std::int64_t epoch) const;
+  /// Sum of the fronts at (x, y), front i centred at centres[i].
+  [[nodiscard]] double bumps_at(double x, double y,
+                                std::span<const FrontCentre> centres) const;
+  /// Moves the node's noise anchors to node_block_ (see fast_field.cpp).
+  void refresh_node_noise(NodeCache& c, NodeId node) const;
   void refresh_diurnal();
   void adopt_new_nodes() const;
   void init_node_cache(std::size_t from) const;
@@ -163,15 +195,6 @@ class FastField {
   FieldGeometry geo_;
   double diurnal_ = 0.0;
 
-  // Fronts: identical initial geometry to Field's (same substream), but
-  // positions are evaluated closed-form (triangle-wave reflection of
-  // start + velocity * t), so jumps cost nothing.
-  struct Bump {
-    double cx0, cy0;  // start centre
-    double vx, vy;    // drift velocity
-    double amplitude;
-    double sigma;
-  };
   std::vector<Bump> bumps_;
 
   NoiseProcess regional_noise_;
@@ -179,6 +202,11 @@ class FastField {
   std::uint64_t regional_stream_ = 0;  // + cell index
   std::uint64_t node_stream_ = 0;      // + node index
   mutable std::vector<NodeCache> node_cache_;
+  /// Per node, its node-noise innovations: eps(c) at slot c mod W of its
+  /// ring_stride_ doubles, whole cache lines of its own, since pool tasks
+  /// split one type's batch.
+  mutable sim::CacheLineVector<double> rings_;
+  std::size_t ring_stride_ = 8;
   /// Regional anchors per grid cell for regional_block_, refreshed by
   /// advance_derived whenever the block changes.
   std::vector<CellAnchors> cell_anchors_;
@@ -187,9 +215,14 @@ class FastField {
   // fractions, and the base + diurnal sum, so the per-reading hot path is
   // pure lerps.
   double base_diurnal_ = 0.0;
-  std::int64_t terrain_block_ = 0;
-  std::int64_t node_block_ = 0;
-  // No block yet: the constructor's advance_derived fills the whole plane.
+  // No block yet: the constructor's advance_derived fills what derives
+  // from each block (front centres, ring slots, the cell plane).
+  std::int64_t terrain_block_ = std::numeric_limits<std::int64_t>::min();
+  std::int64_t node_block_ = std::numeric_limits<std::int64_t>::min();
+  // Front centres of the terrain anchors at terrain_block_ and the next.
+  std::vector<FrontCentre> front_lo_, front_hi_;
+  // Ring slot of eps(node_block_ + 1 - j), j < the node window.
+  std::array<std::uint8_t, kMaxWindow> ring_slot_{};
   std::int64_t regional_block_ = std::numeric_limits<std::int64_t>::min();
   double terrain_frac_ = 0.0;
   double node_frac_ = 0.0;
@@ -214,7 +247,8 @@ class FastEnvironment final : public ReadingSource {
     return true;
   }
   // Within one type, readings only read the cell plane (advance_to fills
-  // it) and per-node state is disjoint across any node partition, so
+  // it) and per-node state (caches and innovation rings, each in whole
+  // cache lines) is disjoint across any node partition, so
   // disjoint chunks of one batch may run concurrently too (see
   // ReadingSource for the adoption precondition).
   [[nodiscard]] bool concurrent_intra_type_chunks() const noexcept override {

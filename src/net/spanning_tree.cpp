@@ -71,14 +71,6 @@ std::vector<NodeId> SpanningTree::leaves() const {
   return out;
 }
 
-std::vector<NodeId> SpanningTree::path_from_root(NodeId id) const {
-  if (!in_tree(id)) return {};
-  std::vector<NodeId> path;
-  for (NodeId u = id; u != kNoNode; u = parent_[u]) path.push_back(u);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 std::vector<std::vector<NodeId>> SpanningTree::subtree_partition() const {
   std::vector<std::vector<NodeId>> out;
   if (member_count_ == 0) return out;

@@ -65,11 +65,6 @@ class SpanningTree {
   /// Leaves (tree members with no children).
   [[nodiscard]] std::vector<NodeId> leaves() const;
 
-  /// Path from the root to `id` inclusive; empty if `id` is not in the
-  /// tree. Used by the per-query audit to compute the "should receive"
-  /// set (sources plus intermediate forwarders, paper §7.1).
-  [[nodiscard]] std::vector<NodeId> path_from_root(NodeId id) const;
-
   /// All tree members in BFS (root-first) order. The order is cached at
   /// rebuild time (every mutation — repair, node death, re-parent — goes
   /// through rebuild(), which re-derives it), so this is allocation-free:

@@ -151,13 +151,16 @@ void Topology::remove_sensor(NodeId id, SensorType t) {
 }
 
 std::vector<SensorType> Topology::sensor_types_present() const {
+  // A handful of types over many nodes: merge each into a small sorted
+  // set instead of sorting every alive node's list.
   std::vector<SensorType> out;
   for (const Node& n : nodes_) {
     if (!n.alive) continue;
-    out.insert(out.end(), n.sensors.begin(), n.sensors.end());
+    for (SensorType t : n.sensors) {
+      const auto it = std::lower_bound(out.begin(), out.end(), t);
+      if (it == out.end() || *it != t) out.insert(it, t);
+    }
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -8,18 +8,34 @@ namespace dirq::query {
 
 namespace {
 
+/// The root-path union (root excluded) behind an involved set: `in` marks
+/// members by node id, `members` lists them in the order they joined.
+struct PathUnion {
+  std::vector<std::uint8_t> in;
+  std::vector<NodeId> members;
+
+  /// Adds `node`'s root path, walking parents up to the first node already
+  /// in the union: the union is made of whole root paths, so everything
+  /// above that node is in it too. A node outside the tree adds nothing.
+  void absorb(const net::SpanningTree& tree, NodeId node) {
+    if (!tree.in_tree(node)) return;
+    for (NodeId u = node; u != tree.root(); u = tree.parent(u)) {
+      if (u >= in.size()) in.resize(u + 1, 0);
+      if (in[u] != 0) return;
+      in[u] = 1;
+      members.push_back(u);
+    }
+  }
+};
+
 /// Shared path-union step: sources -> sources + forwarders.
 Involvement finish_involvement(std::vector<NodeId> sources,
                                const net::SpanningTree& tree) {
   Involvement result;
   result.sources = std::move(sources);
-  std::unordered_set<NodeId> involved;
-  for (NodeId s : result.sources) {
-    for (NodeId hop : tree.path_from_root(s)) {
-      if (hop != tree.root()) involved.insert(hop);
-    }
-  }
-  result.involved.assign(involved.begin(), involved.end());
+  PathUnion involved;
+  for (NodeId s : result.sources) involved.absorb(tree, s);
+  result.involved = std::move(involved.members);
   std::sort(result.involved.begin(), result.involved.end());
   return result;
 }
@@ -84,14 +100,12 @@ static std::pair<double, double> grow_window(
   const std::size_t seed = rng.index(candidates.size());
   std::size_t lo_idx = seed;
   std::size_t hi_idx = seed;
-  std::unordered_set<NodeId> involved;
+  PathUnion involved;
   auto absorb = [&](std::size_t idx) {
-    for (NodeId hop : tree.path_from_root(candidates[idx].node)) {
-      if (hop != tree.root()) involved.insert(hop);
-    }
+    involved.absorb(tree, candidates[idx].node);
   };
   absorb(seed);
-  while (involved.size() < target &&
+  while (involved.members.size() < target &&
          (lo_idx > 0 || hi_idx + 1 < candidates.size())) {
     // Widen toward the value-closer neighbour so the window stays a
     // contiguous value range (range queries are intervals).

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "data/field_model.hpp"

@@ -36,15 +36,31 @@ CacheLookup ResultCache::lookup(SensorType type, double lo, double hi,
     return {};
   }
   TypeList& list = it->second;
-  // Scan the type's entries in FIFO order; the first Fresh containing
-  // entry wins, else the first Stale one. Linear scan is deliberate: the
-  // cache is small (O(1k) entries), the order is deterministic, and
-  // containment match does not index well.
+  // The first Fresh containing entry in FIFO order wins, else the first
+  // Stale one. Linear scan is deliberate: the cache is small (O(1k)
+  // entries), the order is deterministic, and containment match does not
+  // index well. The scan covers only the entries that can answer when the
+  // list is in order (see the header): a binary search finds where that
+  // suffix starts, and the prefix before it is read only on a miss, to
+  // tell an expired match from none.
+  const auto expired = [&](const Key& k) {
+    return k.updates_at_create != updates_now &&
+           epoch - k.created_epoch > stale_epochs_;
+  };
+  const std::size_t end = list.keys.size();
+  std::size_t begin = list.head;
+  if (list.ordered && begin < end && expired(list.keys[begin]) &&
+      epoch >= list.keys.back().created_epoch &&
+      updates_now >= list.keys.back().updates_at_create) {
+    const auto first = list.keys.begin() + static_cast<std::ptrdiff_t>(begin);
+    begin += static_cast<std::size_t>(
+        std::partition_point(first, list.keys.end(), expired) - first);
+  }
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t fresh = kNone;
   std::size_t stale = kNone;
   bool saw_expired = false;
-  for (std::size_t i = list.head; i < list.keys.size(); ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     const Key& k = list.keys[i];
     // Non-short-circuit: one well-predicted branch per entry instead of
     // two data-dependent ones (few entries contain the window).
@@ -58,6 +74,12 @@ CacheLookup ResultCache::lookup(SensorType type, double lo, double hi,
       if (stale == kNone) stale = i;
     } else {
       saw_expired = true;
+    }
+  }
+  if (fresh == kNone && stale == kNone) {
+    // Every skipped entry has expired: did one contain the window?
+    for (std::size_t i = list.head; i < begin && !saw_expired; ++i) {
+      saw_expired = (list.keys[i].lo <= lo) & (list.keys[i].hi >= hi);
     }
   }
   const std::size_t chosen = fresh != kNone ? fresh : stale;
@@ -115,6 +137,11 @@ void ResultCache::insert(SensorType type, double lo, double hi, TreeId tree,
     order_head_ = order_head_ + 1 == max_entries_ ? 0 : order_head_ + 1;
   }
   TypeList& list = lists_[type];
+  if (!list.keys.empty() && (epoch < list.keys.back().created_epoch ||
+                             updates_at_answer <
+                                 list.keys.back().updates_at_create)) {
+    list.ordered = false;
+  }
   list.keys.push_back({lo, hi, epoch, updates_at_answer});
   list.bodies.push_back({tree, std::move(sources)});
 }

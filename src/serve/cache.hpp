@@ -32,7 +32,15 @@
 // Cost of a lookup: one small-map probe for the queried sensor type, then
 // one FIFO scan over that type's contiguous key records (window, creation
 // epoch, counter snapshot) — entries of other types and the stored
-// sources are not touched. A hit copies nothing: the front-end needs only
+// sources are not touched. The front-end inserts with a nondecreasing
+// epoch and counter, so the entries that can still answer (Fresh: the
+// counter equals now; Stale: created within `stale_epochs`) form a suffix
+// of each type's list. While every insert into a list kept that order and
+// the lookup's epoch and counter are not behind its newest entry, a binary
+// search finds the suffix and the scan covers only it; a miss then reads
+// the expired prefix for containment alone (the `expired` count). Any
+// other call order scans the whole list, with the same result. A hit
+// copies nothing: the front-end needs only
 // the hit kind and the tree, and the filtered answer is computed on
 // request (CacheLookup::answer) from the chosen entry's stored sources.
 // Eviction stays global FIFO: the oldest entry overall is the front of
@@ -138,10 +146,13 @@ class ResultCache {
   };
   /// One sensor type's entries in FIFO order, from `head` on (popped
   /// slots before it are compacted away once they are half the list).
+  /// `ordered`: every insert so far came with an epoch and a counter no
+  /// smaller than the previous entry's.
   struct TypeList {
     std::vector<Key> keys;
     std::vector<Body> bodies;
     std::size_t head = 0;
+    bool ordered = true;
   };
 
   void evict_oldest();

@@ -1,12 +1,15 @@
 // InstantTransport delivery semantics (who hears each frame; the network
-// books the costs, tests/core/network_accounting_test.cpp); the metrics
-// audit arithmetic.
+// books the costs, tests/core/network_accounting_test.cpp) and its
+// delivery contract; the metrics audit arithmetic.
 #include "core/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "core/dirq_node.hpp"
 #include "metrics/audit.hpp"
 
 namespace dirq::core {
@@ -113,6 +116,88 @@ TEST(InstantTransport, RoutingBooksNothing) {
   tr.broadcast(1, ehr_msg());
   EXPECT_EQ(cap.delivered.size(), 5u);
   EXPECT_EQ(tr.costs().total(), 0);
+}
+
+/// A sink that breaks the delivery contract: its first reception kills
+/// `victim` (or, with kNoNode, adds a node).
+struct MutatingSink final : MessageSink {
+  net::Topology& topo;
+  NodeId victim;
+  std::size_t delivered = 0;
+  MutatingSink(net::Topology& t, NodeId v) : topo(t), victim(v) {}
+  void deliver(NodeId /*to*/, NodeId /*from*/,
+               const Message& /*msg*/) override {
+    if (delivered++ > 0) return;
+    if (victim == kNoNode) {
+      net::Node n;  // id kNoNode: appended, not a revival
+      n.x = 50.0;
+      topo.add_node(n);
+    } else {
+      topo.kill_node(victim);
+    }
+  }
+};
+
+TEST(InstantTransport, MulticastThrowsWhenADeliveryKillsANode) {
+  std::vector<net::Node> nodes(4);
+  net::Topology t(nodes, {{0, 1}, {0, 2}, {0, 3}});
+  MutatingSink sink(t, 3);
+  InstantTransport tr(t, sink);
+  const std::vector<NodeId> targets{1, 2, 3};
+  EXPECT_THROW(tr.multicast(0, targets, query_msg()), std::logic_error);
+  EXPECT_EQ(sink.delivered, 1u);  // no reception after the one that broke it
+}
+
+TEST(InstantTransport, BroadcastThrowsWhenADeliveryAddsANode) {
+  net::Topology t = line(3);
+  MutatingSink sink(t, kNoNode);
+  InstantTransport tr(t, sink);
+  EXPECT_THROW(tr.broadcast(1, ehr_msg()), std::logic_error);
+  EXPECT_EQ(sink.delivered, 1u);
+  EXPECT_EQ(t.size(), 4u);
+}
+
+/// Hands every reception to the DirqNode of the recipient.
+struct NodeSink final : MessageSink {
+  std::vector<DirqNode>* nodes = nullptr;
+  void deliver(NodeId to, NodeId from, const Message& msg) override {
+    (*nodes)[to].handle(msg, from, 0);
+  }
+};
+
+TEST(InstantTransport, ForwardingCycleThrowsInsteadOfRecursing) {
+  // Two nodes that each hold the other as a child with a range the query
+  // overlaps: tree state that diverged into a forwarding cycle.
+  net::Topology t = line(2);
+  NodeSink sink;
+  InstantTransport tr(t, sink);
+  std::vector<DirqNode> nodes;
+  for (NodeId u = 0; u < 2; ++u) {
+    nodes.emplace_back(u, std::vector<SensorType>{kSensorTemperature},
+                       std::make_unique<FixedTheta>(5.0));
+  }
+  sink.nodes = &nodes;
+  for (NodeId u = 0; u < 2; ++u) {
+    const NodeId other = 1 - u;
+    nodes[u].set_children(0, {other});
+    nodes[u].set_multicast([&tr](NodeId from, const std::vector<NodeId>& to,
+                                 const Message& msg) {
+      tr.multicast(from, to, msg);
+    });
+    UpdateMessage up;
+    up.from = other;
+    up.type = kSensorTemperature;
+    up.min = 10.0;
+    up.max = 20.0;
+    nodes[u].handle(Message{up}, other, 0);
+  }
+  const Message q{
+      QueryMessage{query::RangeQuery(1, kSensorTemperature, 12.0, 15.0, 0), 0}};
+  EXPECT_THROW(nodes[0].handle(q, kNoNode, 0), std::logic_error);
+  // The throw left no node marked as forwarding: with the cycle cut,
+  // the same query runs 0 -> 1 and stops.
+  nodes[1].on_child_lost(0, 0, 0);
+  EXPECT_NO_THROW(nodes[0].handle(q, kNoNode, 0));
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "data/field_model.hpp"
@@ -82,6 +85,75 @@ TEST(FastField, JumpEqualsStep) {
     EXPECT_EQ(stepped.reading(u), jumped.reading(u)) << "node " << u;
   }
   EXPECT_EQ(stepped.field_at(30.0, 40.0), jumped.field_at(30.0, 40.0));
+}
+
+TEST(FastField, EveryRefreshPathMatchesAFreshJump) {
+  // Per sensor type, one field walks a script that reaches every anchor
+  // refresh path: single steps (one new innovation per node-noise block,
+  // the terrain hi -> lo reuse), jumps of 1-3 node-noise and terrain
+  // blocks (full refills), nodes skipped for several blocks as the
+  // sampling gate does, a node adopted late, and shuffled, chunked
+  // batches. Every reading it takes must equal, bit for bit, a fresh
+  // field's reading jumped straight to that epoch.
+  const std::size_t original = paper_topology().size();
+  std::vector<std::int64_t> script;
+  for (std::int64_t e = 1; e <= 70; ++e) script.push_back(e);
+  for (std::int64_t jump : {4, 8, 12, 5, 9, 13, 32, 64, 96, 33, 70, 1, 3}) {
+    script.push_back(script.back() + jump);
+  }
+  for (int i = 0; i < 40; ++i) script.push_back(script.back() + 1);
+  const std::size_t late_at = 90;  // script index the late node joins at
+  ASSERT_LT(late_at, script.size());
+
+  for (SensorType type = 0; type < 4; ++type) {
+    net::Topology t = paper_topology();
+    FastField field(type, default_params(type), t, sim::Rng(5));
+    sim::Rng order_rng(100 + type);
+    for (std::size_t i = 0; i < script.size(); ++i) {
+      const std::int64_t epoch = script[i];
+      if (i == late_at) {
+        // Inside the deployment's bounding box, so a field built now
+        // shares the original geometry.
+        net::Node late;
+        late.x = (t.node(0).x + t.node(1).x) / 2.0;
+        late.y = (t.node(0).y + t.node(1).y) / 2.0;
+        t.add_node(late);
+      }
+      field.advance_to(epoch);
+      // Nodes 1 mod 4 are gated: read only every ninth visit, so they
+      // sit out several blocks; the rest are read every visit.
+      std::vector<NodeId> batch;
+      std::vector<NodeId> gated;
+      for (NodeId u = 0; u < t.size(); ++u) {
+        if (u < original && u % 4 == 1) {
+          if ((i + u) % 9 == 0) gated.push_back(u);
+        } else {
+          batch.push_back(u);
+        }
+      }
+      order_rng.shuffle(std::span<NodeId>(batch));
+      std::vector<double> got(batch.size());
+      for (std::size_t b = 0; b < batch.size();) {
+        const auto chunk =
+            static_cast<std::size_t>(order_rng.uniform_int(1, 17));
+        const std::size_t n = std::min(batch.size() - b, chunk);
+        field.readings(std::span<const NodeId>(batch).subspan(b, n),
+                       std::span<double>(got).subspan(b, n));
+        b += n;
+      }
+      for (NodeId u : gated) {
+        batch.push_back(u);
+        got.push_back(field.reading(u));
+      }
+      FastField fresh(type, default_params(type), t, sim::Rng(5));
+      fresh.advance_to(epoch);
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                  std::bit_cast<std::uint64_t>(fresh.reading(batch[k])))
+            << "type " << type << " epoch " << epoch << " node " << batch[k];
+      }
+    }
+  }
 }
 
 TEST(FastField, OutOfOrderNodeQueriesAreDeterministic) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "net/placement.hpp"
@@ -56,18 +57,28 @@ TEST(SpanningTree, DepthAndInTree) {
   EXPECT_FALSE(tree.in_tree(99));
 }
 
+/// The root path of `id` (root first) by parent walk; empty off the tree.
+std::vector<NodeId> path_from_root(const SpanningTree& tree, NodeId id) {
+  std::vector<NodeId> path;
+  if (!tree.in_tree(id)) return path;
+  for (NodeId u = id; u != kNoNode; u = tree.parent(u)) path.push_back(u);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
 TEST(SpanningTree, PathFromRoot) {
   Topology t(line_nodes(5), 1.1);
   SpanningTree tree(t, 0);
-  EXPECT_EQ(tree.path_from_root(3), (std::vector<NodeId>{0, 1, 2, 3}));
-  EXPECT_EQ(tree.path_from_root(0), (std::vector<NodeId>{0}));
+  EXPECT_EQ(path_from_root(tree, 3), (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(path_from_root(tree, 0), (std::vector<NodeId>{0}));
 }
 
 TEST(SpanningTree, PathOfDetachedNodeIsEmpty) {
   Topology t(line_nodes(5), 1.1);
   t.kill_node(2);
   SpanningTree tree(t, 0);
-  EXPECT_TRUE(tree.path_from_root(4).empty());
+  EXPECT_TRUE(path_from_root(tree, 4).empty());
+  EXPECT_EQ(tree.parent(4), kNoNode);
   EXPECT_FALSE(tree.in_tree(4));
   EXPECT_EQ(tree.size(), 2u);  // 0, 1
 }

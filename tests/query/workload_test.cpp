@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "net/placement.hpp"
@@ -64,14 +65,19 @@ TEST(Involvement, InvolvedIsUnionOfPaths) {
   w.env.advance_to(10);
   RangeQuery q{1, kSensorTemperature, 0.0, 100.0, 10};
   const Involvement inv = compute_involvement(q, w.topo, w.tree, w.env);
-  // Every source's full path (minus root) must be inside `involved`.
+  // Every source's full path (minus root) must be inside `involved`, and
+  // nothing else is.
+  std::vector<NodeId> paths;
   for (NodeId s : inv.sources) {
-    for (NodeId hop : w.tree.path_from_root(s)) {
-      if (hop == w.tree.root()) continue;
+    for (NodeId hop = s; hop != w.tree.root(); hop = w.tree.parent(hop)) {
       EXPECT_TRUE(std::binary_search(inv.involved.begin(), inv.involved.end(),
                                      hop));
+      paths.push_back(hop);
     }
   }
+  std::sort(paths.begin(), paths.end());
+  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+  EXPECT_EQ(inv.involved, paths);
   EXPECT_GE(inv.involved.size(), inv.sources.size());
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <numeric>
 #include <string>
@@ -290,6 +291,80 @@ TEST(ResultCache, MatchesReferenceScanOnRandomOperationSequences) {
   EXPECT_GT(evictions, 0);
   EXPECT_GT(expired, 0);
   EXPECT_GT(cross_type_evictions, 0);
+}
+
+TEST(ResultCache, LiveSuffixScanMatchesReferenceOnOrderedSequences) {
+  // The front end's call order: epochs and update counters never go back,
+  // so the cache scans only each type's live suffix (and, on a miss, the
+  // expired prefix for containment). Seeded insert/lookup sequences over
+  // 3 types, stale bounds 0, 1 and 64 and capacities up to 1 024, compared
+  // with the reference scan after every operation.
+  CacheStats total;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    sim::Rng rng(1000 + seed);
+    const std::int64_t stale_epochs =
+        std::array<std::int64_t, 3>{0, 1, 64}[seed % 3];
+    const std::size_t capacity =
+        std::array<std::size_t, 4>{1, 8, 256, 1024}[seed / 3 % 4];
+    ResultCache cache(capacity, stale_epochs);
+    ReferenceCache ref(capacity, stale_epochs);
+    struct Window {
+      SensorType type;
+      double lo, hi;
+    };
+    std::vector<Window> windows;
+    for (int b = 0; b < 12; ++b) {
+      const auto type = static_cast<SensorType>(rng.uniform_int(0, 2));
+      const double lo = static_cast<double>(rng.uniform_int(0, 20));
+      const double hi = lo + static_cast<double>(rng.uniform_int(1, 12));
+      windows.push_back({type, lo, hi});
+      windows.push_back({type, lo + (hi - lo) / 4.0, hi - (hi - lo) / 4.0});
+    }
+    std::int64_t epoch = 0;
+    std::int64_t updates = 0;
+    for (int op = 0; op < 1500; ++op) {
+      // Time and the counter move forward in uneven steps, often not at
+      // all, so entries stay Fresh for a while, then Stale, then expire.
+      if (rng.bernoulli(0.3)) {
+        epoch +=
+            rng.uniform_int(1, std::max<std::int64_t>(2, stale_epochs / 8));
+      }
+      if (rng.bernoulli(0.15)) updates += rng.uniform_int(1, 3);
+      const Window& w = windows[rng.index(windows.size())];
+      const std::string where =
+          "seed " + std::to_string(seed) + " op " + std::to_string(op);
+      if (rng.bernoulli(0.3)) {
+        std::vector<CachedSource> sources;
+        for (NodeId i = 0; i < 4; ++i) {
+          const double c = rng.uniform(w.lo - 2.0, w.hi + 2.0);
+          sources.push_back({3 - i, c - 1.0, c + 1.0});
+        }
+        const auto tree = static_cast<TreeId>(rng.uniform_int(0, 3));
+        cache.insert(w.type, w.lo, w.hi, tree, epoch, updates, sources);
+        ref.insert(w.type, w.lo, w.hi, tree, epoch, updates, sources);
+      } else {
+        const CacheLookup got =
+            cache.lookup(w.type, w.lo, w.hi, epoch, updates);
+        const ReferenceCache::Result want =
+            ref.lookup(w.type, w.lo, w.hi, epoch, updates);
+        ASSERT_EQ(got.kind, want.kind) << where;
+        EXPECT_EQ(got.tree, want.tree) << where;
+        EXPECT_EQ(got.answer(), want.answer) << where;
+      }
+      ASSERT_EQ(cache.size(), ref.size()) << where;
+      expect_stats_equal(cache.stats(), ref.stats, where);
+      if (::testing::Test::HasFailure()) return;
+    }
+    total.fresh_hits += ref.stats.fresh_hits;
+    total.stale_hits += ref.stats.stale_hits;
+    total.expired += ref.stats.expired;
+    total.containment_hits += ref.stats.containment_hits;
+  }
+  // Every outcome the suffix bounds decide was reached, many times.
+  EXPECT_GE(total.fresh_hits, 500);
+  EXPECT_GE(total.stale_hits, 500);
+  EXPECT_GE(total.expired, 500);
+  EXPECT_GE(total.containment_hits, 500);
 }
 
 TEST(ResultCache, RejectsDegenerateConstruction) {
