@@ -70,9 +70,7 @@ void DirqNode::handle(const Message& msg, NodeId from, std::int64_t epoch) {
   if (const auto* u = std::get_if<UpdateMessage>(&msg)) {
     handle_update(*u, from, epoch);
   } else if (const auto* q = std::get_if<QueryMessage>(&msg)) {
-    forward_query(msg, q->tree, q->q);
-  } else if (const auto* mq = std::get_if<MultiQueryMessage>(&msg)) {
-    forward_query(msg, mq->tree, mq->q);
+    forward_query(msg, *q);
   } else if (const auto* e = std::get_if<EhrMessage>(&msg)) {
     handle_ehr(*e, from, epoch);
   } else if (const auto* l = std::get_if<LocationAnnounce>(&msg)) {
@@ -97,11 +95,10 @@ void DirqNode::handle_update(const UpdateMessage& u, NodeId from,
   maybe_send_update(u.tree, u.type, epoch);
 }
 
-template <typename Query>
-void DirqNode::forward_query(const Message& msg, TreeId tree, const Query& q) {
+void DirqNode::forward_query(const Message& msg, const QueryMessage& qm) {
   // Delivery itself is recorded by the network (audit). Here the node
   // directs the query onward: one transmission addressed to every child
-  // whose announced range overlaps the query window (§4.1, Eq. 6 cost
+  // whose announced ranges overlap the query's windows (§4.1, Eq. 6 cost
   // accounting), forwarding the received message itself. Answering (data
   // extraction) is out of the paper's scope.
   if (forwarding_) {
@@ -111,7 +108,7 @@ void DirqNode::forward_query(const Message& msg, TreeId tree, const Query& q) {
         "DirqNode: a query reached a node still forwarding one (forwarding "
         "cycle: tree state diverged)");
   }
-  forwarding_set(tree, q, forward_to_);
+  forwarding_set(qm.tree, qm.q, forward_to_);
   if (forward_to_.empty() || !multicast_) return;
   forwarding_ = true;
   try {
@@ -170,61 +167,50 @@ bool DirqNode::child_may_be_in_region(
   return region->intersects(it->second);
 }
 
-void DirqNode::forwarding_set(TreeId tree, const query::RangeQuery& q,
-                              std::vector<NodeId>& out) const {
-  const TreeSlot& slot = slots_.at(tree);
-  out.clear();
-  auto it = slot.tables.find(q.type);
-  if (it == slot.tables.end()) return;
-  for (const auto& [child, range] : it->second.children()) {
-    if (q.overlaps(range.min, range.max) &&
-        child_may_be_in_region(slot, child, q.region)) {
-      out.push_back(child);
-    }
-  }
-}
-
 void DirqNode::forwarding_set(TreeId tree, const query::MultiQuery& q,
                               std::vector<NodeId>& out) const {
-  // Conjunctive pruning: a child survives only if EVERY predicate's
-  // subtree range overlaps (and the region test passes). A child that
-  // never announced some predicate's type provably has no node carrying
-  // all types in its subtree — prune it.
+  // Conjunctive pruning: a tree child survives only if it passes the
+  // region test and EVERY predicate's table holds a tuple for it that
+  // overlaps the predicate's window. A child that never announced some
+  // predicate's type provably has no node carrying all types in its
+  // subtree — prune it. Each predicate's table is looked up once.
   const TreeSlot& slot = slots_.at(tree);
   out.clear();
   if (q.predicates.empty()) return;
   for (NodeId child : slot.children) {
-    bool all = child_may_be_in_region(slot, child, q.region);
-    for (const query::AttributePredicate& p : q.predicates) {
-      if (!all) break;
-      auto it = slot.tables.find(p.type);
-      const std::optional<RangeEntry> range =
-          it == slot.tables.end() ? std::nullopt : it->second.child(child);
-      all = range.has_value() && p.overlaps(range->min, range->max);
+    if (child_may_be_in_region(slot, child, q.region)) out.push_back(child);
+  }
+  for (const query::AttributePredicate& p : q.predicates) {
+    if (out.empty()) return;
+    const auto it = slot.tables.find(p.type);
+    if (it == slot.tables.end()) {
+      out.clear();
+      return;
     }
-    if (all) out.push_back(child);
+    // The survivors and the table's child tuples are both sorted by id,
+    // so one merge pass keeps the children whose tuple overlaps.
+    const auto& tuples = it->second.children();
+    auto tuple = tuples.begin();
+    std::size_t kept = 0;
+    for (NodeId child : out) {
+      while (tuple != tuples.end() && tuple->first < child) ++tuple;
+      if (tuple != tuples.end() && tuple->first == child &&
+          p.overlaps(tuple->second.min, tuple->second.max)) {
+        out[kept++] = child;
+      }
+    }
+    out.resize(kept);
   }
 }
 
 bool DirqNode::believes_relevant(TreeId tree,
-                                 const query::RangeQuery& q) const {
-  const TreeSlot& slot = slots_.at(tree);
-  if (q.region && has_position_ && !q.region->contains(x_, y_)) return false;
-  auto it = slot.tables.find(q.type);
-  if (it == slot.tables.end() || !it->second.own().has_value()) return false;
-  const RangeEntry& own = *it->second.own();
-  return q.overlaps(own.min, own.max);
-}
-
-bool DirqNode::believes_relevant(TreeId tree,
                                  const query::MultiQuery& q) const {
+  // Only a carried sensor keeps an own tuple: observe_slot ignores the
+  // others and detach_sensor clears it.
   const TreeSlot& slot = slots_.at(tree);
   if (q.predicates.empty()) return false;
   if (q.region && has_position_ && !q.region->contains(x_, y_)) return false;
   for (const query::AttributePredicate& p : q.predicates) {
-    if (!std::binary_search(sensors_.begin(), sensors_.end(), p.type)) {
-      return false;
-    }
     auto it = slot.tables.find(p.type);
     if (it == slot.tables.end() || !it->second.own().has_value()) return false;
     const RangeEntry& own = *it->second.own();

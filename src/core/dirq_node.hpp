@@ -129,13 +129,11 @@ class DirqNode {
   /// from this node's subtree there (tables exist lazily, Fig. 4).
   [[nodiscard]] const RangeTable* table(TreeId tree, SensorType type) const;
 
-  /// True if this node believes its own reading may satisfy the query
-  /// (its own stored tuple in the tree's slot overlaps the query window,
-  /// and it lies inside the region when one is given). This is DirQ's
-  /// local relevance test; it can err toward extra deliveries (overshoot)
-  /// because the tuple is theta-wide.
-  [[nodiscard]] bool believes_relevant(TreeId tree,
-                                       const query::RangeQuery& q) const;
+  /// True if this node believes its own readings may satisfy the query
+  /// (its own stored tuple in the tree's slot overlaps every predicate's
+  /// window, and it lies inside the region when one is given). This is
+  /// DirQ's local relevance test; it can err toward extra deliveries
+  /// (overshoot) because the tuple is theta-wide.
   [[nodiscard]] bool believes_relevant(TreeId tree,
                                        const query::MultiQuery& q) const;
 
@@ -170,15 +168,12 @@ class DirqNode {
   /// demands one.
   void maybe_send_update(TreeId tree, SensorType type, std::int64_t epoch);
   void handle_update(const UpdateMessage& u, NodeId from, std::int64_t epoch);
-  /// Multicasts the received query message `msg` (for `q` in `tree`) to
+  /// Multicasts the received query message `msg` (which holds `qm`) to
   /// the slot's forwarding set, kept in forward_to_ so forwarding never
   /// allocates. A query that reaches the node while it still forwards one
   /// (a forwarding cycle) throws std::logic_error.
-  template <typename Query>
-  void forward_query(const Message& msg, TreeId tree, const Query& q);
+  void forward_query(const Message& msg, const QueryMessage& qm);
   /// Writes the children this node forwards `q` to in `tree` into `out`.
-  void forwarding_set(TreeId tree, const query::RangeQuery& q,
-                      std::vector<NodeId>& out) const;
   void forwarding_set(TreeId tree, const query::MultiQuery& q,
                       std::vector<NodeId>& out) const;
   void handle_ehr(const EhrMessage& e, NodeId from, std::int64_t epoch);

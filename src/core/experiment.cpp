@@ -314,28 +314,20 @@ ExperimentResults Experiment::run() {
         p.tree = routed;
         p.population = sink_tree.size() > 0 ? sink_tree.size() - 1 : 0;
         p.flooding_cost = flooding.analytical_cost();
-        // Involvement, then injection — the same order for both query
-        // shapes.
-        const auto inject_query = [&](const auto& q) {
-          p.truth = query::compute_involvement(q, topo, sink_tree, env);
-          if (use_lmac) {
-            network.inject_async(routed, q, epoch);
-            pending = std::move(p);
-          } else {
-            finalize_query(p, network.inject(routed, q, epoch), epoch);
-          }
-        };
+        // The mix draw comes before the workload draw, and a range query
+        // travels as its one-predicate MultiQuery.
         const bool is_multi =
             multi_rng && multi_rng->bernoulli(cfg_.multi_attr_fraction);
-        if (is_multi) {
-          const query::MultiQuery q =
-              workload.next_multi(epoch, cfg_.multi_attr_count);
-          p.type = q.predicates.empty() ? 0 : q.predicates.front().type;
-          inject_query(q);
+        query::MultiQuery q =
+            is_multi ? workload.next_multi(epoch, cfg_.multi_attr_count)
+                     : query::MultiQuery(workload.next(epoch));
+        p.type = q.predicates.empty() ? 0 : q.predicates.front().type;
+        p.truth = query::compute_involvement(q, topo, sink_tree, env);
+        if (use_lmac) {
+          network.inject_async(routed, std::move(q), epoch);
+          pending = std::move(p);
         } else {
-          const query::RangeQuery q = workload.next(epoch);
-          p.type = q.type;
-          inject_query(q);
+          finalize_query(p, network.inject(routed, std::move(q), epoch), epoch);
         }
       }
     }

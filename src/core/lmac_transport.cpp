@@ -1,6 +1,7 @@
 #include "core/lmac_transport.hpp"
 
 #include <algorithm>
+#include <any>
 
 namespace dirq::core {
 
@@ -21,9 +22,12 @@ void LmacTransport::multicast(NodeId from, std::span<const NodeId> targets,
   // hearers discard it undelivered (they sleep through the data section).
   // Callers pass targets in arbitrary (tree) order; on_message looks them
   // up with binary_search, so sort here.
-  Addressed a{std::vector<NodeId>(targets.begin(), targets.end()), msg};
+  // The payload is built in place, so the message is copied once.
+  std::any payload =
+      Addressed{std::vector<NodeId>(targets.begin(), targets.end()), msg};
+  auto& a = std::any_cast<Addressed&>(payload);
   std::sort(a.targets.begin(), a.targets.end());
-  mac_.broadcast(from, std::move(a));
+  mac_.broadcast(from, std::move(payload));
 }
 
 void LmacTransport::broadcast(NodeId from, const Message& msg) {

@@ -1,14 +1,18 @@
 // DirQ protocol messages.
 //
-// Three message kinds cross the tree (paper §4):
-//   UpdateMessage — child -> parent; new aggregate (min(THmin), max(THmax))
-//                   for one sensor type, or a retraction when the subtree
-//                   no longer carries the type (§4.2).
-//   QueryMessage  — parent -> child; a range query being directed down the
-//                   tree toward relevant nodes.
-//   EhrMessage    — root -> everyone, hourly; the expected query count for
-//                   the next hour plus the derived network-wide update
-//                   budget Umax/Hr that parameterises ATC (§6, Fig. 6).
+// Four message kinds cross the tree (paper §4):
+//   UpdateMessage    — child -> parent; new aggregate (min(THmin),
+//                      max(THmax)) for one sensor type, or a retraction
+//                      when the subtree no longer carries the type (§4.2).
+//   QueryMessage     — parent -> child; a query, over one attribute or
+//                      several, being directed down the tree toward
+//                      relevant nodes.
+//   EhrMessage       — root -> everyone, hourly; the expected query count
+//                      for the next hour plus the derived network-wide
+//                      update budget Umax/Hr that parameterises ATC (§6,
+//                      Fig. 6).
+//   LocationAnnounce — child -> parent; the sender's subtree bounding box
+//                      (§2's optional location attribute).
 //
 // Every message carries the TreeId of the spanning tree it belongs to:
 // the multi-sink query plane runs N trees over one topology, and a node's
@@ -34,13 +38,8 @@ struct UpdateMessage {
   bool has_range = true;
 };
 
+/// A query in flight; a range query travels as its one-predicate form.
 struct QueryMessage {
-  query::RangeQuery q;
-  TreeId tree = 0;
-};
-
-/// Conjunctive multi-attribute query in flight (paper §2 capability).
-struct MultiQueryMessage {
   query::MultiQuery q;
   TreeId tree = 0;
 };
@@ -62,8 +61,8 @@ struct EhrMessage {
   std::int64_t round = 0;                  // flood round (duplicate suppression)
 };
 
-using Message = std::variant<UpdateMessage, QueryMessage, MultiQueryMessage,
-                             EhrMessage, LocationAnnounce>;
+using Message =
+    std::variant<UpdateMessage, QueryMessage, EhrMessage, LocationAnnounce>;
 
 /// The spanning tree a message belongs to (the per-sink cost ledgers and
 /// the per-tree slot dispatch both key on this).

@@ -520,12 +520,6 @@ void DirqNetwork::deliver(NodeId to, NodeId from, const Message& msg) {
       if (nodes_[to].believes_relevant(qm->tree, qm->q)) {
         mark(audit_believed_, to);
       }
-    } else if (const auto* mq = std::get_if<MultiQueryMessage>(&msg);
-               mq != nullptr && mq->q.id == audit_query_) {
-      mark(audit_received_, to);
-      if (nodes_[to].believes_relevant(mq->tree, mq->q)) {
-        mark(audit_believed_, to);
-      }
     }
   }
   nodes_[to].handle(msg, from, current_epoch_);
@@ -1010,20 +1004,13 @@ void DirqNetwork::begin_audit(QueryId id, TreeId tree, std::int64_t epoch) {
   audit_cost_start_ = transport_->costs().query_cost();
 }
 
-void DirqNetwork::inject_async(TreeId tree, const query::RangeQuery& q,
+void DirqNetwork::inject_async(TreeId tree, query::MultiQuery q,
                                std::int64_t epoch) {
   begin_audit(q.id, tree, epoch);
   // The gateway delivers the query to the sink's root (no radio cost: the
   // root is wired to the server, paper §3). The root then directs it
   // down its own tree.
-  nodes_[trees_.root(tree)].handle(Message{QueryMessage{q, tree}}, kNoNode,
-                                   epoch);
-}
-
-void DirqNetwork::inject_async(TreeId tree, const query::MultiQuery& q,
-                               std::int64_t epoch) {
-  begin_audit(q.id, tree, epoch);
-  nodes_[trees_.root(tree)].handle(Message{MultiQueryMessage{q, tree}},
+  nodes_[trees_.root(tree)].handle(Message{QueryMessage{std::move(q), tree}},
                                    kNoNode, epoch);
 }
 
@@ -1041,15 +1028,10 @@ QueryOutcome DirqNetwork::collect_outcome() {
   return out;
 }
 
-QueryOutcome DirqNetwork::inject(TreeId tree, const query::RangeQuery& q,
+QueryOutcome DirqNetwork::inject(TreeId tree, query::MultiQuery q,
                                  std::int64_t epoch) {
-  inject_async(tree, q, epoch);  // instant transport: completes synchronously
-  return collect_outcome();
-}
-
-QueryOutcome DirqNetwork::inject(TreeId tree, const query::MultiQuery& q,
-                                 std::int64_t epoch) {
-  inject_async(tree, q, epoch);
+  // Instant transport: the dissemination completes synchronously.
+  inject_async(tree, std::move(q), epoch);
   return collect_outcome();
 }
 
@@ -1110,7 +1092,10 @@ void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
       const NodeId old_p = old_parent[u];
       const NodeId new_p = nodes_[u].parent(t);
       if (new_p == old_p) continue;
-      if (old_p != kNoNode && old_p < nodes_.size() && topo_.is_alive(old_p)) {
+      // A dead old parent drops the child too, so a revival does not
+      // re-announce tuples of children it no longer has; its parent is
+      // already kNoNode, so it sends nothing now.
+      if (old_p != kNoNode && old_p < nodes_.size()) {
         nodes_[old_p].on_child_lost(t, u, epoch);
       }
       if (new_p != kNoNode && topo_.is_alive(u)) {

@@ -216,21 +216,15 @@ class DirqNetwork final : public MessageSink {
   double broadcast_ehr(TreeId tree, double expected_queries_per_hour,
                        std::int64_t epoch);
 
-  /// Injects a query at a sink's root and returns the audited outcome.
-  /// With the instant transport the dissemination completes synchronously;
-  /// with an event-driven transport use inject_async + collect_outcome
-  /// instead.
-  QueryOutcome inject(TreeId tree, const query::RangeQuery& q,
-                      std::int64_t epoch);
-  QueryOutcome inject(TreeId tree, const query::MultiQuery& q,
-                      std::int64_t epoch);
+  /// Injects a query at a sink's root and returns the audited outcome. A
+  /// RangeQuery converts to its one-predicate MultiQuery. With the instant
+  /// transport the dissemination completes synchronously; with an
+  /// event-driven transport use inject_async + collect_outcome instead.
+  QueryOutcome inject(TreeId tree, query::MultiQuery q, std::int64_t epoch);
 
   /// Starts an asynchronous dissemination (event-driven transports). The
   /// audit keeps accumulating until collect_outcome is called.
-  void inject_async(TreeId tree, const query::RangeQuery& q,
-                    std::int64_t epoch);
-  void inject_async(TreeId tree, const query::MultiQuery& q,
-                    std::int64_t epoch);
+  void inject_async(TreeId tree, query::MultiQuery q, std::int64_t epoch);
 
   /// Finishes the audit started by the last inject_async.
   QueryOutcome collect_outcome();

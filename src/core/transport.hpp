@@ -52,11 +52,10 @@ struct CostLedger {
   }
 
   /// The counter one transmission (rx false) or reception of `msg` lands
-  /// in: Query and MultiQuery are query traffic, Update is update traffic,
-  /// everything else (EHr floods, location announcements) is control.
+  /// in: Query is query traffic, Update is update traffic, everything
+  /// else (EHr floods, location announcements) is control.
   [[nodiscard]] CostUnits& counter(const Message& msg, bool rx) noexcept {
-    if (std::holds_alternative<QueryMessage>(msg) ||
-        std::holds_alternative<MultiQueryMessage>(msg)) {
+    if (std::holds_alternative<QueryMessage>(msg)) {
       return rx ? query_rx : query_tx;
     }
     if (std::holds_alternative<UpdateMessage>(msg)) {

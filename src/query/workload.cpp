@@ -28,39 +28,13 @@ struct PathUnion {
   }
 };
 
-/// Shared path-union step: sources -> sources + forwarders.
-Involvement finish_involvement(std::vector<NodeId> sources,
-                               const net::SpanningTree& tree) {
-  Involvement result;
-  result.sources = std::move(sources);
-  PathUnion involved;
-  for (NodeId s : result.sources) involved.absorb(tree, s);
-  result.involved = std::move(involved.members);
-  std::sort(result.involved.begin(), result.involved.end());
-  return result;
-}
-
 }  // namespace
-
-Involvement compute_involvement(const RangeQuery& q, const net::Topology& topo,
-                                const net::SpanningTree& tree,
-                                const data::ReadingSource& env) {
-  std::vector<NodeId> sources;
-  for (const net::Node& n : topo.nodes()) {
-    if (!n.alive || !n.has_sensor(q.type) || !tree.in_tree(n.id)) continue;
-    if (n.id == tree.root()) continue;
-    if (q.region && !q.region->contains(n.x, n.y)) continue;
-    if (!q.matches(env.reading(n.id, q.type))) continue;
-    sources.push_back(n.id);
-  }
-  return finish_involvement(std::move(sources), tree);
-}
 
 Involvement compute_involvement(const MultiQuery& q, const net::Topology& topo,
                                 const net::SpanningTree& tree,
                                 const data::ReadingSource& env) {
-  std::vector<NodeId> sources;
-  if (q.predicates.empty()) return {};
+  Involvement result;
+  if (q.predicates.empty()) return result;
   for (const net::Node& n : topo.nodes()) {
     if (!n.alive || !tree.in_tree(n.id) || n.id == tree.root()) continue;
     if (q.region && !q.region->contains(n.x, n.y)) continue;
@@ -71,9 +45,14 @@ Involvement compute_involvement(const MultiQuery& q, const net::Topology& topo,
         break;
       }
     }
-    if (all) sources.push_back(n.id);
+    if (all) result.sources.push_back(n.id);
   }
-  return finish_involvement(std::move(sources), tree);
+  // Sources -> sources + forwarders.
+  PathUnion involved;
+  for (NodeId s : result.sources) involved.absorb(tree, s);
+  result.involved = std::move(involved.members);
+  std::sort(result.involved.begin(), result.involved.end());
+  return result;
 }
 
 WorkloadGenerator::WorkloadGenerator(const net::Topology& topo,

@@ -28,14 +28,10 @@ struct Involvement {
 };
 
 /// Computes the ground-truth involvement of `q` against current readings
-/// (region-constrained when the query carries one). The root is excluded
-/// from `involved` (it originates the query).
-Involvement compute_involvement(const RangeQuery& q, const net::Topology& topo,
-                                const net::SpanningTree& tree,
-                                const data::ReadingSource& env);
-
-/// Ground truth for a conjunctive multi-attribute query: a source carries
-/// every listed type and every reading satisfies its window.
+/// (region-constrained when the query carries one): a source carries every
+/// listed type and every reading satisfies its window. A RangeQuery
+/// converts to its one-predicate form. The root is excluded from
+/// `involved` (it originates the query).
 Involvement compute_involvement(const MultiQuery& q, const net::Topology& topo,
                                 const net::SpanningTree& tree,
                                 const data::ReadingSource& env);

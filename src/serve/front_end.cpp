@@ -86,19 +86,14 @@ void FrontEnd::inject_and_account(const Arrival& a, std::int64_t epoch) {
   }
   const TreeId routed = admission_.route();
   if (on_injected_) on_injected_(routed, epoch);
-  core::QueryOutcome outcome;
-  if (a.multi) {
-    query::MultiQuery q = a.multi_q;
-    q.id = next_id_++;
-    q.epoch = epoch;
-    outcome = network_.inject(routed, q, epoch);
-  } else {
-    query::RangeQuery q = a.range;
-    q.id = next_id_++;
-    q.epoch = epoch;
-    outcome = network_.inject(routed, q, epoch);
-    if (cfg_.cache_enabled) capture_entry(q, outcome, epoch);
-  }
+  query::MultiQuery q = a.multi ? a.multi_q : query::MultiQuery(a.range);
+  q.id = next_id_++;
+  q.epoch = epoch;
+  const core::QueryOutcome outcome =
+      network_.inject(routed, std::move(q), epoch);
+  // Only range queries are cacheable (on_boundary); the entry keys on the
+  // arrival's window, which the injected predicate copies.
+  if (!a.multi && cfg_.cache_enabled) capture_entry(a.range, outcome, epoch);
   admission_.note_cost(routed, outcome.cost);
   ++totals_.injected;
   ++sink_injected_.at(routed);

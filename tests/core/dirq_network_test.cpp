@@ -240,6 +240,34 @@ TEST(DirqNetwork, DiamondReparentingKeepsSubtreeReachable) {
   EXPECT_EQ(out.believed_sources, (std::vector<NodeId>{3}));
 }
 
+TEST(DirqNetwork, RevivedNodeDropsItsFormerChildrenTuples) {
+  // Unit-disk square (range 1.1): 0 (0,0), 1 (1,0), 2 (0,1), 3 (1,1). BFS
+  // puts 3 under 1; killing 1 moves 3 under 2. Node 1 revives at (-1, 0),
+  // a leaf of the root, and must not re-announce node 3's tuple.
+  std::vector<net::Node> nodes(4);
+  nodes[1].x = 1.0;
+  nodes[2].y = 1.0;
+  nodes[3].x = 1.0;
+  nodes[3].y = 1.0;
+  for (NodeId u = 1; u < 4; ++u) nodes[u].sensors = {kT};
+  net::Topology topo(std::move(nodes), 1.1);
+  DirqNetwork net(topo, 0, fixed_cfg());
+  ASSERT_EQ(net.tree().parent(3), 1u);
+  net.node(3).observe_slot(0, kT, 50.0, 0);
+  topo.kill_node(1);
+  net.handle_node_death(1, 1);
+  ASSERT_EQ(net.tree().parent(3), 2u);
+  net::Node revived = topo.node(1);
+  revived.x = -1.0;
+  topo.add_node(revived);
+  net.handle_node_addition(1, 2);
+  ASSERT_EQ(net.tree().parent(1), 0u);
+  EXPECT_EQ(net.node(1).table(0, kT), nullptr);
+  const QueryOutcome out = net.inject(0, make_query(1, kT, 49.0, 51.0), 2);
+  EXPECT_EQ(out.received, (std::vector<NodeId>{2, 3}));
+  EXPECT_EQ(out.cost, 4);  // root and node 2 forward, 2 and 3 receive
+}
+
 TEST(DirqNetwork, NodeAdditionJoinsTreeAndAnnounces) {
   net::Topology topo = line(3);
   DirqNetwork net(topo, 0, fixed_cfg());

@@ -108,7 +108,6 @@ TEST(LmacTransport, EveryMessageKindIsDeliveredAndNothingBooked) {
   // behind costs() is the network's to write.
   Rig r(3);
   r.transport.unicast(1, 0, Message{QueryMessage{}});
-  r.transport.unicast(1, 0, Message{MultiQueryMessage{}});
   r.transport.unicast(1, 0, Message{UpdateMessage{}});
   r.transport.unicast(1, 0, Message{EhrMessage{}});
   r.transport.unicast(1, 0, Message{LocationAnnounce{}});
@@ -119,9 +118,9 @@ TEST(LmacTransport, EveryMessageKindIsDeliveredAndNothingBooked) {
   for (const auto& rec : r.sink.delivered) {
     if (rec.from == 1) kinds.push_back(rec.msg.index());
   }
-  // FIFO, as sent: Query, MultiQuery, Update, EHr, LocationAnnounce.
-  EXPECT_EQ(kinds, (std::vector<std::size_t>{1, 2, 0, 3, 4}));
-  EXPECT_EQ(r.sink.delivered.size(), 9u);  // + 2 addressed + 2 broadcast
+  // FIFO, as sent: Query, Update, EHr, LocationAnnounce.
+  EXPECT_EQ(kinds, (std::vector<std::size_t>{1, 0, 2, 3}));
+  EXPECT_EQ(r.sink.delivered.size(), 8u);  // + 2 addressed + 2 broadcast
   EXPECT_EQ(r.transport.costs().total(), 0);
 }
 

@@ -10,15 +10,20 @@
 //   P6  identical seeds give identical runs (determinism)
 //   P7  LMAC slot assignments stay 2-hop exclusive through churn
 //   P8  after tree repair, every alive node is reachable and announced
+//   P9  after tree repair, a node keeps child tuples and child boxes of its
+//       current children only, dead and revived nodes included
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/experiment.hpp"
 #include "core/flooding.hpp"
 #include "core/network.hpp"
 #include "mac/lmac.hpp"
 #include "net/placement.hpp"
+#include "net/tree_set.hpp"
 #include "query/workload.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -202,6 +207,95 @@ TEST_P(SeedSweep, P8_TreeRepairKeepsNetworkQueryable) {
     const metrics::QueryAudit audit =
         metrics::audit_query(truth.involved, out.received);
     EXPECT_EQ(audit.missed, 0u) << "after death " << k;
+  }
+}
+
+/// The bounding box of `u`'s subtree in `tree`, from the topology's
+/// positions; a node outside the tree is its own subtree.
+net::BBox true_subtree_box(const net::Topology& topo,
+                           const net::SpanningTree& tree, NodeId u) {
+  net::BBox box = net::BBox::point(topo.node(u).x, topo.node(u).y);
+  if (!tree.in_tree(u)) return box;
+  for (NodeId c : tree.children(u)) {
+    box = box.join(true_subtree_box(topo, tree, c));
+  }
+  return box;
+}
+
+/// P9 on every node of every tree: each range table's child tuples are
+/// keyed by the node's current children, and its subtree box is exactly
+/// its subtree's, so no child box outlives its child.
+void expect_only_current_children(const core::DirqNetwork& net,
+                                  const net::Topology& topo,
+                                  std::size_t type_count,
+                                  const std::string& when) {
+  for (TreeId k = 0; k < net.tree_count(); ++k) {
+    for (NodeId u = 0; u < net.size(); ++u) {
+      const core::DirqNode& node = net.node(u);
+      const std::vector<NodeId>& children = node.children(k);
+      for (SensorType t = 0; t < type_count; ++t) {
+        const core::RangeTable* table = node.table(k, t);
+        if (table == nullptr) continue;
+        for (const auto& [child, range] : table->children()) {
+          EXPECT_TRUE(std::binary_search(children.begin(), children.end(),
+                                         child))
+              << when << ": tree " << k << " node " << u << " type " << t
+              << " holds a tuple of non-child " << child;
+        }
+      }
+      EXPECT_EQ(node.subtree_box(k), true_subtree_box(topo, net.tree(k), u))
+          << when << ": tree " << k << " node " << u;
+    }
+  }
+}
+
+TEST_P(SeedSweep, P9_RepairKeepsOnlyCurrentChildrenState) {
+  for (std::size_t sinks : {1u, 3u}) {
+    sim::Rng rng(GetParam());
+    net::RandomPlacementConfig pcfg;
+    pcfg.node_count = 30;
+    net::Topology topo = net::random_connected(pcfg, rng);
+    const std::size_t types = pcfg.sensor_type_count;
+    data::Environment env(topo, types, rng.substream("env"));
+    const std::vector<NodeId> roots = net::spread_roots(topo, sinks);
+    core::DirqNetwork net(topo, roots, World::cfg(5.0));
+    std::int64_t epoch = 0;
+    const auto settle = [&](std::int64_t epochs) {
+      for (const std::int64_t end = epoch + epochs; epoch < end; ++epoch) {
+        env.advance_to(epoch);
+        net.process_epoch(env, epoch);
+      }
+    };
+    settle(20);
+    // A seeded kill/revive script: a revived node comes back near a
+    // random alive node, away from where it died.
+    for (int step = 0; step < 12; ++step) {
+      std::vector<NodeId> alive, dead;
+      for (const net::Node& n : topo.nodes()) {
+        if (std::find(roots.begin(), roots.end(), n.id) != roots.end()) {
+          continue;
+        }
+        (n.alive ? alive : dead).push_back(n.id);
+      }
+      const std::string when = std::to_string(sinks) + " sinks, step " +
+                               std::to_string(step);
+      if (!dead.empty() && rng.bernoulli(0.5)) {
+        net::Node revived = topo.node(dead[rng.index(dead.size())]);
+        const net::Node& anchor = topo.node(alive[rng.index(alive.size())]);
+        revived.x = anchor.x + rng.uniform(-10.0, 10.0);
+        revived.y = anchor.y + rng.uniform(-10.0, 10.0);
+        topo.add_node(revived);
+        net.handle_node_addition(revived.id, epoch);
+        expect_only_current_children(net, topo, types, when + " (revival)");
+      } else {
+        const NodeId victim = alive[rng.index(alive.size())];
+        topo.kill_node(victim);
+        net.handle_node_death(victim, epoch);
+        expect_only_current_children(net, topo, types, when + " (death)");
+      }
+      settle(5);
+      expect_only_current_children(net, topo, types, when + " (settled)");
+    }
   }
 }
 

@@ -77,6 +77,20 @@ TEST(AttributePredicate, MatchesAndOverlapsMirrorRangeQuery) {
   EXPECT_FALSE(p.overlaps(10.5, 20.0));
 }
 
+TEST(MultiQuery, RangeQueryConvertsToOnePredicate) {
+  const RangeQuery q(4, kSensorHumidity, 30.0, 45.0, 80,
+                     net::BBox{1.0, 2.0, 3.0, 4.0});
+  const MultiQuery m = q;
+  EXPECT_EQ(m.id, 4u);
+  EXPECT_EQ(m.epoch, 80);
+  ASSERT_EQ(m.predicates.size(), 1u);
+  EXPECT_EQ(m.predicates[0].type, kSensorHumidity);
+  EXPECT_EQ(m.predicates[0].lo, 30.0);
+  EXPECT_EQ(m.predicates[0].hi, 45.0);
+  ASSERT_TRUE(m.region.has_value());
+  EXPECT_EQ(*m.region, *q.region);
+}
+
 TEST(MultiQuery, DescribeListsEveryConjunct) {
   MultiQuery m;
   m.id = 9;

@@ -49,6 +49,8 @@ run --nodes 50 --epochs 400 --relevant 0.4 --atc
 run --nodes 20 --epochs 300 --theta 5 --loss 0.1 --series
 run --mac lmac --nodes 20 --epochs 300 --seed 7
 run --mac lmac --nodes 20 --epochs 300 --seed 7 --theta 5 --threads 4
+run --mac lmac --nodes 20 --epochs 300 --seed 7 --theta 5 --multi-frac 0.5 \
+    --multi-count 2
 run --nodes 80 --epochs 200 --seed 7 --theta 5
 run --field fast --nodes 80 --epochs 200 --seed 7 --theta 5
 run --nodes 40 --epochs 200 --seed 7 --theta 5 --sinks 4 --threads 2
